@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import perturbation_harness, suites
-from .config import default_config, load_config
+from .config import build_lab, default_config, load_config
 from .errors import (
     AdmissibilityError,
     CertificationError,
@@ -56,19 +56,13 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def _build_lab(cfg):
-    from .config import build_lab
-
-    return build_lab(cfg)
-
-
 def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
 def cmd_check_gap(args) -> int:
     cfg = _load(args)
-    lab = _build_lab(cfg)
+    lab = build_lab(cfg)
     print(lab.gap.to_json())
     if not lab.gap.passed:
         return _EXIT_ADMISSIBILITY
@@ -91,7 +85,7 @@ def _require_admissible(lab):
 def cmd_build(args) -> int:
     start = time.perf_counter()
     cfg = _load(args)
-    lab = _build_lab(cfg)
+    lab = build_lab(cfg)
     _require_admissible(lab)
     out = _out_dir(args, cfg)
     sampled = None
@@ -123,7 +117,7 @@ def cmd_build(args) -> int:
         "runtime_seconds": time.perf_counter() - start,
     }
     with open(out / "certificates.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"manifold: {out / 'manifold.csv'}")
     print(f"derivative: {out / 'derivative.csv'}")
@@ -136,7 +130,7 @@ def cmd_build(args) -> int:
 
 def cmd_distance_study(args) -> int:
     cfg = _load(args)
-    lab = _build_lab(cfg)
+    lab = build_lab(cfg)
     _require_admissible(lab)
     if not lab.limit_F.analytic_fixture:
         lab.certify()
@@ -169,7 +163,7 @@ def cmd_self_test(args) -> int:
         unknown = set(names) - set(suites.ALL_SUITES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
-    lab = _build_lab(cfg)
+    lab = build_lab(cfg)
     _require_admissible(lab)
     if not lab.limit_F.analytic_fixture:
         lab.certify()

@@ -8,6 +8,7 @@ through fixed spawn keys, so every build is reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,43 @@ def _require(cond, msg):
 
 
 def _only_keys(d, allowed, where):
+    _require(isinstance(d, dict), f"{where} must be a JSON object")
     extra = set(d) - set(allowed)
     _require(not extra, f"unknown keys in {where}: {sorted(extra)}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(d, key, default):
+    v = d.get(key, default)
+    _require(_is_number(v), f"{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _number_or_auto(d, key):
+    return "auto" if d.get(key, "auto") == "auto" else _number(d, key, None)
+
+
+def _integer(d, key, default):
+    v = d.get(key, default)
+    _require(isinstance(v, int) and not isinstance(v, bool),
+             f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _text(d, key, default):
+    v = d.get(key, default)
+    _require(isinstance(v, str), f"{key} must be a string, got {v!r}")
+    return v
+
+
+def _numbers(d, key, default):
+    v = d.get(key, default)
+    _require(isinstance(v, (list, tuple)) and all(_is_number(x) for x in v),
+             f"{key} must be a list of finite numbers")
+    return tuple(float(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -98,6 +134,14 @@ class ExperimentConfig:
     theta: float | str = "auto"
     theta_star: float | str = "auto"
 
+    def __post_init__(self):
+        # checked here, not in the parser, so command-line overrides applied
+        # with dataclasses.replace are checked too
+        _require(self.seed >= 0, f"seed must be nonnegative, got {self.seed}")
+        n = len(self.spectral.limit_eigenvalues())
+        _require(self.nonlinearity.k <= n,
+                 f"K={self.nonlinearity.k} base coefficients exceed N={n} modes")
+
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
@@ -109,14 +153,14 @@ def default_config() -> ExperimentConfig:
 
 def _spectral_from_dict(d) -> SpectralConfig:
     _only_keys(d, {"rule", "N", "scale", "m", "alpha", "eigenvalues"}, "spectral")
-    eig = d.get("eigenvalues")
+    eig = None if d.get("eigenvalues") is None else _numbers(d, "eigenvalues", None)
     cfg = SpectralConfig(
-        rule=d.get("rule", "i^2"),
-        n=int(d.get("N", len(eig) if eig else 32)),
-        scale=float(d.get("scale", 2.0)),
-        m=int(d.get("m", 1)),
-        alpha=float(d.get("alpha", 0.0)),
-        eigenvalues=tuple(float(x) for x in eig) if eig is not None else None,
+        rule=_text(d, "rule", "i^2"),
+        n=_integer(d, "N", len(eig) if eig else 32),
+        scale=_number(d, "scale", 2.0),
+        m=_integer(d, "m", 1),
+        alpha=_number(d, "alpha", 0.0),
+        eigenvalues=eig,
     )
     _require(0.0 <= cfg.alpha < 1.0, "alpha must lie in [0, 1)")
     if cfg.eigenvalues is not None:
@@ -132,25 +176,18 @@ def _nonlinearity_from_dict(d) -> NonlinearityConfig:
     )
     g = d.get("G", {})
     _only_keys(g, {"model", "relative_amplitude"}, "nonlinearity.G")
-
-    def num_or_auto(key, val):
-        if val == "auto":
-            return "auto"
-        _require(isinstance(val, (int, float)), f"{key} must be a number or 'auto'")
-        return float(val)
-
     cfg = NonlinearityConfig(
-        model=d.get("model", "sine"),
-        k=int(d.get("K", 4)),
-        radius=float(d.get("R", 1.0)),
-        lf=float(d.get("LF", 0.1)),
-        cf=num_or_auto("CF", d.get("CF", "auto")),
-        theta_f=float(d.get("thetaF", 1.0)),
-        l=num_or_auto("L", d.get("L", "auto")),
-        amplitude=num_or_auto("amplitude", d.get("amplitude", "auto")),
-        g_model=g.get("model", "cosine"),
-        g_relative_amplitude=float(g.get("relative_amplitude", 1.0)),
-        eps_rule=d.get("eps_rule", "additive"),
+        model=_text(d, "model", "sine"),
+        k=_integer(d, "K", 4),
+        radius=_number(d, "R", 1.0),
+        lf=_number(d, "LF", 0.1),
+        cf=_number_or_auto(d, "CF"),
+        theta_f=_number(d, "thetaF", 1.0),
+        l=_number_or_auto(d, "L"),
+        amplitude=_number_or_auto(d, "amplitude"),
+        g_model=_text(g, "model", "cosine"),
+        g_relative_amplitude=_number(g, "relative_amplitude", 1.0),
+        eps_rule=_text(d, "eps_rule", "additive"),
     )
     _require(cfg.model == "sine", f"unknown nonlinearity model {cfg.model!r}")
     _require(cfg.g_model == "cosine", f"unknown direction model {cfg.g_model!r}")
@@ -169,21 +206,21 @@ def _solver_from_dict(d) -> SolveSettings:
         "solver",
     )
     return SolveSettings(
-        t_horizon=d.get("T_horizon", "auto"),
-        h=d.get("h", "auto"),
-        tol_fp=float(d.get("tol_fp", 1e-10)),
-        max_iter=int(d.get("max_iter", 60)),
-        grid_nodes=int(d.get("grid_nodes", 201)),
-        box_factor=float(d.get("box_factor", 1.5)),
+        t_horizon=_number_or_auto(d, "T_horizon"),
+        h=_number_or_auto(d, "h"),
+        tol_fp=_number(d, "tol_fp", 1e-10),
+        max_iter=_integer(d, "max_iter", 60),
+        grid_nodes=_integer(d, "grid_nodes", 201),
+        box_factor=_number(d, "box_factor", 1.5),
     )
 
 
 def _family_from_dict(d) -> FamilyConfig:
     _only_keys(d, {"spectral_perturbation", "extension", "eps_grid"}, "family")
     cfg = FamilyConfig(
-        spectral_perturbation=d.get("spectral_perturbation", "multiplicative"),
-        extension=d.get("extension", "identity"),
-        eps_grid=tuple(float(x) for x in d.get("eps_grid", DEFAULT_EPS_GRID)),
+        spectral_perturbation=_text(d, "spectral_perturbation", "multiplicative"),
+        extension=_text(d, "extension", "identity"),
+        eps_grid=_numbers(d, "eps_grid", DEFAULT_EPS_GRID),
     )
     _require(
         cfg.spectral_perturbation == "multiplicative",
@@ -205,15 +242,13 @@ def config_from_dict(d) -> ExperimentConfig:
     )
 
     def exponent(key):
-        v = d.get(key, "auto")
-        if v == "auto":
-            return "auto"
-        _require(isinstance(v, (int, float)) and v > 0, f"{key} must be positive or 'auto'")
-        return float(v)
+        v = _number_or_auto(d, key)
+        _require(v == "auto" or v > 0, f"{key} must be positive or 'auto'")
+        return v
 
     return ExperimentConfig(
-        seed=int(d.get("seed", 0)),
-        out_dir=str(d.get("out_dir", "out")),
+        seed=_integer(d, "seed", 0),
+        out_dir=_text(d, "out_dir", "out"),
         spectral=_spectral_from_dict(d.get("spectral", {})),
         nonlinearity=_nonlinearity_from_dict(d.get("nonlinearity", {})),
         solver=_solver_from_dict(d.get("solver", {})),

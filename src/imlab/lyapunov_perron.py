@@ -9,10 +9,17 @@ closed form. Stiff fast modes therefore never enter a time-stepper.
 Graphs live on uniform tensor grids over the slow coordinates (one or two
 slow modes) with multilinear interpolation, zero values at nodes outside the
 cutoff support, and zero evaluation outside the grid box.
+
+The fiber march samples the graph and its derivative field in one
+interpolation call and advances the tangent with the nonlinearity's
+Jacobian-vector product, which forms only the base map's leading Jacobian
+rows. Dense N x N Jacobians stay with certification and the regularity
+estimates.
 """
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +182,6 @@ class GraphFunction:
             out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
         return out
 
-    def eval_one(self, z) -> np.ndarray:
-        return self.eval(np.asarray(z, dtype=float)[None, :])[0]
-
     def with_values(self, values) -> "GraphFunction":
         return GraphFunction(self.problem, self.axes, values, self.support_radius)
 
@@ -255,12 +259,25 @@ class SolveSettings:
     overflow_guard: float = 1e12
 
     def __post_init__(self):
-        if self.tol_fp <= 0:
+        for name in ("t_horizon", "h"):
+            value = getattr(self, name)
+            if not (value == "auto" or _is_positive(value)):
+                raise ConfigError(f"{name} must be a positive number or 'auto', got {value!r}")
+        if not _is_positive(self.tol_fp):
             raise ConfigError("tol_fp must be positive")
+        for name in ("max_iter", "grid_nodes"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.box_factor <= 1.0:
+        if not (_is_positive(self.box_factor) and self.box_factor > 1.0):
             raise ConfigError("box_factor must exceed 1 so the support is interior")
+
+
+def _is_positive(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < np.inf)
 
 
 def slow_flow_rate(problem: SpectralProblem, F: CutoffNonlinearity) -> float:
@@ -302,8 +319,6 @@ def resolve_step(problem, F, settings) -> float:
     if settings.h == "auto":
         return 0.05 / rate
     h = float(settings.h)
-    if h <= 0:
-        raise ConfigError("step must be positive")
     if h > 0.1 / rate * (1.0 + 1e-12):
         raise ConfigError(
             f"step {h:.4g} exceeds the stability budget 0.1/{rate:.4g}"
@@ -379,16 +394,14 @@ def _march_graph(problem, F, phi, p0, T, h, guard, collect=False):
     return acc
 
 
-def _identity_plus(problem, upsilon, p):
-    """Columns of the graph tangent map: identity over the slow block plus
-    the derivative field over the fast block."""
-    b = p.shape[0]
-    m = problem.m
-    J = np.zeros((b, problem.n_modes, m))
-    J[:, :m, :] = np.eye(m)
-    if upsilon is not None:
-        J[:, m:, :] = upsilon.eval(p)
-    return J
+def _stacked_graph_and_field(phi, upsilon):
+    """Graph values and field maps stacked along the trailing axis, shape
+    grid + (fast modes, 1 + m), so one interpolation samples both."""
+    if upsilon.support_radius != phi.support_radius or not all(
+        np.array_equal(a, b) for a, b in zip(upsilon.axes, phi.axes)
+    ):
+        raise DimensionError("graph and derivative field must share grid and support")
+    return np.concatenate([phi.values[..., None], upsilon.values], axis=-1)
 
 
 def _march_fiber(problem, F, phi, upsilon, p0, T, h, guard, collect=False):
@@ -405,12 +418,21 @@ def _march_fiber(problem, F, phi, upsilon, p0, T, h, guard, collect=False):
     p = np.array(np.atleast_2d(p0), dtype=float)
     b = p.shape[0]
     th = np.broadcast_to(np.eye(m), (b, m, m)).copy()
+    stacked = _stacked_graph_and_field(phi, upsilon)
+    u = np.zeros((b, problem.n_modes))
+    # graph tangent map: identity over the slow block, the field below it
+    tangent = np.zeros((b, problem.n_modes, m))
+    tangent[:, :m, :] = np.eye(m)
 
     def rhs(pv, tv):
-        u = _lift(problem, phi, pv)
-        fv = F.eval_batch(u)
+        sampled = _interp_multilinear(phi.axes, stacked, pv)
+        if phi.support_radius is not None:
+            sampled[coord_norm_batch(phi.problem, pv) >= phi.support_radius] = 0.0
+        u[:, :m] = pv
+        u[:, m:] = sampled[..., 0]
+        tangent[:, m:, :] = sampled[..., 1:]
+        fv, dfj = F.eval_and_jvp(u, tangent)
         fp = fv[:, :m] - pv * lam_p
-        dfj = F.jacobian_batch(u) @ _identity_plus(problem, upsilon, pv)
         ft = dfj[:, :m, :] @ tv - lam_p[None, :, None] * tv
         g = dfj[:, m:, :] @ tv
         return fp, ft, g
@@ -546,10 +568,6 @@ class FixedPointResult:
     diffs: list
     ratios: list
     iterations: int
-
-    @property
-    def converged(self) -> bool:
-        return True  # non-convergence raises instead of returning
 
 
 @dataclass(eq=False)

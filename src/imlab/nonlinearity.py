@@ -68,7 +68,24 @@ def cutoff_derivative(r, radius: float):
 # Base maps: smooth maps with exact derivatives on the coefficient space
 
 
-class SineBase:
+def _pad_rows(rows, count: int) -> np.ndarray:
+    """Stack of row blocks (B, k, N) zero-extended to (B, count, N)."""
+    if rows.shape[1] == count:
+        return rows
+    out = np.zeros((rows.shape[0], count, rows.shape[2]))
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
+class _BaseMap:
+    """Base maps vanish, value and Jacobian alike, past their first `rows`
+    coefficients; `jacobian_rows(u)` gives the (B, rows, N) leading block."""
+
+    def jacobian(self, u):
+        return _pad_rows(self.jacobian_rows(u), self.n)
+
+
+class SineBase(_BaseMap):
     """amplitudes * sin(W u + phases) written into the first K coefficients."""
 
     def __init__(self, n_modes: int, amplitudes, weights, phases):
@@ -79,26 +96,26 @@ class SineBase:
         k = self.amplitudes.size
         if self.weights.shape != (k, self.n) or self.phases.shape != (k,):
             raise ConfigError("inconsistent sine base shapes")
-        self.k = k
+        if k > self.n:
+            raise ConfigError(f"K={k} base coefficients exceed N={self.n} modes")
+        self.rows = k
 
     def value(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         out = np.zeros((u.shape[0], self.n))
-        out[:, : self.k] = self.amplitudes * np.sin(u @ self.weights.T + self.phases)
+        out[:, : self.rows] = self.amplitudes * np.sin(u @ self.weights.T + self.phases)
         return out
 
-    def jacobian(self, u):
+    def jacobian_rows(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = np.zeros((u.shape[0], self.n, self.n))
         c = self.amplitudes * np.cos(u @ self.weights.T + self.phases)
-        out[:, : self.k, :] = c[:, :, None] * self.weights[None, :, :]
-        return out
+        return c[:, :, None] * self.weights[None, :, :]
 
     def scaled(self, factor: float) -> "SineBase":
         return SineBase(self.n, self.amplitudes * factor, self.weights, self.phases)
 
 
-class CosineBase:
+class CosineBase(_BaseMap):
     """amplitudes * cos(W u) written into the first K coefficients.
 
     Zero phase makes the value norm peak exactly at u = 0, which sits on the
@@ -109,47 +126,53 @@ class CosineBase:
         self.n = int(n_modes)
         self.amplitudes = np.asarray(amplitudes, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.k = self.amplitudes.size
-        if self.weights.shape != (self.k, self.n):
+        k = self.rows = self.amplitudes.size
+        if self.weights.shape != (k, self.n):
             raise ConfigError("inconsistent cosine base shapes")
+        if k > self.n:
+            raise ConfigError(f"K={k} base coefficients exceed N={self.n} modes")
 
     def value(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         out = np.zeros((u.shape[0], self.n))
-        out[:, : self.k] = self.amplitudes * np.cos(u @ self.weights.T)
+        out[:, : self.rows] = self.amplitudes * np.cos(u @ self.weights.T)
         return out
 
-    def jacobian(self, u):
+    def jacobian_rows(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = np.zeros((u.shape[0], self.n, self.n))
         c = -self.amplitudes * np.sin(u @ self.weights.T)
-        out[:, : self.k, :] = c[:, :, None] * self.weights[None, :, :]
-        return out
+        return c[:, :, None] * self.weights[None, :, :]
 
     def scaled(self, factor: float) -> "CosineBase":
         return CosineBase(self.n, self.amplitudes * factor, self.weights)
 
 
-class ConstantBase:
-    """Constant map; its Jacobian vanishes identically."""
+class ConstantBase(_BaseMap):
+    """Constant map; its Jacobian vanishes identically.
+
+    Its rows reach the last nonzero entry, because the cutoff's product rule
+    writes the value into the Jacobian rows.
+    """
 
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float)
         self.n = self.vector.size
+        nonzero = np.flatnonzero(self.vector)
+        self.rows = int(nonzero[-1]) + 1 if nonzero.size else 0
 
     def value(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         return np.broadcast_to(self.vector, (u.shape[0], self.n)).copy()
 
-    def jacobian(self, u):
+    def jacobian_rows(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.zeros((u.shape[0], self.n, self.n))
+        return np.zeros((u.shape[0], self.rows, self.n))
 
     def scaled(self, factor: float) -> "ConstantBase":
         return ConstantBase(self.vector * factor)
 
 
-class SumBase:
+class SumBase(_BaseMap):
     """Pointwise sum of two base maps on the same coefficient space."""
 
     def __init__(self, first, second, second_scale: float = 1.0):
@@ -158,12 +181,14 @@ class SumBase:
         self.first, self.second = first, second
         self.second_scale = float(second_scale)
         self.n = first.n
+        self.rows = max(first.rows, second.rows)
 
     def value(self, u):
         return self.first.value(u) + self.second_scale * self.second.value(u)
 
-    def jacobian(self, u):
-        return self.first.jacobian(u) + self.second_scale * self.second.jacobian(u)
+    def jacobian_rows(self, u):
+        return _pad_rows(self.first.jacobian_rows(u), self.rows) \
+            + self.second_scale * _pad_rows(self.second.jacobian_rows(u), self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +202,12 @@ class CutoffNonlinearity:
     cutoff_radius None disables the bump entirely; that variant exists for
     closed-form fixtures and is flagged so reports can record that
     certification was skipped.
+
+    Two derivative paths share the product rule through the bump. The fiber
+    march calls `eval_and_jvp`, which forms only the base map's leading
+    Jacobian rows and applies them to the tangent. Certification, the
+    derivative mismatch and the Hoelder quotients call `jacobian_batch`,
+    which returns dense N x N Jacobians.
     """
 
     problem: SpectralProblem
@@ -237,8 +268,35 @@ class CutoffNonlinearity:
             out[live] += dzeta[live, None, None] * vals[:, :, None] * grad[:, None, :]
         return out
 
-    def eval_DF(self, u) -> np.ndarray:
-        return self.jacobian_batch(np.asarray(u, dtype=float)[None, :])[0]
+    def eval_and_jvp(self, u, V):
+        """F(u) and DF(u) V for a batch of points u (B, N) and tangents V
+        (B, N, m), computing the base value, radius and bump once.
+
+        Only the base map's leading rows of DF(u) are formed. Each keeps the
+        element-wise product rule of `jacobian_batch` and the same sum over
+        n as `jacobian_batch(u) @ V`, so the fiber march keeps the dense
+        path's rounding. The other rows of DF(u) V are exactly zero.
+        """
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if u.shape[-1] != self.problem.n_modes:
+            raise DimensionError("wrong coefficient count")
+        vals = self.base.value(u)
+        rows = self.base.jacobian_rows(u)
+        k = rows.shape[1]
+        if self.cutoff_radius is not None:
+            r = alpha_norm_batch(self.problem, u)
+            zeta = cutoff_value(r, self.cutoff_radius)
+            dzeta = cutoff_derivative(r, self.cutoff_radius)
+            rows = rows * zeta[:, None, None]
+            live = dzeta != 0.0
+            if np.any(live):
+                w2 = self.problem.alpha_weights**2
+                grad = (u[live] * w2) / r[live, None]
+                rows[live] += dzeta[live, None, None] * vals[live, :k, None] * grad[:, None, :]
+            vals = vals * zeta[:, None]
+        jvp = np.zeros((u.shape[0], self.problem.n_modes) + V.shape[2:])
+        jvp[:, :k] = rows @ V
+        return vals, jvp
 
     def with_constants(self, C_F, L_F, theta_F, L) -> "CutoffNonlinearity":
         return replace(self, C_F=C_F, L_F=L_F, theta_F=theta_F, L=L)

@@ -489,17 +489,18 @@ class DistanceReport:
             ],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
 def _log_fit(x, y):
-    """Least-squares fit log y = log C + s log x; returns (C, slope)."""
+    """Least-squares fit log y = log C + s log x; returns (C, slope), or
+    (None, None) when fewer than two points are positive."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
     if keep.sum() < 2:
-        return float("nan"), float("nan")
+        return None, None
     lx, ly = np.log(x[keep]), np.log(y[keep])
     slope, logc = np.polyfit(lx, ly, 1)
     return float(np.exp(logc)), float(slope)

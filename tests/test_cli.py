@@ -104,6 +104,22 @@ def test_build_rejects_bad_exponents(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "payload, phrase",
+    [
+        ({"solver": {"h": "fast"}}, "h must be"),
+        ({"spectral": {"N": "x"}}, "N must be an integer"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"spectral": {"N": 3, "m": 2}}, "exceed N=3"),
+    ],
+)
+def test_build_rejects_malformed_config(tmp_path, capsys, payload, phrase):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and phrase in err[0]
+
+
 def test_build_failing_gap(tmp_path, capsys):
     rc = main(["build", "--config", write_cfg(tmp_path, TIGHT_GAP),
                "--out", str(tmp_path / "o")])
@@ -166,3 +182,17 @@ def test_distance_study_deterministic(tmp_path, capsys):
     assert main(["distance-study", "--eps-grid", "0.01", "--out", str(b)]) == 0
     capsys.readouterr()
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_distance_study_report_is_strict_json(tmp_path, capsys):
+    # one eps row leaves every least-squares fit undefined
+    out = tmp_path / "zero"
+    assert main(["distance-study", "--eps-grid", "0.0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    blob = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert all(fit == {"C": None, "slope": None}
+               for fit in blob["least_squares_fits"].values())

@@ -7,6 +7,8 @@ are asserted without tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imlab.errors import CertificationError, ConfigError, DimensionError
 from imlab.nonlinearity import (
@@ -221,3 +223,50 @@ def test_rho_eps_exact_for_cosine_direction():
     rho = rho_eps(F_eps, F_lim, pair.E, sample_count=300, rng=np.random.default_rng(6))
     # the mismatch eps * zeta(r) |cos(W u)| |amps| peaks at the origin sample
     assert rho == pytest.approx(eps * family.direction_sup(), rel=1e-14)
+
+
+def _jvp_member(kind, problem, seed):
+    """One nonlinearity of each kind the fiber march meets."""
+    rng = np.random.default_rng(seed)
+    n = problem.n_modes
+    consts = dict(C_F=1.0, L_F=1.0, theta_F=1.0, L=1.0)
+    sine = SineBase(n, 0.1 * rng.uniform(0.5, 1.0, 3), rng.normal(size=(3, n)),
+                    rng.uniform(0, 2 * np.pi, 3))
+    if kind == "sine":  # the eps = 0 member
+        return CutoffNonlinearity(problem=problem, base=sine, cutoff_radius=1.0)
+    if kind == "sum":  # an eps > 0 member
+        direction = CosineBase(n, rng.uniform(0.5, 1.0, 2), rng.normal(size=(2, n)))
+        family = PerturbedNonlinearityPair(base0=sine, direction=direction, eps_max=0.1)
+        return family.member(problem, 0.05, 1.0, consts)
+    tail = np.zeros(n)
+    tail[-1] = 0.3  # value support in the last row, past the sine rows
+    if kind == "sum_tail":
+        return CutoffNonlinearity(problem=problem, base=SumBase(sine, ConstantBase(tail)),
+                                  cutoff_radius=1.0)
+    return CutoffNonlinearity(problem=problem, base=ConstantBase(tail), cutoff_radius=None)
+
+
+@given(
+    kind=st.sampled_from(["sine", "sum", "sum_tail", "fixture"]),
+    m=st.sampled_from([1, 2]),
+    alpha=st.sampled_from([0.0, 0.5]),
+    radii=st.tuples(st.floats(0.0, 0.49), st.floats(0.51, 0.99), st.floats(1.01, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
+    ev = 2.0 * np.arange(1, 7) ** 2
+    problem = SpectralProblem(eigenvalues=ev.astype(float), m=m, alpha=alpha)
+    F = _jvp_member(kind, problem, seed)
+    rng = np.random.default_rng(seed + 1)
+    # one point on the plateau, one in the annulus, one outside the support
+    u = rng.normal(size=(3, problem.n_modes))
+    u *= (np.array(radii) / np.array([alpha_norm(problem, x) for x in u]))[:, None]
+    V = rng.normal(size=(3, problem.n_modes, m))
+    fv, jvp = F.eval_and_jvp(u, V)
+    assert np.array_equal(fv, F.eval_batch(u))
+    dense = F.jacobian_batch(u) @ V
+    scale = max(np.abs(dense).max(), 1e-300)
+    assert np.abs(jvp - dense).max() <= 1e-14 * scale
+    assert np.all(jvp[:, F.base.rows :] == 0.0)
+    assert np.all(dense[:, F.base.rows :] == 0.0)
