@@ -54,6 +54,7 @@ from .lyapunov_perron import (
     load_graph_csv,
     solve_derivative,
     solve_manifold,
+    solve_stack,
 )
 from .nonlinearity import (
     CosineBase,
@@ -79,6 +80,7 @@ from .perturbation_harness import (
     rate_study,
     rho_of,
     solve_member,
+    solve_members,
     sup_distance,
     tau_eps,
     theta_comparison,

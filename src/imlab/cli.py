@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 configuration or usage problems, 2 admissibility or
-certification failures, 3 numerical failures (an iteration stops contracting,
-fails to converge, or trips the overflow guard).
+Exit codes: 0 success, 1 configuration or usage problems (including a
+configuration too large to allocate), 2 admissibility or certification
+failures, 3 numerical failures (an iteration stops contracting, fails to
+converge, or trips the overflow guard).
 """
 from __future__ import annotations
 
@@ -60,6 +61,12 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _print_runtime(seconds):
+    """Elapsed time goes to stderr, so the written reports stay
+    byte-reproducible."""
+    print(f"runtime: {seconds:.2f} s", file=sys.stderr)
+
+
 def cmd_check_gap(args) -> int:
     cfg = _load(args)
     lab = build_lab(cfg)
@@ -114,7 +121,6 @@ def cmd_build(args) -> int:
         "field_iterations": member.derivative.iterations,
         "field_diffs": member.derivative.diffs,
         "field_ratios": member.derivative.ratios,
-        "runtime_seconds": time.perf_counter() - start,
     }
     with open(out / "certificates.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -125,6 +131,7 @@ def cmd_build(args) -> int:
     print(f"graph iterations = {member.manifold.iterations}  "
           f"field iterations = {member.derivative.iterations}")
     print(f"L_hat = {_fmt(lip)}  M_hat = {_fmt(fld.holder_bound)}")
+    _print_runtime(time.perf_counter() - start)
     return 0
 
 
@@ -148,6 +155,7 @@ def cmd_distance_study(args) -> int:
     print(f"fitted_C_sup = {_fmt(report.fitted_C_sup)}  "
           f"fitted_C_c1theta = {_fmt(report.fitted_C_c1theta)}")
     print(f"report: {out / 'report.csv'}")
+    _print_runtime(report.runtime_seconds)
     if not report.all_pass:
         return _EXIT_ADMISSIBILITY
     return 0
@@ -236,6 +244,11 @@ def main(argv=None) -> int:
     except ImlabError as exc:
         # remaining taxonomy members are configuration-shaped
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as exc:
+        # sizes numpy refuses to allocate, such as an enormous spectral N
+        print(f"error: the configuration needs more memory than is available ({exc})",
+              file=sys.stderr)
         return _EXIT_CONFIG
 
 

@@ -117,12 +117,12 @@ class GapReport:
     theta_tilde: float
     theta: float
     lambdas: tuple
-    eta: float
+    eta: float | None
     M0: float | None
     inputs: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def gap_report(
@@ -139,13 +139,14 @@ def gap_report(
 
     L defaults to the conservative value 1 when no certified derivative
     Hoelder constant is available. M0 is reported as None when the Hoelder
-    recursion does not contract at this theta.
+    recursion does not contract at this theta, and eta as None when its
+    denominator lambda2 is not positive.
     """
     passed, (mg, ms) = check_gap(lambda_m, lambda_m1, L_F, kappa, alpha)
     t0 = theta0(lambda_m, lambda_m1, L_F, alpha)
     t1 = theta1(lambda_m, lambda_m1, L_F, kappa, alpha)
     lams = exponents(lambda_m, lambda_m1, L_F, kappa, alpha, theta)
-    eta = 2.0 * L_F * lambda_m1**alpha / lams[2] if lams[2] > 0 else float("inf")
+    eta = 2.0 * L_F * lambda_m1**alpha / lams[2] if lams[2] > 0 else None
     try:
         m0 = m0_bound(lambda_m1, L_F, L, alpha, lams[2])
     except AdmissibilityError:

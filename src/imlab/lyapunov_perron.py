@@ -10,6 +10,19 @@ Graphs live on uniform tensor grids over the slow coordinates (one or two
 slow modes) with multilinear interpolation, zero values at nodes outside the
 cutoff support, and zero evaluation outside the grid box.
 
+One march kernel, `_march`, serves the graph transform, the derivative
+(fiber) transform and the trajectory integrators. It marches a stack of
+rows grouped by member: each row carries its member's step, eigenvalues,
+trapezoid weights, grid and nonlinearity, and a member's rows leave the
+stack when its march ends. `solve_stack` drives the fixed-point sweeps of
+several members in lockstep over that kernel, and the one-member
+operations (`apply_T`, `apply_D`, `solve_manifold`, ...) are one-member
+calls of the same code. The nonlinearity's phase `u @ W.T` is formed one
+member block at a time (see `NonlinearityStack`): OpenBLAS rounds a gemm row
+differently depending on how many rows the call holds, so one gemm over the
+whole stack would move results in the last bits. Every other step is
+row-wise, so a member solved in a stack equals its solve alone bit for bit.
+
 The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
 Jacobian-vector product, which forms only the base map's leading Jacobian
@@ -33,7 +46,7 @@ from .errors import (
     GapViolationError,
     OverflowGuardError,
 )
-from .nonlinearity import CutoffNonlinearity
+from .nonlinearity import CutoffNonlinearity, NonlinearityStack, per_row
 from .spectral_core import SpectralProblem, coord_norm_batch
 
 _NODE_CHUNK = 8192
@@ -86,25 +99,40 @@ def phi1_weight(z):
 # Graphs over the slow coordinates
 
 
-def _interp_multilinear(axes, values, z):
-    """Multilinear interpolation; exact zero outside the grid box."""
+def _grid_frame(axes) -> np.ndarray:
+    """First node, spacing and last node of each axis, shape (3, m)."""
+    return np.array([[ax[0], ax[1] - ax[0], ax[-1]] for ax in axes]).T
+
+
+def _interp_multilinear(frame, values, z, lane=None):
+    """Multilinear interpolation on uniform grids; exact zero outside the
+    grid box.
+
+    values is one grid, or with lane (one index per point) grids stacked on
+    a leading axis; frame is a `_grid_frame` (3, m) or one per point
+    (B, 3, m).
+    """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    m = len(axes)
+    m = frame.shape[-1]
     if z.shape[-1] != m:
         raise DimensionError(f"expected {m} slow coordinates")
-    trail = values.shape[m:]
+    lo, step, hi = frame[..., 0, :], frame[..., 1, :], frame[..., 2, :]
+    lead = 0 if lane is None else 1
+    trail = values.shape[lead + m :]
     bshape = (z.shape[0],) + (1,) * len(trail)
     inside = np.ones(z.shape[0], dtype=bool)
     for d in range(m):
-        inside &= (z[:, d] >= axes[d][0]) & (z[:, d] <= axes[d][-1])
+        inside &= (z[:, d] >= lo[..., d]) & (z[:, d] <= hi[..., d])
     idx, frac = [], []
     for d in range(m):
-        ax = axes[d]
-        step = ax[1] - ax[0]
-        t = (z[:, d] - ax[0]) / step
-        i = np.clip(np.floor(t).astype(int), 0, ax.size - 2)
+        t = (z[:, d] - lo[..., d]) / step[..., d]
+        i = np.clip(np.floor(t).astype(int), 0, values.shape[lead + d] - 2)
         idx.append(i)
         frac.append((t - i).reshape(bshape))
+    if lane is not None:
+        # fold the lane axis into the first grid axis
+        idx[0] = idx[0] + lane * values.shape[1]
+        values = values.reshape((-1,) + values.shape[2:])
     if m == 1:
         i = idx[0]
         f = frac[0]
@@ -177,7 +205,7 @@ class GraphFunction:
 
     def eval(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = _interp_multilinear(self.axes, self.values, z)
+        out = _interp_multilinear(_grid_frame(self.axes), self.values, z)
         if self.support_radius is not None:
             out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
         return out
@@ -220,7 +248,7 @@ class DerivativeField:
 
     def eval(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = _interp_multilinear(self.axes, self.values, z)
+        out = _interp_multilinear(_grid_frame(self.axes), self.values, z)
         if self.support_radius is not None:
             out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
         return out
@@ -335,14 +363,6 @@ def _steps_for(T, h):
 # Backward marches
 
 
-def _lift(problem, phi, p):
-    """Ambient point over the graph: slow block p, fast block phi(p)."""
-    u = np.zeros((p.shape[0], problem.n_modes))
-    u[:, : problem.m] = p
-    u[:, problem.m :] = phi.eval(p)
-    return u
-
-
 def _check_guard(p, guard):
     if not np.all(np.isfinite(p)) or np.abs(p).max(initial=0.0) > guard:
         raise OverflowGuardError(
@@ -351,47 +371,27 @@ def _check_guard(p, guard):
         )
 
 
-def _march_graph(problem, F, phi, p0, T, h, guard, collect=False):
-    """Backward RK4 march of the slow flow with fused Duhamel accumulation.
+@dataclass(eq=False)
+class _Lane:
+    """One member's march: its RK4 plan and the grid values its right-hand
+    side samples (the graph, or the graph and field stacked)."""
 
-    Returns the fast-block integral per start point, or the trajectory
-    samples when collect is set.
-    """
-    m = problem.m
-    lam_p = problem.eigenvalues[:m]
-    lam_q = problem.eigenvalues[m:]
-    steps, h = _steps_for(T, h)
-    z = lam_q * h
-    w0, w1 = phi0_weight(z), phi1_weight(z)
-    decay_step = np.exp(-lam_q * h)
+    problem: SpectralProblem
+    F: CutoffNonlinearity
+    steps: int
+    h: float
+    frame: np.ndarray
+    values: np.ndarray
+    support_radius: float | None
 
-    p = np.array(np.atleast_2d(p0), dtype=float)
 
-    def rhs(pv):
-        fv = F.eval_batch(_lift(problem, phi, pv))
-        return fv[:, :m] - pv * lam_p, fv[:, m:]
-
-    fp, g_prev = rhs(p)
-    acc = np.zeros((p.shape[0], lam_q.size))
-    decay = np.ones_like(lam_q)
-    traj = [p.copy()] if collect else None
-    for _ in range(steps):
-        k1 = fp
-        k2, _ = rhs(p - 0.5 * h * k1)
-        k3, _ = rhs(p - 0.5 * h * k2)
-        k4, _ = rhs(p - h * k3)
-        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_guard(p, guard)
-        fp, g_new = rhs(p)
-        acc += decay * h * (g_prev * w0 + (g_new - g_prev) * w1)
-        decay = decay * decay_step
-        g_prev = g_new
-        if collect:
-            traj.append(p.copy())
-    if collect:
-        s = -h * np.arange(steps + 1)
-        return s, np.stack(traj, axis=1)  # (B, steps+1, m)
-    return acc
+def _lane(problem, F, phi, upsilon, settings) -> _Lane:
+    """The graph march over phi, or with a field upsilon the fiber march."""
+    purpose = "graph" if upsilon is None else "fiber"
+    T = resolve_horizon(problem, F, settings, purpose=purpose)
+    steps, h = _steps_for(T, resolve_step(problem, F, settings))
+    values = phi.values if upsilon is None else _stacked_graph_and_field(phi, upsilon)
+    return _Lane(problem, F, steps, h, _grid_frame(phi.axes), values, phi.support_radius)
 
 
 def _stacked_graph_and_field(phi, upsilon):
@@ -404,62 +404,180 @@ def _stacked_graph_and_field(phi, upsilon):
     return np.concatenate([phi.values[..., None], upsilon.values], axis=-1)
 
 
-def _march_fiber(problem, F, phi, upsilon, p0, T, h, guard, collect=False):
-    """Joint backward march of the slow flow and its fiber linearization."""
-    m = problem.m
-    lam_p = problem.eigenvalues[:m]
-    lam_q = problem.eigenvalues[m:]
-    steps, h = _steps_for(T, h)
-    z = lam_q * h
-    w0 = phi0_weight(z)[None, :, None]
-    w1 = phi1_weight(z)[None, :, None]
-    decay_step = np.exp(-lam_q * h)[None, :, None]
+def _march(blocks, guard, fiber, collect=False):
+    """Backward RK4 march of the slow flow, and with fiber of its tangent
+    linearization, with the fused exponential-trapezoid Duhamel integral,
+    over a stack of (lane, start points) blocks.
 
-    p = np.array(np.atleast_2d(p0), dtype=float)
-    b = p.shape[0]
-    th = np.broadcast_to(np.eye(m), (b, m, m)).copy()
-    stacked = _stacked_graph_and_field(phi, upsilon)
-    u = np.zeros((b, problem.n_modes))
-    # graph tangent map: identity over the slow block, the field below it
-    tangent = np.zeros((b, problem.n_modes, m))
-    tangent[:, :m, :] = np.eye(m)
+    Each row carries its lane's eigenvalues, step, trapezoid weights, grid
+    and nonlinearity. Blocks are stacked by decreasing step count, so the
+    rows still marching always lead the stack and a lane's rows leave it
+    when its march ends. Returns the fast-block integral of each block, in
+    block order; with collect, the sample times and trajectory of a
+    one-block stack (slow points, or tangent maps for fiber).
+    """
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0].steps)
+    plan = [blocks[b][0] for b in order]
+    counts = np.array([len(blocks[b][1]) for b in order])
+    steps = np.array([lane.steps for lane in plan])
 
-    def rhs(pv, tv):
-        sampled = _interp_multilinear(phi.axes, stacked, pv)
-        if phi.support_radius is not None:
-            sampled[coord_norm_batch(phi.problem, pv) >= phi.support_radius] = 0.0
-        u[:, :m] = pv
-        u[:, m:] = sampled[..., 0]
-        tangent[:, m:, :] = sampled[..., 1:]
-        fv, dfj = F.eval_and_jvp(u, tangent)
-        fp = fv[:, :m] - pv * lam_p
-        ft = dfj[:, :m, :] @ tv - lam_p[None, :, None] * tv
-        g = dfj[:, m:, :] @ tv
-        return fp, ft, g
+    def lane_rows(f):
+        return per_row([f(lane) for lane in plan], counts)
 
-    fp, ft, g_prev = rhs(p, th)
-    acc = np.zeros((b, lam_q.size, m))
-    decay = np.ones((1, lam_q.size, 1))
-    traj = [th.copy()] if collect else None
-    for _ in range(steps):
-        k1p, k1t = fp, ft
-        k2p, k2t, _ = rhs(p - 0.5 * h * k1p, th - 0.5 * h * k1t)
-        k3p, k3t, _ = rhs(p - 0.5 * h * k2p, th - 0.5 * h * k2t)
-        k4p, k4t, _ = rhs(p - h * k3p, th - h * k3t)
-        p = p - (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        th = th - (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        _check_guard(p, guard)
-        _check_guard(th, guard)
-        fp, ft, g_new = rhs(p, th)
-        acc += decay * h * (g_prev * w0 + (g_new - g_prev) * w1)
+    problem = plan[0].problem
+    m, n_modes = problem.m, problem.n_modes
+    lam_p = lane_rows(lambda lane: lane.problem.eigenvalues[:m])
+    ext = (1,) if fiber else ()
+    w0, w1, decay_step = (
+        lane_rows(lambda lane: f(lane.problem.eigenvalues[m:] * lane.h)).reshape(
+            (-1, n_modes - m) + ext)
+        for f in (phi0_weight, phi1_weight, lambda z: np.exp(-z))
+    )
+    h = lane_rows(lambda lane: [lane.h])
+    if h.shape[0] == 1:
+        h = float(h[0, 0])  # one step size: scalar arithmetic, as for one member
+    # step per state component, shaped to broadcast against it; the last one
+    # also fits the Duhamel integral
+    hs = [h, h if isinstance(h, float) else h[:, :, None]] if fiber else [h]
+    frame = lane_rows(lambda lane: lane.frame)
+    lanes = list({id(lane): lane for lane in plan}.values())
+    if len(lanes) == 1:
+        values, which = lanes[0].values, None
+    else:
+        values = np.stack([lane.values for lane in lanes])
+        which = np.repeat([lanes.index(lane) for lane in plan], counts)
+    supported = any(lane.support_radius is not None for lane in plan)
+    radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
+                                     else lane.support_radius])[:, 0]
+    w_slow = lane_rows(lambda lane: lane.problem.alpha_weights[:m])
+    F = NonlinearityStack([(lane.F, c) for lane, c in zip(plan, counts)])
+
+    def sample(pv):
+        n = pv.shape[0]
+        out = _interp_multilinear(frame[:n], values, pv, None if which is None else which[:n])
+        if supported:
+            out[np.linalg.norm(pv * w_slow[:n], axis=-1) >= radius[:n]] = 0.0
+        return out
+
+    p = np.concatenate([np.atleast_2d(blocks[b][1]) for b in order]).astype(float)
+    rows = p.shape[0]
+    if fiber:
+        u = np.zeros((rows, n_modes))
+        # graph tangent map: identity over the slow block, the field below it
+        tangent = np.zeros((rows, n_modes, m))
+        tangent[:, :m, :] = np.eye(m)
+        state = [p, np.broadcast_to(np.eye(m), (rows, m, m)).copy()]
+
+        def rhs(st):
+            pv, tv = st
+            n = pv.shape[0]
+            sampled = sample(pv)
+            u[:n, :m] = pv
+            u[:n, m:] = sampled[..., 0]
+            tangent[:n, m:, :] = sampled[..., 1:]
+            fv, dfj = F.eval_and_jvp(u[:n], tangent[:n])
+            lp = lam_p[:n]
+            fp = fv[:, :m] - pv * lp
+            ft = dfj[:, :m, :] @ tv - lp[:, :, None] * tv
+            return [fp, ft], dfj[:, m:, :] @ tv
+    else:
+        state = [p]
+
+        def rhs(st):
+            pv = st[0]
+            lifted = np.zeros((pv.shape[0], n_modes))
+            lifted[:, :m] = pv
+            lifted[:, m:] = sample(pv)
+            fv = F.eval(lifted)
+            return [fv[:, :m] - pv * lam_p[: pv.shape[0]]], fv[:, m:]
+
+    f, g_prev = rhs(state)
+    acc = np.zeros_like(g_prev)
+    out = np.empty_like(acc)
+    decay = np.ones_like(w0)
+    traj = [state[-1].copy()] if collect else None
+    n = rows
+    # rows still marching at each step: the lanes with more steps lead
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    for live in ends[np.searchsorted(-steps, -np.arange(steps[0]))].tolist():
+        if live < n:
+            out[live:n] = acc[live:n]
+            n = live
+            state, f = ([a[:n] for a in arrs] for arrs in (state, f))
+            hs = [hh if isinstance(hh, float) else hh[:n] for hh in hs]
+            g_prev, acc, decay, w0, w1, decay_step = (
+                a[:n] for a in (g_prev, acc, decay, w0, w1, decay_step))
+        k1 = f
+        k2, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k1)])
+        k3, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k2)])
+        k4, _ = rhs([s - hh * d for s, hh, d in zip(state, hs, k3)])
+        state = [
+            s - (hh / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for s, hh, a, b, c, d in zip(state, hs, k1, k2, k3, k4)
+        ]
+        for s in state:
+            _check_guard(s, guard)
+        f, g_new = rhs(state)
+        acc += decay * hs[-1] * (g_prev * w0 + (g_new - g_prev) * w1)
         decay = decay * decay_step
         g_prev = g_new
         if collect:
-            traj.append(th.copy())
+            traj.append(state[-1].copy())
+    out[:n] = acc
     if collect:
-        s = -h * np.arange(steps + 1)
-        return s, np.stack(traj, axis=1)  # (B, steps+1, m, m)
-    return acc
+        lane = plan[0]
+        s = -lane.h * np.arange(lane.steps + 1)
+        return s, np.stack(traj, axis=1)  # (B, steps+1) + point or map shape
+    pieces = np.split(out, np.cumsum(counts)[:-1])
+    result = [None] * len(blocks)
+    for b, piece in zip(order, pieces):
+        result[b] = piece
+    return result
+
+
+def _packs(blocks):
+    """Consecutive blocks grouped into marches of at most _NODE_CHUNK rows."""
+    group, rows = [], 0
+    for block in blocks:
+        if group and rows + len(block[1]) > _NODE_CHUNK:
+            yield group
+            group, rows = [], 0
+        group.append(block)
+        rows += len(block[1])
+    if group:
+        yield group
+
+
+def _transform(members, settings):
+    """One graph transform per (problem, F, phi, None) member, or one
+    derivative transform per (problem, F, phi, upsilon) member, marched as
+    one stack of node blocks.
+
+    Each member's active nodes split into blocks of at most _NODE_CHUNK
+    rows, the same blocks its one-member transform marches, and blocks are
+    packed into marches of at most _NODE_CHUNK rows.
+    """
+    blocks, plans = [], []
+    for problem, F, phi, upsilon in members:
+        lane = _lane(problem, F, phi, upsilon, settings)
+        grid = phi if upsilon is None else upsilon
+        nodes, active = _active_nodes(grid)
+        live = nodes[active]
+        first = len(blocks)
+        blocks += [(lane, live[lo : lo + _NODE_CHUNK])
+                   for lo in range(0, live.shape[0], _NODE_CHUNK)]
+        plans.append((grid, active, first, len(blocks)))
+    fiber = bool(members) and members[0][3] is not None
+    pieces = []
+    for group in _packs(blocks):
+        pieces += _march(group, settings.overflow_guard, fiber)
+    out = []
+    for grid, active, first, last in plans:
+        flat = np.zeros((active.size,) + grid.values.shape[grid.problem.m :])
+        if last > first:
+            flat[active] = np.concatenate(pieces[first:last], axis=0)
+        out.append(grid.with_values(flat.reshape(grid.values.shape)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,28 +591,21 @@ def integrate_p_backward(problem, F, phi, xi, settings=None):
     returns a (steps+1, m) array; a batch returns (batch, steps+1, m).
     """
     settings = settings or SolveSettings()
-    T = resolve_horizon(problem, F, settings)
-    h = resolve_step(problem, F, settings)
+    lane = _lane(problem, F, phi, None, settings)
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    s, traj = _march_graph(
-        problem, F, phi, np.atleast_2d(xi), T, h, settings.overflow_guard, collect=True
-    )
-    return (s, traj[0]) if single else (s, traj)
+    s, traj = _march([(lane, np.atleast_2d(xi))], settings.overflow_guard, fiber=False,
+                     collect=True)
+    return (s, traj[0]) if xi.ndim == 1 else (s, traj)
 
 
 def integrate_Theta(problem, F, phi, upsilon, xi, settings=None):
     """Fiber linearization along the backward trajectory; identity at s = 0."""
     settings = settings or SolveSettings()
-    T = resolve_horizon(problem, F, settings, purpose="fiber")
-    h = resolve_step(problem, F, settings)
+    lane = _lane(problem, F, phi, upsilon, settings)
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    s, traj = _march_fiber(
-        problem, F, phi, upsilon, np.atleast_2d(xi), T, h, settings.overflow_guard,
-        collect=True,
-    )
-    return (s, traj[0]) if single else (s, traj)
+    s, traj = _march([(lane, np.atleast_2d(xi))], settings.overflow_guard, fiber=True,
+                     collect=True)
+    return (s, traj[0]) if xi.ndim == 1 else (s, traj)
 
 
 def _active_nodes(graph):
@@ -513,41 +624,12 @@ def _active_nodes(graph):
 
 def apply_T(problem, F, phi, settings=None) -> GraphFunction:
     """One graph transform: backward Duhamel integral at every grid node."""
-    settings = settings or SolveSettings()
-    T = resolve_horizon(problem, F, settings)
-    h = resolve_step(problem, F, settings)
-    nodes, active = _active_nodes(phi)
-    flat = np.zeros((nodes.shape[0], problem.n_modes - problem.m))
-    live = nodes[active]
-    pieces = []
-    for lo in range(0, live.shape[0], _NODE_CHUNK):
-        chunk = live[lo : lo + _NODE_CHUNK]
-        pieces.append(
-            _march_graph(problem, F, phi, chunk, T, h, settings.overflow_guard)
-        )
-    if pieces:
-        flat[active] = np.concatenate(pieces, axis=0)
-    return phi.with_values(flat.reshape(phi.values.shape))
+    return _transform([(problem, F, phi, None)], settings or SolveSettings())[0]
 
 
 def apply_D(problem, F, phi, upsilon, settings=None) -> DerivativeField:
     """One derivative transform along the graph phi."""
-    settings = settings or SolveSettings()
-    T = resolve_horizon(problem, F, settings, purpose="fiber")
-    h = resolve_step(problem, F, settings)
-    nodes, active = _active_nodes(upsilon)
-    m = problem.m
-    flat = np.zeros((nodes.shape[0], problem.n_modes - m, m))
-    live = nodes[active]
-    pieces = []
-    for lo in range(0, live.shape[0], _NODE_CHUNK):
-        chunk = live[lo : lo + _NODE_CHUNK]
-        pieces.append(
-            _march_fiber(problem, F, phi, upsilon, chunk, T, h, settings.overflow_guard)
-        )
-    if pieces:
-        flat[active] = np.concatenate(pieces, axis=0)
-    return upsilon.with_values(flat.reshape(upsilon.values.shape))
+    return _transform([(problem, F, phi, upsilon)], settings or SolveSettings())[0]
 
 
 def _require_gap(problem, F, kappa=1.0):
@@ -580,32 +662,45 @@ class DerivativeResult(FixedPointResult):
     field: DerivativeField = None
 
 
-def _iterate(apply_fn, x0, diff_fn, tol, max_iter, what):
-    diffs, ratios = [], []
-    x = x0
-    stalled = 0
+def _sweep(step, starts, diff_fns, tol, max_iter, what):
+    """Fixed-point iteration of several members in lockstep.
+
+    step(live, xs) applies one transform to the iterates xs of the members
+    listed in live. Each member keeps its own diffs, ratios, stall counter
+    and iteration budget, and leaves the sweep once its diff reaches tol.
+    Returns (x, diffs, ratios, iterations) per member.
+    """
+    xs = list(starts)
+    diffs = [[] for _ in xs]
+    ratios = [[] for _ in xs]
+    stalled = [0] * len(xs)
+    done = [0] * len(xs)
+    live = list(range(len(xs)))
     for it in range(1, max_iter + 1):
-        xn = apply_fn(x)
-        d = float(diff_fn(xn, x))
-        diffs.append(d)
-        if len(diffs) >= 2 and diffs[-2] > 0.0:
-            r = d / diffs[-2]
-            ratios.append(r)
-            if r >= 1.0 and d > 10.0 * tol:
-                stalled += 1
-                if stalled >= 3:
-                    raise GapViolationError(
-                        f"{what} iteration stopped contracting for three "
-                        f"consecutive steps (last ratio {r:.4g})"
-                    )
-            else:
-                stalled = 0
-        x = xn
-        if d <= tol:
-            return x, diffs, ratios, it
+        for i, xn in zip(live, step(live, [xs[i] for i in live])):
+            d = float(diff_fns[i](xn, xs[i]))
+            diffs[i].append(d)
+            if len(diffs[i]) >= 2 and diffs[i][-2] > 0.0:
+                r = d / diffs[i][-2]
+                ratios[i].append(r)
+                if r >= 1.0 and d > 10.0 * tol:
+                    stalled[i] += 1
+                    if stalled[i] >= 3:
+                        raise GapViolationError(
+                            f"{what} iteration stopped contracting for three "
+                            f"consecutive steps (last ratio {r:.4g})"
+                        )
+                else:
+                    stalled[i] = 0
+            xs[i] = xn
+            if d <= tol:
+                done[i] = it
+        live = [i for i in live if not done[i]]
+        if not live:
+            return list(zip(xs, diffs, ratios, done))
     raise ConvergenceError(
         f"{what} iteration did not reach tol {tol:.3g} in {max_iter} steps "
-        f"(last diff {diffs[-1]:.3g})"
+        f"(last diff {diffs[live[0]][-1]:.3g})"
     )
 
 
@@ -627,6 +722,50 @@ def _field_diff(problem):
     return diff
 
 
+def _solve_graphs(members, settings, step) -> list:
+    """Graph sweeps of (problem, F) members from the zero graph.
+
+    step(live, graphs) transforms the listed members' graphs: one public
+    `apply_T` call for a single member, so each of its sweeps stays one
+    traceable transform, or one stacked `_transform` for several.
+    """
+    starts = []
+    for problem, F in members:
+        _require_gap(problem, F)
+        axes = grid_axes(problem, settings, F.support_radius)
+        starts.append(GraphFunction.zeros(problem, axes, F.support_radius))
+    logs = _sweep(step, starts, [_graph_diff(problem) for problem, _ in members],
+                  settings.tol_fp, settings.max_iter, "graph transform")
+    return [ManifoldResult(diffs=d, ratios=r, iterations=its, graph=phi)
+            for phi, d, r, its in logs]
+
+
+def _solve_fields(members, graphs, theta, settings, step) -> list:
+    """Derivative sweeps of (problem, F) members along their solved graphs;
+    step as in `_solve_graphs`, with `apply_D`."""
+    starts = []
+    for (problem, F), phi in zip(members, graphs):
+        _require_gap(problem, F)
+        if theta > F.theta_F:
+            raise AdmissibilityError(
+                f"theta {theta:.4g} exceeds the nonlinearity exponent {F.theta_F:.4g}"
+            )
+        t0 = gap_analysis.theta0(problem.lambda_m, problem.lambda_m1, F.L_F, problem.alpha)
+        if theta >= t0:
+            raise AdmissibilityError(
+                f"theta {theta:.4g} is not below the admissibility window {t0:.4g}"
+            )
+        starts.append(DerivativeField.zeros(problem, phi.axes, F.support_radius))
+    logs = _sweep(step, starts, [_field_diff(problem) for problem, _ in members],
+                  settings.tol_fp, settings.max_iter, "derivative transform")
+    out = []
+    for ups, d, r, its in logs:
+        ups.theta = theta
+        ups.holder_bound = holder_certificate(ups, theta)
+        out.append(DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups))
+    return out
+
+
 def solve_manifold(problem, F, settings=None) -> ManifoldResult:
     """Iterate the graph transform from the zero graph to its fixed point.
 
@@ -635,18 +774,10 @@ def solve_manifold(problem, F, settings=None) -> ManifoldResult:
     iteration budget raises ConvergenceError.
     """
     settings = settings or SolveSettings()
-    _require_gap(problem, F)
-    axes = grid_axes(problem, settings, F.support_radius)
-    phi0 = GraphFunction.zeros(problem, axes, F.support_radius)
-    phi, diffs, ratios, its = _iterate(
-        lambda g: apply_T(problem, F, g, settings),
-        phi0,
-        _graph_diff(problem),
-        settings.tol_fp,
-        settings.max_iter,
-        "graph transform",
-    )
-    return ManifoldResult(diffs=diffs, ratios=ratios, iterations=its, graph=phi)
+    return _solve_graphs(
+        [(problem, F)], settings,
+        lambda live, graphs: [apply_T(problem, F, graphs[0], settings)],
+    )[0]
 
 
 def solve_derivative(problem, F, phi, theta, settings=None) -> DerivativeResult:
@@ -656,28 +787,28 @@ def solve_derivative(problem, F, phi, theta, settings=None) -> DerivativeResult:
     below the first admissibility window of the spectrum.
     """
     settings = settings or SolveSettings()
-    _require_gap(problem, F)
-    if theta > F.theta_F:
-        raise AdmissibilityError(
-            f"theta {theta:.4g} exceeds the nonlinearity exponent {F.theta_F:.4g}"
-        )
-    t0 = gap_analysis.theta0(problem.lambda_m, problem.lambda_m1, F.L_F, problem.alpha)
-    if theta >= t0:
-        raise AdmissibilityError(
-            f"theta {theta:.4g} is not below the admissibility window {t0:.4g}"
-        )
-    ups0 = DerivativeField.zeros(problem, phi.axes, F.support_radius)
-    ups, diffs, ratios, its = _iterate(
-        lambda u: apply_D(problem, F, phi, u, settings),
-        ups0,
-        _field_diff(problem),
-        settings.tol_fp,
-        settings.max_iter,
-        "derivative transform",
-    )
-    ups.theta = theta
-    ups.holder_bound = holder_certificate(ups, theta)
-    return DerivativeResult(diffs=diffs, ratios=ratios, iterations=its, field=ups)
+    return _solve_fields(
+        [(problem, F)], [phi], theta, settings,
+        lambda live, fields: [apply_D(problem, F, phi, fields[0], settings)],
+    )[0]
+
+
+def solve_stack(members, theta, settings=None) -> list:
+    """Graphs and derivative fields of several (problem, F) members.
+
+    Each sweep marches the members still iterating as one stack; all graph
+    sweeps finish before the derivative sweeps start. Member by member the
+    results equal `solve_manifold` and `solve_derivative` bit for bit, and a
+    failing member raises the error its own solve raises. Returns
+    (ManifoldResult, DerivativeResult) pairs.
+    """
+    settings = settings or SolveSettings()
+    manifolds = _solve_graphs(members, settings, lambda live, graphs: _transform(
+        [members[i] + (phi, None) for i, phi in zip(live, graphs)], settings))
+    phis = [res.graph for res in manifolds]
+    fields = _solve_fields(members, phis, theta, settings, lambda live, fields: _transform(
+        [members[i] + (phis[i], ups) for i, ups in zip(live, fields)], settings))
+    return list(zip(manifolds, fields))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The prepared nonlinearity is a smooth base map multiplied by a radial bump
 in the alpha-norm: identically 1 on the inner plateau (radius R/2), smooth
 in the annulus, identically 0 outside radius R. Constants are certified by
 seeded dense sampling with a fixed slack factor; certification failures are
-loud and carry a witness.
+loud and carry a witness. `NonlinearityStack` evaluates the nonlinearities of
+several family members over one stack of rows, as the batched marches need.
 """
 from __future__ import annotations
 
@@ -84,8 +85,24 @@ class _BaseMap:
     def jacobian(self, u):
         return _pad_rows(self.jacobian_rows(u), self.n)
 
+    def terms(self) -> list:
+        """(atom, scale) pairs whose sum, in order, is this map; the first
+        scale is None."""
+        return [(self, None)]
 
-class SineBase(_BaseMap):
+
+class _Atom(_BaseMap):
+    """A base map whose value and Jacobian rows both follow from one phase
+    array per point, so a batch needs the phase `u @ W.T` only once."""
+
+    def value(self, u):
+        return self.value_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
+
+    def jacobian_rows(self, u):
+        return self.rows_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
+
+
+class SineBase(_Atom):
     """amplitudes * sin(W u + phases) written into the first K coefficients."""
 
     def __init__(self, n_modes: int, amplitudes, weights, phases):
@@ -100,22 +117,23 @@ class SineBase(_BaseMap):
             raise ConfigError(f"K={k} base coefficients exceed N={self.n} modes")
         self.rows = k
 
-    def value(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = np.zeros((u.shape[0], self.n))
-        out[:, : self.rows] = self.amplitudes * np.sin(u @ self.weights.T + self.phases)
+    def phase(self, u):
+        return u @ self.weights.T + self.phases
+
+    def value_at(self, phase):
+        out = np.zeros((phase.shape[0], self.n))
+        out[:, : self.rows] = self.amplitudes * np.sin(phase)
         return out
 
-    def jacobian_rows(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        c = self.amplitudes * np.cos(u @ self.weights.T + self.phases)
+    def rows_at(self, phase):
+        c = self.amplitudes * np.cos(phase)
         return c[:, :, None] * self.weights[None, :, :]
 
     def scaled(self, factor: float) -> "SineBase":
         return SineBase(self.n, self.amplitudes * factor, self.weights, self.phases)
 
 
-class CosineBase(_BaseMap):
+class CosineBase(_Atom):
     """amplitudes * cos(W u) written into the first K coefficients.
 
     Zero phase makes the value norm peak exactly at u = 0, which sits on the
@@ -132,22 +150,23 @@ class CosineBase(_BaseMap):
         if k > self.n:
             raise ConfigError(f"K={k} base coefficients exceed N={self.n} modes")
 
-    def value(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = np.zeros((u.shape[0], self.n))
-        out[:, : self.rows] = self.amplitudes * np.cos(u @ self.weights.T)
+    def phase(self, u):
+        return u @ self.weights.T
+
+    def value_at(self, phase):
+        out = np.zeros((phase.shape[0], self.n))
+        out[:, : self.rows] = self.amplitudes * np.cos(phase)
         return out
 
-    def jacobian_rows(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        c = -self.amplitudes * np.sin(u @ self.weights.T)
+    def rows_at(self, phase):
+        c = -self.amplitudes * np.sin(phase)
         return c[:, :, None] * self.weights[None, :, :]
 
     def scaled(self, factor: float) -> "CosineBase":
         return CosineBase(self.n, self.amplitudes * factor, self.weights)
 
 
-class ConstantBase(_BaseMap):
+class ConstantBase(_Atom):
     """Constant map; its Jacobian vanishes identically.
 
     Its rows reach the last nonzero entry, because the cutoff's product rule
@@ -160,24 +179,28 @@ class ConstantBase(_BaseMap):
         nonzero = np.flatnonzero(self.vector)
         self.rows = int(nonzero[-1]) + 1 if nonzero.size else 0
 
-    def value(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.broadcast_to(self.vector, (u.shape[0], self.n)).copy()
+    def phase(self, u):
+        return np.empty((u.shape[0], 0))
 
-    def jacobian_rows(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.zeros((u.shape[0], self.rows, self.n))
+    def value_at(self, phase):
+        return np.broadcast_to(self.vector, (phase.shape[0], self.n)).copy()
+
+    def rows_at(self, phase):
+        return np.zeros((phase.shape[0], self.rows, self.n))
 
     def scaled(self, factor: float) -> "ConstantBase":
         return ConstantBase(self.vector * factor)
 
 
 class SumBase(_BaseMap):
-    """Pointwise sum of two base maps on the same coefficient space."""
+    """Pointwise sum of two base maps on the same coefficient space; the
+    second is a single base map, so a sum flattens to `terms()`."""
 
     def __init__(self, first, second, second_scale: float = 1.0):
         if first.n != second.n:
             raise DimensionError("base maps live on different spaces")
+        if not isinstance(second, _Atom):
+            raise ConfigError("the second term of a base-map sum must be a single map")
         self.first, self.second = first, second
         self.second_scale = float(second_scale)
         self.n = first.n
@@ -189,6 +212,9 @@ class SumBase(_BaseMap):
     def jacobian_rows(self, u):
         return _pad_rows(self.first.jacobian_rows(u), self.rows) \
             + self.second_scale * _pad_rows(self.second.jacobian_rows(u), self.rows)
+
+    def terms(self) -> list:
+        return self.first.terms() + [(self.second, self.second_scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +230,11 @@ class CutoffNonlinearity:
     certification was skipped.
 
     Two derivative paths share the product rule through the bump. The fiber
-    march calls `eval_and_jvp`, which forms only the base map's leading
-    Jacobian rows and applies them to the tangent. Certification, the
-    derivative mismatch and the Hoelder quotients call `jacobian_batch`,
-    which returns dense N x N Jacobians.
+    march calls `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its
+    one-member call), which forms only the base map's leading Jacobian rows
+    and applies them to the tangent. Certification, the derivative mismatch
+    and the Hoelder quotients call `jacobian_batch`, which returns dense
+    N x N Jacobians.
     """
 
     problem: SpectralProblem
@@ -235,23 +262,15 @@ class CutoffNonlinearity:
         return self.cutoff_radius
 
     def eval_batch(self, u) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[-1] != self.problem.n_modes:
-            raise DimensionError("wrong coefficient count")
-        vals = self.base.value(u)
-        if self.cutoff_radius is None:
-            return vals
-        r = alpha_norm_batch(self.problem, u)
-        return vals * cutoff_value(r, self.cutoff_radius)[:, None]
+        u = self._points(u)
+        return NonlinearityStack([(self, u.shape[0])]).eval(u)
 
     def eval_F(self, u) -> np.ndarray:
         return self.eval_batch(np.asarray(u, dtype=float)[None, :])[0]
 
     def jacobian_batch(self, u) -> np.ndarray:
         """Exact Jacobians, product rule through the radial bump."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[-1] != self.problem.n_modes:
-            raise DimensionError("wrong coefficient count")
+        u = self._points(u)
         jac = self.base.jacobian(u)
         if self.cutoff_radius is None:
             return jac
@@ -270,36 +289,153 @@ class CutoffNonlinearity:
 
     def eval_and_jvp(self, u, V):
         """F(u) and DF(u) V for a batch of points u (B, N) and tangents V
-        (B, N, m), computing the base value, radius and bump once.
+        (B, N, m); see `NonlinearityStack.eval_and_jvp`."""
+        u = self._points(u)
+        return NonlinearityStack([(self, u.shape[0])]).eval_and_jvp(u, V)
 
-        Only the base map's leading rows of DF(u) are formed. Each keeps the
-        element-wise product rule of `jacobian_batch` and the same sum over
-        n as `jacobian_batch(u) @ V`, so the fiber march keeps the dense
-        path's rounding. The other rows of DF(u) V are exactly zero.
-        """
+    def _points(self, u) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[-1] != self.problem.n_modes:
             raise DimensionError("wrong coefficient count")
-        vals = self.base.value(u)
-        rows = self.base.jacobian_rows(u)
-        k = rows.shape[1]
-        if self.cutoff_radius is not None:
-            r = alpha_norm_batch(self.problem, u)
-            zeta = cutoff_value(r, self.cutoff_radius)
-            dzeta = cutoff_derivative(r, self.cutoff_radius)
-            rows = rows * zeta[:, None, None]
-            live = dzeta != 0.0
-            if np.any(live):
-                w2 = self.problem.alpha_weights**2
-                grad = (u[live] * w2) / r[live, None]
-                rows[live] += dzeta[live, None, None] * vals[live, :k, None] * grad[:, None, :]
-            vals = vals * zeta[:, None]
-        jvp = np.zeros((u.shape[0], self.problem.n_modes) + V.shape[2:])
-        jvp[:, :k] = rows @ V
-        return vals, jvp
+        return u
 
     def with_constants(self, C_F, L_F, theta_F, L) -> "CutoffNonlinearity":
         return replace(self, C_F=C_F, L_F=L_F, theta_F=theta_F, L=L)
+
+
+def per_row(values, counts) -> np.ndarray:
+    """Per-block arrays repeated over each block's rows, or a single
+    (1, ...) row when every block holds the same bytes, which broadcasts
+    against any leading part of the stack."""
+    values = [np.asarray(v, dtype=float) for v in values]
+    if all(v.tobytes() == values[0].tobytes() for v in values):
+        return values[0][None]
+    return np.repeat(np.stack(values), counts, axis=0)
+
+
+def _start_if_contiguous(idx):
+    """First index of a run of consecutive indices, else None."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return int(idx[0])
+    return None
+
+
+class NonlinearityStack:
+    """Cutoff nonlinearities of several members over one stack of rows,
+    grouped into blocks of consecutive rows that share a member.
+
+    Each base atom (`SineBase`, `CosineBase`, `ConstantBase`) is evaluated
+    once over the blocks whose member uses it, and each member's terms
+    combine in `SumBase` order, first + eps * second, with a per-row eps;
+    rows whose member lacks a term skip it. The phase `u @ W.T` is formed
+    one block at a time: OpenBLAS rounds a gemm row differently depending on
+    how many rows the call holds, so each block must see the call its member
+    sees alone. Every other operation is row-wise, so each block comes out
+    bit for bit as its member's own evaluation.
+
+    The methods take a leading part of the stack that ends on a block
+    boundary, so a march can drop finished members from the tail.
+    """
+
+    def __init__(self, blocks):
+        """blocks: (CutoffNonlinearity, row count) pairs in stack order."""
+        first = blocks[0][0]
+        self.n = first.problem.n_modes
+        self.radius = first.cutoff_radius
+        if any(F.problem.n_modes != self.n or F.cutoff_radius != self.radius
+               for F, _ in blocks):
+            raise DimensionError("stacked nonlinearities must share N and the cutoff radius")
+        counts = [count for _, count in blocks]
+        self.weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
+        self.weights2 = self.weights**2
+        self.k = max(F.base.rows for F, _ in blocks)
+        # one slot per term position and atom: the blocks it covers and their eps
+        slots = {}
+        lo = 0
+        for F, count in blocks:
+            for pos, (atom, eps) in enumerate(F.base.terms()):
+                _, spans, scales = slots.setdefault((pos, id(atom)), (atom, [], []))
+                spans.append((lo, lo + count))
+                scales.append(eps)
+            lo += count
+        self.slots = []
+        for (pos, _), (atom, spans, scales) in sorted(slots.items(), key=lambda kv: kv[0][0]):
+            rows = np.concatenate([np.arange(a, b) for a, b in spans])
+            if len(set(scales)) > 1:
+                scales = np.repeat(scales, [b - a for a, b in spans])[:, None]
+            else:
+                scales = scales[0]
+            self.slots.append((pos, atom, spans, rows, _start_if_contiguous(rows), scales))
+
+    def _base(self, u, with_rows):
+        """Base values (n, N) and, with rows, the leading Jacobian rows
+        (n, k, N) of the first n stack rows."""
+        n = u.shape[0]
+        vals = rows = None
+        for pos, atom, spans, dst, start, eps in self.slots:
+            parts = [atom.phase(u[a:b]) for a, b in spans if a < n]
+            if not parts:
+                continue
+            phase = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            v = atom.value_at(phase)
+            r = atom.rows_at(phase) if with_rows else None
+            count = phase.shape[0]
+            d = dst[:count] if start is None else slice(start, start + count)
+            if pos > 0:
+                if not isinstance(eps, float):
+                    eps = eps[:count]
+                vals[d] += eps * v
+                if with_rows:
+                    rows[d] += (eps if isinstance(eps, float) else eps[:, :, None]) \
+                        * _pad_rows(r, self.k)
+            elif start == 0 and count == n and (r is None or r.shape[1] == self.k):
+                vals, rows = v, r  # the only first term: keep its fresh arrays
+            else:
+                if vals is None:
+                    vals = np.zeros((n, self.n))
+                    rows = np.zeros((n, self.k, self.n)) if with_rows else None
+                vals[d] = v
+                if with_rows:
+                    rows[d, : r.shape[1]] = r
+        if vals is None:  # no rows at all
+            vals, rows = np.zeros((0, self.n)), np.zeros((0, self.k, self.n))
+        return vals, rows
+
+    def eval(self, u) -> np.ndarray:
+        """F(u) for the first len(u) stack rows."""
+        vals, _ = self._base(u, with_rows=False)
+        if self.radius is None:
+            return vals
+        r = np.linalg.norm(u * self.weights[: u.shape[0]], axis=-1)
+        return vals * cutoff_value(r, self.radius)[:, None]
+
+    def eval_and_jvp(self, u, V):
+        """F(u) and DF(u) V for the first len(u) stack rows and tangents V
+        (n, N, m), computing the base value, radius and bump once.
+
+        Only the leading k rows of DF(u) are formed. Each keeps the
+        element-wise product rule of `CutoffNonlinearity.jacobian_batch` and
+        the same sum over n as `jacobian_batch(u) @ V`, so the fiber march
+        keeps the dense path's rounding. The other rows of DF(u) V are
+        exactly zero.
+        """
+        n = u.shape[0]
+        vals, rows = self._base(u, with_rows=True)
+        k = self.k
+        if self.radius is not None:
+            r = np.linalg.norm(u * self.weights[:n], axis=-1)
+            zeta = cutoff_value(r, self.radius)
+            dzeta = cutoff_derivative(r, self.radius)
+            rows *= zeta[:, None, None]
+            live = dzeta != 0.0
+            if np.any(live):
+                w2 = self.weights2[:n]
+                grad = (u[live] * (w2 if len(w2) == 1 else w2[live])) / r[live, None]
+                rows[live] += dzeta[live, None, None] * vals[live, :k, None] * grad[:, None, :]
+            vals *= zeta[:, None]
+        jvp = np.zeros((n, self.n) + V.shape[2:])
+        jvp[:, :k] = rows @ V
+        return vals, jvp
 
 
 def constant_map(problem: SpectralProblem, vector) -> CutoffNonlinearity:

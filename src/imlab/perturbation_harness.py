@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .errors import ConfigError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
-    SolveSettings,
     integrate_Theta,
     slow_flow_rate,
     solve_derivative,
     solve_manifold,
+    solve_stack,
 )
 from .nonlinearity import rho_eps
 from .spectral_core import (
@@ -71,6 +71,19 @@ def solve_member(lab: Laboratory, eps: float, settings=None, theta=None) -> Solv
     return SolvedMember(
         eps=eps, problem=problem, F=F, pair=pair, manifold=man, derivative=der
     )
+
+
+def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> list:
+    """Solve several members at once, marching them as one stack; each
+    equals `solve_member` at its eps bit for bit."""
+    settings = settings or lab.solve_settings
+    theta = lab.theta if theta is None else theta
+    triples = [instantiate(lab, eps) for eps in eps_values]
+    solved = solve_stack([(problem, F) for problem, F, _ in triples], theta, settings)
+    return [
+        SolvedMember(eps=eps, problem=problem, F=F, pair=pair, manifold=man, derivative=der)
+        for eps, (problem, F, pair), (man, der) in zip(eps_values, triples, solved)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +350,7 @@ def theta_comparison(
         t_final = 2.0 / lam_m
     h = 0.05 / max(slow_flow_rate(limit.problem, limit.F),
                    slow_flow_rate(member.problem, member.F))
-    base = lab.solve_settings
-    settings = SolveSettings(
-        t_horizon=t_final,
-        h=h,
-        tol_fp=base.tol_fp,
-        max_iter=base.max_iter,
-        grid_nodes=base.grid_nodes,
-        box_factor=base.box_factor,
-        box_half_widths=base.box_half_widths,
-        overflow_guard=base.overflow_guard,
-    )
+    settings = replace(lab.solve_settings, t_horizon=t_final, h=h)
 
     graph = limit.graph
     half = np.array([ax[-1] for ax in graph.axes])
@@ -466,7 +469,6 @@ class DistanceReport:
             "least_squares_fits": self.fits,
             "all_pass": self.all_pass,
             "interpolation_ok": self.interpolation_ok,
-            "runtime_seconds": self.runtime_seconds,
             "rows": [
                 {
                     "eps": r.eps,
@@ -513,9 +515,9 @@ def _tau_log(tau: float) -> float:
 def rate_study(lab: Laboratory, eps_grid=None, rng=None) -> DistanceReport:
     """Full distance study across the epsilon grid.
 
-    The limit member is solved once and reused; each epsilon gets its own
-    manifold and derivative solves, the distance estimators, and the two
-    theoretical envelopes. The envelope constants are the largest measured
+    The limit and every distinct epsilon are solved in one stacked call
+    (`solve_members`); each row then gets the distance estimators and the
+    two theoretical envelopes. The envelope constants are the largest measured
     ratios, so a pass records that one finite constant covers every row
     rather than that a regression happens to fit. Rows whose envelope is
     exactly zero (epsilon zero) pass only if the measured distance sits at
@@ -527,37 +529,33 @@ def rate_study(lab: Laboratory, eps_grid=None, rng=None) -> DistanceReport:
         raise ConfigError("rate study needs nonnegative eps values")
     rng = lab.rng("study") if rng is None else rng
 
-    limit = solve_member(lab, 0.0)
+    distinct = [0.0] + [eps for eps in dict.fromkeys(eps_grid) if eps != 0.0]
+    solved = dict(zip(distinct, solve_members(lab, distinct)))
+    limit = solved[0.0]
     theta, theta_star = lab.theta, lab.theta_star
-    ratio = theta / theta_star
     rows = []
     floor = 10.0 * lab.solve_settings.tol_fp
     for eps in eps_grid:
-        member = limit if eps == 0.0 else solve_member(lab, eps)
+        member = solved[eps]
         pair = lab.extension_at(eps)
         tau = tau_eps(lab, eps)
         rho = rho_of(lab, eps, rng=rng)
         beta = beta_eps(lab, eps, limit.graph)
-        d_sup = sup_distance(member.graph, limit.graph, pair)
-        d_deriv_grid = c1_distance(member.field, limit.field, pair)
-        seminorms, pair_sup = holder_seminorm_of_difference(
-            member.field, limit.field, pair, (theta, theta_star), rng=rng
+        dist = c1theta_distance(
+            member.graph, limit.graph, member.field, limit.field, pair,
+            theta, theta_star, rng=rng,
         )
-        d_deriv = max(d_deriv_grid, pair_sup)
-        d_c1 = d_sup + d_deriv
-        holder_diff = seminorms[theta]
-        interp = seminorms[theta_star] ** ratio * (2.0 * d_deriv) ** (1.0 - ratio)
-        d_c1theta = d_c1 + holder_diff
         tl = _tau_log(tau)
         bound_sup = tl + rho
-        bound_c1theta = (beta + (tl + rho) ** theta_star) ** (1.0 - ratio)
+        bound_c1theta = (beta + (tl + rho) ** theta_star) ** (1.0 - theta / theta_star)
         rows.append(
             DistanceRow(
-                eps=eps, tau=tau, rho=rho, beta=beta, d_sup=d_sup, d_c1=d_c1,
-                holder_diff=holder_diff, d_c1theta=d_c1theta,
-                bound_sup=bound_sup, bound_c1theta=bound_c1theta,
-                d_c1_deriv=d_deriv, seminorm_star=seminorms[theta_star],
-                pair_point_sup=pair_sup, interpolation_bound=interp,
+                eps=eps, tau=tau, rho=rho, beta=beta, d_sup=dist.sup_part,
+                d_c1=dist.sup_part + dist.deriv_part, holder_diff=dist.seminorm,
+                d_c1theta=dist.value, bound_sup=bound_sup, bound_c1theta=bound_c1theta,
+                d_c1_deriv=dist.deriv_part, seminorm_star=dist.seminorm_star,
+                pair_point_sup=dist.pair_point_sup,
+                interpolation_bound=dist.interpolation_bound,
                 iterations_graph=member.manifold.iterations,
                 iterations_field=member.derivative.iterations,
             )

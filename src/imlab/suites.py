@@ -21,6 +21,7 @@ from .lyapunov_perron import (
     holder_certificate,
     integrate_Theta,
     integrate_p_backward,
+    slow_flow_rate,
     weighted_map_norms,
 )
 from .nonlinearity import holder_quotient_of_derivative
@@ -74,7 +75,7 @@ def _slow_alpha_norms(problem, block):
 def suite_distp(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
     """Backward separation of slow trajectories against the Gronwall bound."""
     problem, F, graph = limit.problem, limit.F, limit.graph
-    rate = 2.0 * F.L_F * problem.lambda_m**problem.alpha + problem.lambda_m
+    rate = slow_flow_rate(problem, F)
     xi1, xi2 = _sample_pairs(lab, graph, count, rng)
     s, traj = integrate_p_backward(
         problem, F, graph, np.concatenate([xi1, xi2]), lab.solve_settings
@@ -103,7 +104,7 @@ def _theta_map_norms(problem, mats):
 def suite_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
     """Backward growth of the fiber linearization against e^(rate |t|)."""
     problem, F = limit.problem, limit.F
-    rate = 2.0 * F.L_F * problem.lambda_m**problem.alpha + problem.lambda_m
+    rate = slow_flow_rate(problem, F)
     half = np.array([ax[-1] for ax in limit.graph.axes])
     xi = rng.uniform(-0.5 * half, 0.5 * half, size=(count, problem.m))
     s, theta = integrate_Theta(

@@ -155,7 +155,8 @@ def test_criterion_8_deterministic_reports(tmp_path, capsys):
     rc1 = main(["distance-study", "--out", str(a)])
     rc2 = main(["distance-study", "--out", str(b)])
     capsys.readouterr()
-    same = (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+    same = all((a / name).read_bytes() == (b / name).read_bytes()
+               for name in ("report.csv", "report.json"))
     elapsed = time.perf_counter() - t0
     with open(a / "report.csv", newline="") as fh:
         n_rows = sum(1 for _ in csv.DictReader(fh))

@@ -50,9 +50,11 @@ def test_check_gap_default(capsys):
 def test_check_gap_failing_spectrum(tmp_path, capsys):
     rc = main(["check-gap", "--config", write_cfg(tmp_path, TIGHT_GAP)])
     assert rc == 2
-    blob = json.loads(capsys.readouterr().out)
+    # lambda2 <= 0 here, so eta is undefined and must not print as Infinity
+    blob = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert blob["passed"] is False
     assert blob["margins"]["spectral_gap"] < 0
+    assert blob["eta"] is None
 
 
 def test_check_gap_seed_sensitivity(tmp_path, capsys):
@@ -70,9 +72,11 @@ def test_build_default(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["build", "--out", str(out)])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "L_hat" in text
+    captured = capsys.readouterr()
+    assert "L_hat" in captured.out
+    assert captured.err.startswith("runtime: ")
     payload = json.loads((out / "certificates.json").read_text())
+    assert "runtime_seconds" not in payload
     assert payload["gap_report"]["passed"] is True
     assert payload["lipschitz_hat"] < 1.0
     assert payload["graph_iterations"] >= 2
@@ -111,6 +115,8 @@ def test_build_rejects_bad_exponents(tmp_path, capsys):
         ({"spectral": {"N": "x"}}, "N must be an integer"),
         ({"seed": -1}, "seed must be nonnegative"),
         ({"spectral": {"N": 3, "m": 2}}, "exceed N=3"),
+        # numpy refuses this allocation up front, so the test commits no memory
+        ({"spectral": {"N": 10_000_000_000_000}}, "more memory"),
     ],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, payload, phrase):

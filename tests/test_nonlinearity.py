@@ -15,6 +15,7 @@ from imlab.nonlinearity import (
     ConstantBase,
     CosineBase,
     CutoffNonlinearity,
+    NonlinearityStack,
     PerturbedNonlinearityPair,
     SineBase,
     SumBase,
@@ -270,3 +271,43 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
     assert np.abs(jvp - dense).max() <= 1e-14 * scale
     assert np.all(jvp[:, F.base.rows :] == 0.0)
     assert np.all(dense[:, F.base.rows :] == 0.0)
+
+
+def test_stack_blocks_equal_each_member_alone():
+    # one family, four members with their own spectra (alpha > 0 gives each
+    # its own norm weights) in blocks of unequal size; the limit member's
+    # block has no direction term. OpenBLAS rounds gemm rows differently once
+    # a call holds a few hundred rows, so at 1000 rows a single gemm over the
+    # stack fails this test; it guards the per-block rule.
+    n, m = 32, 1
+    rng = np.random.default_rng(11)
+    base0 = SineBase(n, 0.1 * rng.uniform(0.5, 1.0, 4), rng.normal(size=(4, n)),
+                     rng.uniform(0, 2 * np.pi, 4))
+    direction = CosineBase(n, 0.1 * rng.uniform(0.5, 1.0, 4), rng.normal(size=(4, n)))
+    family = PerturbedNonlinearityPair(base0=base0, direction=direction, eps_max=0.1)
+    consts = dict(C_F=1.0, L_F=1.0, theta_F=1.0, L=1.0)
+    ev = 2.0 * np.arange(1, n + 1) ** 2
+    members = [
+        family.member(SpectralProblem(ev * (1 + eps), m, 0.25), eps, 1.0, consts)
+        for eps in (0.1, 0.0, 1e-4, 0.03)
+    ]
+    counts = (133, 57, 410, 400)
+    rows = sum(counts)
+    u = rng.normal(size=(rows, n))
+    u *= (rng.uniform(0.0, 1.5, rows) / np.linalg.norm(u, axis=1))[:, None]
+    V = rng.normal(size=(rows, n, m))
+    stack = NonlinearityStack(list(zip(members, counts)))
+    vals = stack.eval(u)
+    fv, jvp = stack.eval_and_jvp(u, V)
+    lo = 0
+    for F, count in zip(members, counts):
+        block = slice(lo, lo + count)
+        want_fv, want_jvp = F.eval_and_jvp(u[block], V[block])
+        assert np.array_equal(vals[block], F.eval_batch(u[block]))
+        assert np.array_equal(fv[block], want_fv)
+        assert np.array_equal(jvp[block], want_jvp)
+        lo += count
+    # a leading part of the stack, as a march holds once its last member ends
+    head = counts[0] + counts[1]
+    head_fv, head_jvp = stack.eval_and_jvp(u[:head], V[:head])
+    assert np.array_equal(head_fv, fv[:head]) and np.array_equal(head_jvp, jvp[:head])

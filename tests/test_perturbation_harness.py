@@ -6,10 +6,13 @@ which pins the estimators down without reference to the solver. Solved-member
 checks then exercise the full pipeline at the largest default eps.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from imlab.errors import ConfigError
+from imlab.config import build_lab, config_from_dict
+from imlab.errors import ConfigError, ConvergenceError
 from imlab.lyapunov_perron import DerivativeField, GraphFunction
 from imlab.perturbation_harness import (
     beta_eps,
@@ -21,6 +24,7 @@ from imlab.perturbation_harness import (
     rate_study,
     rho_of,
     solve_member,
+    solve_members,
     sup_distance,
     tau_eps,
     theta_comparison,
@@ -204,3 +208,53 @@ def test_theta_comparison_envelope(lab, limit, member):
     assert comp.fitted_C > 0
     assert comp.measured.shape == (20, comp.times.size)
     assert np.all(np.diff(comp.envelope) > 0)  # envelope grows backward in time
+
+
+def assert_same_solve(stacked, alone):
+    for got, want in ((stacked.manifold, alone.manifold),
+                      (stacked.derivative, alone.derivative)):
+        assert np.array_equal(got.diffs, want.diffs)
+        assert np.array_equal(got.ratios, want.ratios)
+        assert got.iterations == want.iterations
+    assert np.array_equal(stacked.graph.values, alone.graph.values)
+    assert np.array_equal(stacked.field.values, alone.field.values)
+    assert stacked.field.holder_bound == alone.field.holder_bound
+
+
+def test_stacked_members_equal_one_member_solves(lab, limit, member):
+    alone = [limit, member, solve_member(lab, 1e-4)]
+    stacked = solve_members(lab, (0.0, 0.1, 1e-4))
+    assert [s.eps for s in stacked] == [0.0, 0.1, 1e-4]
+    for got, want in zip(stacked, alone):
+        assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize(
+    "payload, eps, differ",
+    [
+        # members converge after different iteration counts
+        ({"family": {"eps_grid": [1.0, 0.3, 1e-4]}}, (0.0, 1.0, 0.3, 1e-4), "iterations"),
+        # alpha > 0 scales each member's grid by its own eigenvalues
+        ({"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05},
+          "solver": {"grid_nodes": 51}}, (0.0, 0.1), "grids"),
+        ({"spectral": {"m": 2}, "solver": {"grid_nodes": 11}}, (0.0, 0.1), None),
+    ],
+)
+def test_stacked_members_equal_one_member_solves_across_configs(payload, eps, differ):
+    lab = build_lab(config_from_dict(payload))
+    stacked = solve_members(lab, eps)
+    for got in stacked:
+        assert_same_solve(got, solve_member(lab, got.eps))
+    if differ == "iterations":
+        assert len({s.manifold.iterations for s in stacked}) > 1
+    if differ == "grids":
+        assert not np.array_equal(stacked[0].graph.axes[0], stacked[1].graph.axes[0])
+
+
+def test_stacked_members_fail_as_one_member_solves(lab):
+    short = replace(lab.solve_settings, max_iter=2)
+    with pytest.raises(ConvergenceError) as alone:
+        solve_member(lab, 0.0, settings=short)
+    with pytest.raises(ConvergenceError) as stacked:
+        solve_members(lab, (0.0, 0.1), settings=short)
+    assert str(stacked.value) == str(alone.value)
