@@ -86,13 +86,11 @@ from .perturbation_harness import (
     theta_comparison,
 )
 from .spectral_core import (
-    CoordIso,
     ExtensionPair,
     SpectralProblem,
     alpha_norm,
     alpha_norm_batch,
     certify_kappa,
-    coord_iso_for_pair,
     identity_pair,
     mode_mixing_pair,
     norm_equivalence_delta,

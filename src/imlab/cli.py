@@ -45,8 +45,6 @@ def _load(args) -> "ExperimentConfig":
             grid = tuple(float(x) for x in args.eps_grid.split(",") if x.strip())
         except ValueError as exc:
             raise ConfigError(f"--eps-grid must be comma-separated numbers: {exc}") from exc
-        if not grid:
-            raise ConfigError("--eps-grid must list at least one value")
         cfg = replace(cfg, family=replace(cfg.family, eps_grid=grid))
     return cfg
 
@@ -186,8 +184,16 @@ def cmd_self_test(args) -> int:
     return _EXIT_ADMISSIBILITY if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they end in one `error:` line and
+    exit 1 like any other configuration problem; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="imlab",
         description="Spectral laboratory for invariant graphs of parabolic "
         "problems: solver, certificates, and perturbation distance studies.",

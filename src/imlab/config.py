@@ -122,6 +122,18 @@ class FamilyConfig:
     extension: str = "identity"
     eps_grid: tuple = DEFAULT_EPS_GRID
 
+    def __post_init__(self):
+        # checked here, so an --eps-grid override is held to the config rules
+        _require(
+            self.spectral_perturbation == "multiplicative",
+            f"unknown spectral perturbation {self.spectral_perturbation!r}",
+        )
+        _require(self.extension == "identity", f"unknown extension {self.extension!r}")
+        _require(len(self.eps_grid) >= 1, "eps_grid must not be empty")
+        _require(all(math.isfinite(e) for e in self.eps_grid), "eps_grid entries must be finite")
+        _require(all(e >= 0 for e in self.eps_grid), "eps_grid entries must be nonnegative")
+        _require(max(self.eps_grid) <= 1.0, "eps_grid entries must not exceed 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -217,20 +229,11 @@ def _solver_from_dict(d) -> SolveSettings:
 
 def _family_from_dict(d) -> FamilyConfig:
     _only_keys(d, {"spectral_perturbation", "extension", "eps_grid"}, "family")
-    cfg = FamilyConfig(
+    return FamilyConfig(
         spectral_perturbation=_text(d, "spectral_perturbation", "multiplicative"),
         extension=_text(d, "extension", "identity"),
         eps_grid=_numbers(d, "eps_grid", DEFAULT_EPS_GRID),
     )
-    _require(
-        cfg.spectral_perturbation == "multiplicative",
-        f"unknown spectral perturbation {cfg.spectral_perturbation!r}",
-    )
-    _require(cfg.extension == "identity", f"unknown extension {cfg.extension!r}")
-    _require(len(cfg.eps_grid) >= 1, "eps_grid must not be empty")
-    _require(all(e >= 0 for e in cfg.eps_grid), "eps_grid entries must be nonnegative")
-    _require(max(cfg.eps_grid) <= 1.0, "eps_grid entries must not exceed 1")
-    return cfg
 
 
 def config_from_dict(d) -> ExperimentConfig:

@@ -13,15 +13,20 @@ cutoff support, and zero evaluation outside the grid box.
 One march kernel, `_march`, serves the graph transform, the derivative
 (fiber) transform and the trajectory integrators. It marches a stack of
 rows grouped by member: each row carries its member's step, eigenvalues,
-trapezoid weights, grid and nonlinearity, and a member's rows leave the
-stack when its march ends. `solve_stack` drives the fixed-point sweeps of
-several members in lockstep over that kernel, and the one-member
-operations (`apply_T`, `apply_D`, `solve_manifold`, ...) are one-member
-calls of the same code. The nonlinearity's phase `u @ W.T` is formed one
-member block at a time (see `NonlinearityStack`): OpenBLAS rounds a gemm row
-differently depending on how many rows the call holds, so one gemm over the
-whole stack would move results in the last bits. Every other step is
-row-wise, so a member solved in a stack equals its solve alone bit for bit.
+trapezoid weights, grid and nonlinearity. A row leaves the stack when its
+member's march ends or, in the transforms, as soon as its slow state leaves
+the cutoff support: from there every term of its Duhamel integral is an
+exact zero, so most of a march's row-steps are never computed.
+`solve_stack` drives the fixed-point sweeps of several members in lockstep
+over that kernel, and the one-member operations (`apply_T`, `apply_D`,
+`solve_manifold`, ...) are one-member calls of the same code. The
+nonlinearity's phase `u @ W.T` is formed one member block at a time, over
+all the rows the block started with (see `NonlinearityStack`): OpenBLAS
+rounds a gemm row differently depending on how many rows the call holds,
+so a gemm over the whole stack, or over a block's remaining rows, would
+move results in the last bits. Every other step is row-wise, so a member
+solved in a stack equals its solve alone, and a march that retires rows
+equals one that marches every row to the end, bit for bit.
 
 The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
@@ -362,13 +367,45 @@ def _steps_for(T, h):
 # ---------------------------------------------------------------------------
 # Backward marches
 
+_OVERFLOW = ("backward slow flow exceeded the overflow guard; the horizon is "
+             "too long for this spectrum")
+
 
 def _check_guard(p, guard):
     if not np.all(np.isfinite(p)) or np.abs(p).max(initial=0.0) > guard:
-        raise OverflowGuardError(
-            "backward slow flow exceeded the overflow guard; the horizon is "
-            "too long for this spectrum"
-        )
+        raise OverflowGuardError(_OVERFLOW)
+
+
+def _check_guard_ahead(state, log_growth, remaining, guard):
+    """The overflow guard over the steps that retired rows skip.
+
+    Outside the support the slow flow is linear: each RK4 step scales slow
+    mode i, and row i of a tangent map, by G_i = 1 + z + z^2/2 + z^3/6 +
+    z^4/24 with z = h lambda_i. Compared in log space, so nothing overflows.
+    """
+    limit = np.log(min(guard, np.finfo(float).max))
+    grow = remaining[:, None] * log_growth
+    with np.errstate(divide="ignore"):
+        for s in state:
+            reach = np.log(np.abs(s)) + (grow if s.ndim == 2 else grow[:, :, None])
+            if np.any(reach > limit):
+                raise OverflowGuardError(_OVERFLOW)
+
+
+def _exit_radius(lane) -> float:
+    """Weighted slow radius at or beyond which a row of this lane retires;
+    inf when the lane lacks a support or a cutoff radius.
+
+    Past both radii the sampled graph and field and the nonlinearity are
+    exact zeros (the cutoff sees the same norm when the weights agree), so
+    the slow flow is linear with positive rates: it only pushes the state,
+    and every later RK4 stage point, further out under monotone rounding.
+    """
+    F, m = lane.F, lane.problem.m
+    if (lane.support_radius is None or F.cutoff_radius is None
+            or not np.array_equal(F.problem.alpha_weights[:m], lane.problem.alpha_weights[:m])):
+        return np.inf
+    return max(lane.support_radius, F.cutoff_radius)
 
 
 @dataclass(eq=False)
@@ -404,27 +441,33 @@ def _stacked_graph_and_field(phi, upsilon):
     return np.concatenate([phi.values[..., None], upsilon.values], axis=-1)
 
 
+def _take(a, keep):
+    """Rows keep of a per-row array; a single broadcast row stays as is."""
+    return a if a.shape[0] == 1 else a[keep]
+
+
 def _march(blocks, guard, fiber, collect=False):
     """Backward RK4 march of the slow flow, and with fiber of its tangent
     linearization, with the fused exponential-trapezoid Duhamel integral,
     over a stack of (lane, start points) blocks.
 
     Each row carries its lane's eigenvalues, step, trapezoid weights, grid
-    and nonlinearity. Blocks are stacked by decreasing step count, so the
-    rows still marching always lead the stack and a lane's rows leave it
-    when its march ends. Returns the fast-block integral of each block, in
-    block order; with collect, the sample times and trajectory of a
-    one-block stack (slow points, or tangent maps for fiber).
+    and nonlinearity. A row retires when its lane's march ends or, unless
+    collect, when its slow state ends a step at or beyond the lane's
+    `_exit_radius`: every later term of its integral is an exact zero, so
+    its integral is final. Retired rows leave the stack, the overflow guard
+    is checked over the steps they skip, and the march ends when no row is
+    left. Returns the fast-block integral of each block, in block order;
+    with collect, the sample times and trajectory of a one-block stack
+    (slow points, or tangent maps for fiber).
     """
-    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0].steps)
-    plan = [blocks[b][0] for b in order]
-    counts = np.array([len(blocks[b][1]) for b in order])
-    steps = np.array([lane.steps for lane in plan])
+    lanes = [lane for lane, _ in blocks]
+    counts = [len(points) for _, points in blocks]
 
     def lane_rows(f):
-        return per_row([f(lane) for lane in plan], counts)
+        return per_row([f(lane) for lane in lanes], counts)
 
-    problem = plan[0].problem
+    problem = lanes[0].problem
     m, n_modes = problem.m, problem.n_modes
     lam_p = lane_rows(lambda lane: lane.problem.eigenvalues[:m])
     ext = (1,) if fiber else ()
@@ -434,32 +477,32 @@ def _march(blocks, guard, fiber, collect=False):
         for f in (phi0_weight, phi1_weight, lambda z: np.exp(-z))
     )
     h = lane_rows(lambda lane: [lane.h])
-    if h.shape[0] == 1:
-        h = float(h[0, 0])  # one step size: scalar arithmetic, as for one member
-    # step per state component, shaped to broadcast against it; the last one
-    # also fits the Duhamel integral
-    hs = [h, h if isinstance(h, float) else h[:, :, None]] if fiber else [h]
+    z = h * lam_p
+    log_growth = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
     frame = lane_rows(lambda lane: lane.frame)
-    lanes = list({id(lane): lane for lane in plan}.values())
-    if len(lanes) == 1:
-        values, which = lanes[0].values, None
+    unique = list({id(lane): lane for lane in lanes}.values())
+    if len(unique) == 1:
+        values, which = unique[0].values, None
     else:
-        values = np.stack([lane.values for lane in lanes])
-        which = np.repeat([lanes.index(lane) for lane in plan], counts)
-    supported = any(lane.support_radius is not None for lane in plan)
+        values = np.stack([lane.values for lane in unique])
+        which = np.repeat([unique.index(lane) for lane in lanes], counts)
+    supported = any(lane.support_radius is not None for lane in lanes)
     radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
                                      else lane.support_radius])[:, 0]
     w_slow = lane_rows(lambda lane: lane.problem.alpha_weights[:m])
-    F = NonlinearityStack([(lane.F, c) for lane, c in zip(plan, counts)])
+    last = lane_rows(lambda lane: [lane.steps])[:, 0]
+    exit_radius = lane_rows(lambda lane: [_exit_radius(lane)])[:, 0]
+    retiring = not collect and bool(np.isfinite(exit_radius).any())
+    stack = [(lane.F, c) for lane, c in zip(lanes, counts)]
+    F = NonlinearityStack(stack)
 
     def sample(pv):
-        n = pv.shape[0]
-        out = _interp_multilinear(frame[:n], values, pv, None if which is None else which[:n])
+        out = _interp_multilinear(frame, values, pv, which)
         if supported:
-            out[np.linalg.norm(pv * w_slow[:n], axis=-1) >= radius[:n]] = 0.0
+            out[np.linalg.norm(pv * w_slow, axis=-1) >= radius] = 0.0
         return out
 
-    p = np.concatenate([np.atleast_2d(blocks[b][1]) for b in order]).astype(float)
+    p = np.concatenate([points for _, points in blocks]).astype(float)
     rows = p.shape[0]
     if fiber:
         u = np.zeros((rows, n_modes))
@@ -476,9 +519,8 @@ def _march(blocks, guard, fiber, collect=False):
             u[:n, m:] = sampled[..., 0]
             tangent[:n, m:, :] = sampled[..., 1:]
             fv, dfj = F.eval_and_jvp(u[:n], tangent[:n])
-            lp = lam_p[:n]
-            fp = fv[:, :m] - pv * lp
-            ft = dfj[:, :m, :] @ tv - lp[:, :, None] * tv
+            fp = fv[:, :m] - pv * lam_p
+            ft = dfj[:, :m, :] @ tv - lam_p[:, :, None] * tv
             return [fp, ft], dfj[:, m:, :] @ tv
     else:
         state = [p]
@@ -489,24 +531,24 @@ def _march(blocks, guard, fiber, collect=False):
             lifted[:, :m] = pv
             lifted[:, m:] = sample(pv)
             fv = F.eval(lifted)
-            return [fv[:, :m] - pv * lam_p[: pv.shape[0]]], fv[:, m:]
+            return [fv[:, :m] - pv * lam_p], fv[:, m:]
 
+    if h.shape[0] == 1:
+        h = float(h[0, 0])  # one step size: scalar arithmetic, as for one member
+
+    def steps_of(h):
+        """Step per state component, shaped to broadcast against it; the
+        last one also fits the Duhamel integral."""
+        return [h, h if isinstance(h, float) else h[:, :, None]] if fiber else [h]
+
+    hs = steps_of(h)
     f, g_prev = rhs(state)
     acc = np.zeros_like(g_prev)
     out = np.empty_like(acc)
     decay = np.ones_like(w0)
     traj = [state[-1].copy()] if collect else None
-    n = rows
-    # rows still marching at each step: the lanes with more steps lead
-    ends = np.concatenate([[0], np.cumsum(counts)])
-    for live in ends[np.searchsorted(-steps, -np.arange(steps[0]))].tolist():
-        if live < n:
-            out[live:n] = acc[live:n]
-            n = live
-            state, f = ([a[:n] for a in arrs] for arrs in (state, f))
-            hs = [hh if isinstance(hh, float) else hh[:n] for hh in hs]
-            g_prev, acc, decay, w0, w1, decay_step = (
-                a[:n] for a in (g_prev, acc, decay, w0, w1, decay_step))
+    live = np.arange(rows)  # stack row of each row still marching
+    for k in range(1, int(last.max()) + 1):
         k1 = f
         k2, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k1)])
         k3, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k2)])
@@ -523,16 +565,34 @@ def _march(blocks, guard, fiber, collect=False):
         g_prev = g_new
         if collect:
             traj.append(state[-1].copy())
-    out[:n] = acc
+        drop = np.broadcast_to(last <= k, live.shape)
+        if retiring:
+            drop = drop | (np.linalg.norm(state[0] * w_slow, axis=-1) >= exit_radius)
+        if not drop.any():
+            continue
+        out[live[drop]] = acc[drop]
+        _check_guard_ahead([s[drop] for s in state], _take(log_growth, drop),
+                           np.broadcast_to(last, live.shape)[drop] - k, guard)
+        keep = ~drop
+        live = live[keep]
+        if not live.size:
+            break
+        state, f = ([s[keep] for s in arrs] for arrs in (state, f))
+        g_prev, acc = g_prev[keep], acc[keep]
+        (decay, lam_p, w0, w1, decay_step, log_growth, frame, radius, w_slow, last,
+         exit_radius) = (_take(a, keep) for a in (decay, lam_p, w0, w1, decay_step, log_growth,
+                                                  frame, radius, w_slow, last, exit_radius))
+        if which is not None:
+            which = which[keep]
+        if not isinstance(h, float):
+            h = h[keep]
+            hs = steps_of(h)
+        F = NonlinearityStack(stack, live)
     if collect:
-        lane = plan[0]
+        lane = lanes[0]
         s = -lane.h * np.arange(lane.steps + 1)
         return s, np.stack(traj, axis=1)  # (B, steps+1) + point or map shape
-    pieces = np.split(out, np.cumsum(counts)[:-1])
-    result = [None] * len(blocks)
-    for b, piece in zip(order, pieces):
-        result[b] = piece
-    return result
+    return np.split(out, np.cumsum(counts)[:-1])
 
 
 def _packs(blocks):
@@ -613,7 +673,9 @@ def _active_nodes(graph):
 
     Once the weighted coordinate norm reaches the support radius the
     backward linear flow only grows it, so the integrand vanishes along the
-    whole trajectory and the node value is exactly zero.
+    whole trajectory and the node value is exactly zero. The march applies
+    the same exit argument along the way: a row retires at the end of the
+    step that takes it out of the support (`_exit_radius`).
     """
     nodes = graph.nodes()
     if graph.support_radius is None:

@@ -320,6 +320,13 @@ def _start_if_contiguous(idx):
     return None
 
 
+def _padded(rows, keep, count) -> np.ndarray:
+    """rows placed at positions keep of an otherwise zero (count, N) array."""
+    out = np.zeros((count, rows.shape[1]))
+    out[keep] = rows
+    return out
+
+
 class NonlinearityStack:
     """Cutoff nonlinearities of several members over one stack of rows,
     grouped into blocks of consecutive rows that share a member.
@@ -328,17 +335,22 @@ class NonlinearityStack:
     once over the blocks whose member uses it, and each member's terms
     combine in `SumBase` order, first + eps * second, with a per-row eps;
     rows whose member lacks a term skip it. The phase `u @ W.T` is formed
-    one block at a time: OpenBLAS rounds a gemm row differently depending on
-    how many rows the call holds, so each block must see the call its member
-    sees alone. Every other operation is row-wise, so each block comes out
-    bit for bit as its member's own evaluation.
+    one block at a time over all the rows the block started with: OpenBLAS
+    rounds a gemm row differently depending on how many rows the call holds
+    (a one-row product goes to gemv), so each block must see the call its
+    member sees alone. Every other operation is row-wise, so each block
+    comes out bit for bit as its member's own evaluation.
 
-    The methods take a leading part of the stack that ends on a block
-    boundary, so a march can drop finished members from the tail.
+    A march that retires rows rebuilds the stack over the rows it still
+    holds (`live`); the phase of a block that lost rows is formed over its
+    full row count with the retired rows zero-filled, and only the live
+    rows are carried further.
     """
 
-    def __init__(self, blocks):
-        """blocks: (CutoffNonlinearity, row count) pairs in stack order."""
+    def __init__(self, blocks, live=None):
+        """blocks: (CutoffNonlinearity, row count) pairs in stack order;
+        live: increasing indices of the stack rows the methods take, by
+        default all of them."""
         first = blocks[0][0]
         self.n = first.problem.n_modes
         self.radius = first.cutoff_radius
@@ -346,49 +358,53 @@ class NonlinearityStack:
                for F, _ in blocks):
             raise DimensionError("stacked nonlinearities must share N and the cutoff radius")
         counts = [count for _, count in blocks]
-        self.weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
+        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+        live = np.arange(bounds[-1]) if live is None else np.asarray(live)
+        weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
+        self.weights = weights if len(weights) == 1 else weights[live]
         self.weights2 = self.weights**2
         self.k = max(F.base.rows for F, _ in blocks)
+        # where each block's live rows sit now: rows [lo, hi) of the stack
+        # taken, at positions keep (None: all) of the block's own rows
+        at = np.searchsorted(live, bounds)
         # one slot per term position and atom: the blocks it covers and their eps
         slots = {}
-        lo = 0
-        for F, count in blocks:
+        for (F, count), lo, hi, start in zip(blocks, at[:-1], at[1:], bounds):
+            if hi == lo:
+                continue
+            keep = None if hi - lo == count else live[lo:hi] - start
             for pos, (atom, eps) in enumerate(F.base.terms()):
                 _, spans, scales = slots.setdefault((pos, id(atom)), (atom, [], []))
-                spans.append((lo, lo + count))
+                spans.append((lo, hi, keep, count))
                 scales.append(eps)
-            lo += count
         self.slots = []
         for (pos, _), (atom, spans, scales) in sorted(slots.items(), key=lambda kv: kv[0][0]):
-            rows = np.concatenate([np.arange(a, b) for a, b in spans])
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi, _, _ in spans])
             if len(set(scales)) > 1:
-                scales = np.repeat(scales, [b - a for a, b in spans])[:, None]
+                scales = np.repeat(scales, [hi - lo for lo, hi, _, _ in spans])[:, None]
             else:
                 scales = scales[0]
             self.slots.append((pos, atom, spans, rows, _start_if_contiguous(rows), scales))
 
     def _base(self, u, with_rows):
         """Base values (n, N) and, with rows, the leading Jacobian rows
-        (n, k, N) of the first n stack rows."""
+        (n, k, N) of the n stack rows."""
         n = u.shape[0]
         vals = rows = None
         for pos, atom, spans, dst, start, eps in self.slots:
-            parts = [atom.phase(u[a:b]) for a, b in spans if a < n]
-            if not parts:
-                continue
+            parts = [atom.phase(u[lo:hi]) if keep is None
+                     else atom.phase(_padded(u[lo:hi], keep, count))[keep]
+                     for lo, hi, keep, count in spans]
             phase = parts[0] if len(parts) == 1 else np.concatenate(parts)
             v = atom.value_at(phase)
             r = atom.rows_at(phase) if with_rows else None
-            count = phase.shape[0]
-            d = dst[:count] if start is None else slice(start, start + count)
+            d = dst if start is None else slice(start, start + dst.size)
             if pos > 0:
-                if not isinstance(eps, float):
-                    eps = eps[:count]
                 vals[d] += eps * v
                 if with_rows:
                     rows[d] += (eps if isinstance(eps, float) else eps[:, :, None]) \
                         * _pad_rows(r, self.k)
-            elif start == 0 and count == n and (r is None or r.shape[1] == self.k):
+            elif start == 0 and dst.size == n and (r is None or r.shape[1] == self.k):
                 vals, rows = v, r  # the only first term: keep its fresh arrays
             else:
                 if vals is None:
@@ -402,15 +418,15 @@ class NonlinearityStack:
         return vals, rows
 
     def eval(self, u) -> np.ndarray:
-        """F(u) for the first len(u) stack rows."""
+        """F(u) for the stack rows u."""
         vals, _ = self._base(u, with_rows=False)
         if self.radius is None:
             return vals
-        r = np.linalg.norm(u * self.weights[: u.shape[0]], axis=-1)
+        r = np.linalg.norm(u * self.weights, axis=-1)
         return vals * cutoff_value(r, self.radius)[:, None]
 
     def eval_and_jvp(self, u, V):
-        """F(u) and DF(u) V for the first len(u) stack rows and tangents V
+        """F(u) and DF(u) V for the stack rows u and tangents V
         (n, N, m), computing the base value, radius and bump once.
 
         Only the leading k rows of DF(u) are formed. Each keeps the
@@ -423,13 +439,13 @@ class NonlinearityStack:
         vals, rows = self._base(u, with_rows=True)
         k = self.k
         if self.radius is not None:
-            r = np.linalg.norm(u * self.weights[:n], axis=-1)
+            r = np.linalg.norm(u * self.weights, axis=-1)
             zeta = cutoff_value(r, self.radius)
             dzeta = cutoff_derivative(r, self.radius)
             rows *= zeta[:, None, None]
             live = dzeta != 0.0
             if np.any(live):
-                w2 = self.weights2[:n]
+                w2 = self.weights2
                 grad = (u[live] * (w2 if len(w2) == 1 else w2[live])) / r[live, None]
                 rows[live] += dzeta[live, None, None] * vals[live, :k, None] * grad[:, None, :]
             vals *= zeta[:, None]

@@ -1,4 +1,4 @@
-"""Diagonal spectral model problems: norms, projections, semigroups.
+"""Diagonal spectral model problems: norms, extension pairs, perturbation sizes.
 
 A model problem is a positive diagonal operator given by its eigenvalue
 sequence, a slow-mode count m, and a fractional power alpha. Vectors are
@@ -8,11 +8,11 @@ diagonally reweighted matrices and are computed exactly via SVD.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError
 
 # Coefficient vectors are bare numpy arrays; operations validate lengths.
 CoefVector = np.ndarray
@@ -113,40 +113,6 @@ def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:
     return np.linalg.norm(p * w, axis=-1)
 
 
-def split(problem: SpectralProblem, v):
-    """Split into (slow, fast) coefficient blocks. Recombination is exact."""
-    v = problem.check_vector(v)
-    return v[..., : problem.m].copy(), v[..., problem.m :].copy()
-
-
-def recombine(problem: SpectralProblem, p, q) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape[-1] != problem.m or q.shape[-1] != problem.n_modes - problem.m:
-        raise DimensionError("block sizes do not match the problem split")
-    return np.concatenate([p, q], axis=-1)
-
-
-def semigroup_q(problem: SpectralProblem, t: float, q) -> np.ndarray:
-    """Fast-block semigroup e^(-lambda_i t) q_i for i > m; needs t >= 0."""
-    if t < 0:
-        raise DomainError("fast-block semigroup is only defined for t >= 0")
-    q = np.asarray(q, dtype=float)
-    lam = problem.eigenvalues[problem.m :]
-    if q.shape[-1] != lam.size:
-        raise DimensionError(f"expected {lam.size} fast coefficients")
-    return q * np.exp(-lam * t)
-
-
-def semigroup_p(problem: SpectralProblem, t: float, p) -> np.ndarray:
-    """Slow-block semigroup e^(-lambda_i t) p_i for i <= m; any real t."""
-    p = np.asarray(p, dtype=float)
-    lam = problem.eigenvalues[: problem.m]
-    if p.shape[-1] != lam.size:
-        raise DimensionError(f"expected {lam.size} slow coefficients")
-    return p * np.exp(-lam * t)
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionPair:
     """Extension E and restriction M between two coefficient spaces.
@@ -236,60 +202,6 @@ def mode_mixing_pair(
     M = E.T.copy()
     kappa = certify_kappa(E, M, limit, perturbed)
     return ExtensionPair(E=E, M=M, kappa=kappa)
-
-
-@dataclass(frozen=True, eq=False)
-class CoordIso:
-    """Isomorphism between the slow subspace and R^m slow coordinates.
-
-    For the perturbed problem the slow basis consists of the slow projections
-    of the extended limit eigenfunctions; its coordinate matrix is the top
-    left m-by-m block of E. For a problem compared against itself the block
-    is the identity and coordinates are literal slow coefficients, so the
-    coordinate norm of a slow vector equals its alpha-norm exactly.
-    """
-
-    problem: SpectralProblem
-    basis: np.ndarray = None
-
-    def __post_init__(self):
-        m = self.problem.m
-        basis = np.eye(m) if self.basis is None else np.asarray(self.basis, float)
-        if basis.shape != (m, m):
-            raise ConfigError(f"basis block must be {m}x{m}")
-        if abs(np.linalg.det(basis)) < 1e-12:
-            raise ConfigError("slow basis block is numerically singular")
-        object.__setattr__(self, "basis", _readonly(basis))
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.basis, np.eye(self.problem.m)))
-
-    def to_coords(self, w) -> np.ndarray:
-        """Full coefficient vector (or slow block) to slow coordinates."""
-        w = np.asarray(w, dtype=float)
-        if w.shape[-1] == self.problem.n_modes:
-            w = w[..., : self.problem.m]
-        elif w.shape[-1] != self.problem.m:
-            raise DimensionError("expected a full vector or a slow block")
-        if self.is_identity:
-            return w.copy()
-        return np.linalg.solve(self.basis, w[..., None])[..., 0]
-
-    def from_coords(self, z) -> np.ndarray:
-        """Slow coordinates to a full coefficient vector (fast block zero)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.problem.m:
-            raise DimensionError(f"expected {self.problem.m} coordinates")
-        p = z if self.is_identity else (self.basis @ z[..., None])[..., 0]
-        full = np.zeros(z.shape[:-1] + (self.problem.n_modes,))
-        full[..., : self.problem.m] = p
-        return full
-
-
-def coord_iso_for_pair(pair: ExtensionPair, perturbed: SpectralProblem) -> CoordIso:
-    m = perturbed.m
-    return CoordIso(problem=perturbed, basis=pair.E[:m, :m])
 
 
 def resolvent_deficiency(

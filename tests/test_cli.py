@@ -23,11 +23,17 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 
 
 def test_usage_errors_exit_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        main([])
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
-    capsys.readouterr()
+    # usage errors are configuration problems: one error: line and exit 1,
+    # not argparse's exit 2, which means a certification failure here
+    for argv in ([], ["no-such-command"], ["check-gap", "--seed", "1.5"],
+                 ["check-gap", "--bogus"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    with pytest.raises(SystemExit) as info:
+        main(["check-gap", "--help"])
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_malformed_config(tmp_path, capsys):
@@ -165,6 +171,17 @@ def test_eps_grid_flag_validation(tmp_path, capsys):
     assert main(["distance-study", "--eps-grid", "abc", "--out", str(tmp_path)]) == 1
     assert main(["distance-study", "--eps-grid", ",", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid, phrase", [
+    ("5", "must not exceed 1"),
+    ("nan", "must be finite"),
+    ("0.1,inf", "must be finite"),
+])
+def test_eps_grid_flag_held_to_config_rules(tmp_path, capsys, grid, phrase):
+    assert main(["distance-study", "--eps-grid", grid, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and phrase in err[0]
 
 
 def test_distance_study_short_grid(tmp_path, capsys):

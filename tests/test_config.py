@@ -1,11 +1,16 @@
 """Configuration round trips and laboratory assembly."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imlab.cli import main
 from imlab.config import (
     ExperimentConfig,
     build_lab,
@@ -150,3 +155,85 @@ def test_config_is_frozen():
     cfg = default_config()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 5
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed configurations: each field draws a plausible value or junk of any
+# JSON type. Spectra stay small (N <= 10), so no draw allocates much.
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1),
+)
+
+
+def _field(valid):
+    """The valid-type strategy, or junk one draw in eight."""
+    return st.integers(0, 7).flatmap(lambda i: _JUNK if i == 0 else valid)
+
+
+def _section(fields):
+    return _field(st.fixed_dictionaries({}, optional=fields))
+
+
+_NUMBER = st.floats(-2.0, 40.0)
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "seed": _field(st.integers(-1, 5)),
+    "out_dir": _field(st.just("out")),
+    "theta": _field(st.one_of(st.just("auto"), st.floats(-0.5, 1.5))),
+    "theta_star": _field(st.one_of(st.just("auto"), st.floats(-0.5, 1.5))),
+    "spectral": _section({
+        "rule": _field(st.sampled_from(["i^2", "linear", "cubic"])),
+        "N": _field(st.integers(-1, 10)),
+        "scale": _field(_NUMBER),
+        "m": _field(st.integers(-1, 4)),
+        "alpha": _field(st.floats(-0.5, 1.5)),
+        "eigenvalues": _field(st.lists(_NUMBER, max_size=8)),
+    }),
+    "nonlinearity": _section({
+        "model": _field(st.sampled_from(["sine", "cosine"])),
+        "K": _field(st.integers(-1, 6)),
+        "R": _field(st.floats(-1.0, 3.0)),
+        "LF": _field(st.floats(-0.1, 2.0)),
+        "CF": _field(st.one_of(st.just("auto"), st.floats(-1.0, 2.0))),
+        "thetaF": _field(st.floats(-0.5, 1.5)),
+        "L": _field(st.one_of(st.just("auto"), st.floats(-1.0, 5.0))),
+        "amplitude": _field(st.one_of(st.just("auto"), st.floats(-1.0, 1.0))),
+        "G": _section({"model": _field(st.just("cosine")),
+                       "relative_amplitude": _field(st.floats(-1.0, 2.0))}),
+        "eps_rule": _field(st.sampled_from(["additive", "other"])),
+    }),
+    "solver": _section({
+        "T_horizon": _field(st.one_of(st.just("auto"), _NUMBER)),
+        "h": _field(st.one_of(st.just("auto"), st.floats(-0.1, 1.0))),
+        "tol_fp": _field(st.floats(-1e-6, 1e-3)),
+        "max_iter": _field(st.integers(-1, 80)),
+        "grid_nodes": _field(st.integers(0, 301)),
+        "box_factor": _field(st.floats(0.0, 3.0)),
+    }),
+    "family": _section({
+        "spectral_perturbation": _field(st.just("multiplicative")),
+        "extension": _field(st.just("identity")),
+        "eps_grid": _field(st.lists(st.floats(-0.5, 1.5), max_size=3)),
+    }),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(payload=_CONFIGS)
+def test_fuzzed_configs_build_or_fail_in_the_taxonomy(tmp_path_factory, payload):
+    # parsing raises ConfigError or nothing, building raises ConfigError or
+    # (for a well-formed config) AdmissibilityError, and `imlab check-gap`
+    # reports the same outcome through its exit code, never a traceback
+    try:
+        lab = build_lab(config_from_dict(payload))
+        expected = 0 if lab.gap.passed else 2
+    except ConfigError:
+        expected = 1
+    except AdmissibilityError:
+        expected = 2
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check-gap", "--config", str(path)]) == expected

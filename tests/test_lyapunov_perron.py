@@ -7,10 +7,13 @@ forcing) whose fixed points are known exactly.
 """
 
 import decimal
+import warnings
 
 import numpy as np
 import pytest
 
+from imlab import lyapunov_perron
+from imlab.config import build_lab, config_from_dict
 from imlab.errors import (
     AdmissibilityError,
     ConfigError,
@@ -22,6 +25,9 @@ from imlab.lyapunov_perron import (
     DerivativeField,
     GraphFunction,
     SolveSettings,
+    apply_D,
+    apply_T,
+    grid_axes,
     dump_field_csv,
     dump_graph_csv,
     holder_certificate,
@@ -32,12 +38,14 @@ from imlab.lyapunov_perron import (
     phi0_weight,
     phi1_weight,
     resolve_horizon,
+    resolve_step,
     slow_flow_rate,
     solve_derivative,
     solve_manifold,
     weighted_map_norms,
 )
 from imlab.nonlinearity import ConstantBase, CutoffNonlinearity, constant_map, zero_map
+from imlab.perturbation_harness import instantiate
 from imlab.spectral_core import SpectralProblem, coord_norm_batch
 
 
@@ -288,3 +296,135 @@ def test_csv_roundtrip(tmp_path, limit):
     header = fpath.read_text().splitlines()[0].split(",")
     n, m = graph.problem.n_modes, graph.problem.m
     assert len(header) == m + (n - m) * m
+
+
+# ---------------------------------------------------------------------------
+# Retirement: the solver drops a row once its slow state leaves the cutoff
+# support. A plain march that runs every row to the end of the horizon, with
+# the solver's RK4 and exponential-trapezoid expressions, must agree with it
+# bit for bit.
+
+
+def reference_march(problem, F, phi, upsilon, settings):
+    """Node values of one graph (upsilon None) or derivative transform, every
+    active node marched over the whole horizon in one batch."""
+    fiber = upsilon is not None
+    T = resolve_horizon(problem, F, settings, purpose="fiber" if fiber else "graph")
+    steps = max(1, int(np.ceil(T / resolve_step(problem, F, settings) - 1e-12)))
+    h = T / steps
+    m, n = problem.m, problem.n_modes
+    grid = upsilon if fiber else phi
+    nodes = grid.nodes()
+    active = coord_norm_batch(problem, nodes) < grid.support_radius
+    lam_p = problem.eigenvalues[:m]
+    z = problem.eigenvalues[m:] * h
+    shape = (-1, 1) if fiber else (-1,)
+    w0, w1, decay_step = (w.reshape(shape) for w in (phi0_weight(z), phi1_weight(z), np.exp(-z)))
+
+    def rhs(state):
+        pv = state[0]
+        u = np.zeros((pv.shape[0], n))
+        u[:, :m] = pv
+        u[:, m:] = phi.eval(pv)
+        if not fiber:
+            fv = F.eval_batch(u)
+            return [fv[:, :m] - pv * lam_p], fv[:, m:]
+        tv = state[1]
+        V = np.zeros((pv.shape[0], n, m))
+        V[:, :m] = np.eye(m)
+        V[:, m:] = upsilon.eval(pv)
+        fv, dfj = F.eval_and_jvp(u, V)
+        return [fv[:, :m] - pv * lam_p, dfj[:, :m] @ tv - lam_p[:, None] * tv], dfj[:, m:] @ tv
+
+    p = nodes[active]
+    state = [p, np.broadcast_to(np.eye(m), (p.shape[0], m, m)).copy()] if fiber else [p]
+    f, g_prev = rhs(state)
+    acc = np.zeros_like(g_prev)
+    decay = np.ones_like(w0)
+    for _ in range(steps):
+        k2, _ = rhs([s - 0.5 * h * d for s, d in zip(state, f)])
+        k3, _ = rhs([s - 0.5 * h * d for s, d in zip(state, k2)])
+        k4, _ = rhs([s - h * d for s, d in zip(state, k3)])
+        state = [s - (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, f, k2, k3, k4)]
+        for s in state:
+            if not np.all(np.isfinite(s)) or np.abs(s).max() > settings.overflow_guard:
+                raise OverflowGuardError("reference march overflow")
+        f, g_new = rhs(state)
+        acc += decay * h * (g_prev * w0 + (g_new - g_prev) * w1)
+        decay = decay * decay_step
+        g_prev = g_new
+    out = np.zeros((nodes.shape[0],) + acc.shape[1:])
+    out[active] = acc
+    return out.reshape(grid.values.shape)
+
+
+@pytest.fixture
+def live_counts(monkeypatch):
+    """Row counts of blocks that had lost some of their rows, one entry per
+    block and stack rebuild."""
+    seen = []
+
+    class Recording(lyapunov_perron.NonlinearityStack):
+        def __init__(self, blocks, live=None):
+            super().__init__(blocks, live)
+            if live is not None:
+                edges = np.cumsum([0] + [count for _, count in blocks])
+                held = np.diff(np.searchsorted(live, edges))
+                seen.extend(held[(held > 0) & (held < np.diff(edges))].tolist())
+
+    monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Recording)
+    return seen
+
+
+def assert_transforms_match_reference(problem, F, settings):
+    axes = grid_axes(problem, settings, F.support_radius)
+    phi = apply_T(problem, F, GraphFunction.zeros(problem, axes, F.support_radius), settings)
+    ups = apply_D(problem, F, phi, DerivativeField.zeros(problem, axes, F.support_radius),
+                  settings)
+    assert np.any(phi.values != 0.0) and np.any(ups.values != 0.0)
+    assert np.array_equal(apply_T(problem, F, phi, settings).values,
+                          reference_march(problem, F, phi, None, settings))
+    assert np.array_equal(apply_D(problem, F, phi, ups, settings).values,
+                          reference_march(problem, F, phi, ups, settings))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1e-4])
+def test_retiring_rows_is_exact_on_the_default_lab(lab, eps, live_counts):
+    problem, F, _ = instantiate(lab, eps)
+    assert_transforms_match_reference(problem, F, lab.solve_settings)
+    # the fiber march ends with a block of one row among retired ones: the
+    # phase gemm must not turn into a one-row product there
+    assert min(live_counts) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"spectral": {"m": 2}, "solver": {"grid_nodes": 11}},
+    {"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}, "solver": {"grid_nodes": 51}},
+])
+def test_retiring_rows_is_exact_across_configs(payload):
+    lab = build_lab(config_from_dict(payload))
+    for eps in (0.0, 0.1):
+        problem, F, _ = instantiate(lab, eps)
+        assert_transforms_match_reference(problem, F, lab.solve_settings)
+
+
+@pytest.mark.parametrize("t_horizon, trips", [(25.0, False), (30.0, True), (500.0, True)])
+def test_overflow_guard_covers_retired_rows(t_horizon, trips):
+    # every row leaves the cutoff support within a few time units and then
+    # grows like e^s, past the 1e12 guard near s = 27.6
+    problem = two_mode()
+    F = CutoffNonlinearity(problem=problem, base=ConstantBase(vector=np.array([0.0, 1.0])),
+                           cutoff_radius=1.0, C_F=1.0, L_F=0.0)
+    phi = GraphFunction.zeros(problem, (np.linspace(-1.5, 1.5, 41),), support_radius=1.0)
+    st = small_settings(t_horizon=t_horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if trips:
+            with pytest.raises(OverflowGuardError):
+                reference_march(problem, F, phi, None, st)
+            with pytest.raises(OverflowGuardError):
+                apply_T(problem, F, phi, st)
+        else:
+            assert np.array_equal(apply_T(problem, F, phi, st).values,
+                                  reference_march(problem, F, phi, None, st))

@@ -12,24 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imlab.errors import ConfigError, DimensionError, DomainError
+from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
-    CoordIso,
     ExtensionPair,
     SpectralProblem,
     alpha_norm,
     alpha_norm_batch,
     certify_kappa,
-    coord_iso_for_pair,
     coord_norm_batch,
     identity_pair,
     mode_mixing_pair,
     norm_equivalence_delta,
-    recombine,
     resolvent_deficiency,
-    semigroup_p,
-    semigroup_q,
-    split,
     spectrum_from_rule,
     weighted_coord_norm,
 )
@@ -104,29 +98,6 @@ def test_batch_norms_match_scalar():
     got = coord_norm_batch(prob, ps)
     want = [weighted_coord_norm(prob, p) for p in ps]
     assert np.allclose(got, want, rtol=1e-14)
-
-
-@given(st.lists(st.floats(-1e9, 1e9), min_size=3, max_size=3))
-@settings(max_examples=200, deadline=None)
-def test_split_recombine_roundtrip(v):
-    prob = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0]), m=1, alpha=0.25)
-    p, q = split(prob, np.array(v))
-    assert p.shape == (1,) and q.shape == (2,)
-    assert np.array_equal(recombine(prob, p, q), np.array(v))
-
-
-def test_semigroup_goldens():
-    prob = two_mode()
-    q = semigroup_q(prob, 0.5, [1.0])
-    assert q[0] == pytest.approx(math.exp(-2.0), rel=1e-15)
-    assert semigroup_q(prob, 0.0, [2.5])[0] == 2.5
-    p = semigroup_p(prob, -1.0, [1.0])
-    assert p[0] == pytest.approx(math.e, rel=1e-15)
-    assert semigroup_p(prob, 2.0, [3.0])[0] == pytest.approx(3.0 * math.exp(-2.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        semigroup_q(prob, -0.1, [1.0])
-    with pytest.raises(DimensionError):
-        semigroup_q(prob, 0.1, [1.0, 2.0])
 
 
 def test_extension_pair_validation():
@@ -215,18 +186,3 @@ def test_norm_equivalence_bounds_coord_norms():
     assert np.all(ratio >= 1 - delta - 1e-12)
 
 
-def test_coord_iso():
-    prob = two_mode()
-    iso = CoordIso(problem=prob, basis=np.array([[1.0]]))
-    assert iso.is_identity
-    assert iso.to_coords(np.array([2.0, 5.0]))[0] == 2.0
-    sheared = CoordIso(problem=prob, basis=np.array([[2.0]]))
-    z = sheared.to_coords(np.array([3.0]))
-    back = sheared.from_coords(z)
-    assert back[0] == pytest.approx(3.0, rel=1e-14)
-    with pytest.raises(ConfigError):
-        CoordIso(problem=prob, basis=np.array([[0.0]]))
-    with pytest.raises(ConfigError):
-        CoordIso(problem=prob, basis=np.eye(2))
-    pert = scaled(prob, 1.1)
-    assert coord_iso_for_pair(identity_pair(prob, pert), pert).is_identity
