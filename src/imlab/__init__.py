@@ -38,20 +38,17 @@ from .gap_analysis import (
     theta_tilde,
 )
 from .lyapunov_perron import (
-    DerivativeField,
     DerivativeResult,
-    GraphFunction,
+    GridField,
     ManifoldResult,
     SolveSettings,
     apply_D,
     apply_T,
-    dump_field_csv,
-    dump_graph_csv,
+    dump_csv,
     holder_certificate,
     integrate_Theta,
     integrate_p_backward,
     lipschitz_certificate,
-    load_graph_csv,
     solve_derivative,
     solve_manifold,
     solve_stack,
@@ -96,6 +93,7 @@ from .spectral_core import (
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,
+    weighted_opnorms,
 )
 from .suites import ALL_SUITES, SuiteResult, run_suites
 

@@ -25,7 +25,7 @@ from .errors import (
     ImlabError,
     OverflowGuardError,
 )
-from .lyapunov_perron import dump_field_csv, dump_graph_csv, lipschitz_certificate
+from .lyapunov_perron import dump_csv, lipschitz_certificate
 
 _EXIT_CONFIG = 1
 _EXIT_ADMISSIBILITY = 2
@@ -97,10 +97,10 @@ def cmd_build(args) -> int:
     if not lab.limit_F.analytic_fixture:
         sampled = lab.certify()
     member = perturbation_harness.solve_member(lab, 0.0)
-    graph, fld = member.graph, member.field
-    dump_graph_csv(graph, out / "manifold.csv")
-    dump_field_csv(fld, out / "derivative.csv")
-    lip = lipschitz_certificate(graph)
+    dump_csv(member.graph, out / "manifold.csv")
+    dump_csv(member.field, out / "derivative.csv")
+    lip = lipschitz_certificate(member.graph)
+    holder = member.derivative.holder_bound
     payload = {
         "theta": lab.theta,
         "theta_star": lab.theta_star,
@@ -111,7 +111,7 @@ def cmd_build(args) -> int:
         "certified_samples": {str(k): v for k, v in (sampled or {}).items()},
         "gap_report": json.loads(lab.gap.to_json()),
         "lipschitz_hat": lip,
-        "holder_hat": fld.holder_bound,
+        "holder_hat": holder,
         "M0": lab.gap.M0,
         "graph_iterations": member.manifold.iterations,
         "graph_diffs": member.manifold.diffs,
@@ -128,7 +128,7 @@ def cmd_build(args) -> int:
     print(f"certificates: {out / 'certificates.json'}")
     print(f"graph iterations = {member.manifold.iterations}  "
           f"field iterations = {member.derivative.iterations}")
-    print(f"L_hat = {_fmt(lip)}  M_hat = {_fmt(fld.holder_bound)}")
+    print(f"L_hat = {_fmt(lip)}  M_hat = {_fmt(holder)}")
     _print_runtime(time.perf_counter() - start)
     return 0
 

@@ -23,16 +23,15 @@ from .nonlinearity import (
     PerturbedNonlinearityPair,
     SineBase,
     _ball_samples,
-    _df_opnorms,
     certify_constants,
     holder_quotient_of_derivative,
 )
 from .spectral_core import (
     ExtensionPair,
     SpectralProblem,
-    certify_kappa,
     identity_pair,
     spectrum_from_rule,
+    weighted_opnorms,
 )
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -386,7 +385,7 @@ def _unit_bases(cfg: ExperimentConfig, rng):
 def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     F = PerturbedNonlinearityPair(base, direction, eps).member(problem, eps, radius, {})
     pts = _ball_samples(problem, radius, count, rng)
-    return float(_df_opnorms(F, pts).max())
+    return float(weighted_opnorms(F.jacobian_batch(pts), col_weights=problem.alpha_weights).max())
 
 
 def build_lab(cfg: ExperimentConfig) -> Laboratory:
@@ -446,8 +445,7 @@ def build_lab(cfg: ExperimentConfig) -> Laboratory:
 
     constants = {"C_F": cf, "L_F": nl.lf, "theta_F": nl.theta_f, "L": l_cfg}
 
-    pair = identity_pair(limit, probe_problems[eps_max])
-    kappa = certify_kappa(pair.E, pair.M, limit, probe_problems[eps_max])
+    kappa = identity_pair(limit, probe_problems[eps_max]).kappa
 
     t_tilde = gap_analysis.theta_tilde(
         nl.theta_f,

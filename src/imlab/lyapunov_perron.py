@@ -6,9 +6,11 @@ trapezoid rule: the nonlinearity samples are interpolated piecewise linearly
 in time and each integral of e^(lambda s) times a linear segment is taken in
 closed form. Stiff fast modes therefore never enter a time-stepper.
 
-Graphs live on uniform tensor grids over the slow coordinates (one or two
-slow modes) with multilinear interpolation, zero values at nodes outside the
-cutoff support, and zero evaluation outside the grid box.
+Graphs and derivative fields are one type, `GridField`, keyed by the
+trailing shape of its values. It lives on a uniform tensor grid over the
+slow coordinates (one or two slow modes) with multilinear interpolation,
+zero values at nodes outside the cutoff support, and zero evaluation
+outside the grid box.
 
 One march kernel, `_march`, serves the graph transform, the derivative
 (fiber) transform and the trajectory integrators. It marches a stack of
@@ -52,7 +54,7 @@ from .errors import (
     OverflowGuardError,
 )
 from .nonlinearity import CutoffNonlinearity, NonlinearityStack, per_row
-from .spectral_core import SpectralProblem, coord_norm_batch
+from .spectral_core import SpectralProblem, coord_norm_batch, weighted_opnorms
 
 _NODE_CHUNK = 8192
 
@@ -175,9 +177,17 @@ def grid_axes(problem: SpectralProblem, settings, support_radius):
     return tuple(np.linspace(-a, a, g) for a in widths)
 
 
+def mesh(axes) -> np.ndarray:
+    """Nodes of the tensor grid over the axes, row-major, shape (nodes, len(axes))."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
 @dataclass(eq=False)
-class GraphFunction:
-    """Fast-block values on a slow-coordinate tensor grid.
+class GridField:
+    """Values on a slow-coordinate tensor grid, keyed by their trailing shape:
+    (fast modes,) makes a graph, (fast modes, m) a derivative field of
+    node-wise linear maps from the slow coordinates into the fast block.
 
     Values at nodes on or outside the support radius are exactly zero, and
     evaluation returns exact zero outside the grid box and outside the
@@ -190,23 +200,26 @@ class GraphFunction:
     support_radius: float | None = None
 
     def __post_init__(self):
-        expect = tuple(ax.size for ax in self.axes) + (
-            self.problem.n_modes - self.problem.m,
-        )
-        if self.values.shape != expect:
-            raise DimensionError(f"value grid must have shape {expect}")
+        grid = tuple(ax.size for ax in self.axes)
+        fast, m = self.problem.n_modes - self.problem.m, self.problem.m
+        if self.values.shape not in (grid + (fast,), grid + (fast, m)):
+            raise DimensionError(f"values must have shape {grid + (fast,)} or {grid + (fast, m)}")
 
     @classmethod
-    def zeros(cls, problem, axes, support_radius=None):
-        shape = tuple(ax.size for ax in axes) + (problem.n_modes - problem.m,)
+    def zeros(cls, problem, axes, trailing, support_radius=None):
+        shape = tuple(ax.size for ax in axes) + tuple(trailing)
         return cls(problem, tuple(axes), np.zeros(shape), support_radius)
 
+    @property
+    def trailing(self) -> tuple:
+        """(fast modes,) for a graph, (fast modes, m) for a derivative field."""
+        return self.values.shape[len(self.axes) :]
+
     def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+        return mesh(self.axes)
 
     def node_values(self) -> np.ndarray:
-        return self.values.reshape(-1, self.values.shape[-1])
+        return self.values.reshape((-1,) + self.trailing)
 
     def eval(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -215,63 +228,15 @@ class GraphFunction:
             out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
         return out
 
-    def with_values(self, values) -> "GraphFunction":
-        return GraphFunction(self.problem, self.axes, values, self.support_radius)
-
-
-@dataclass(eq=False)
-class DerivativeField:
-    """Node-wise linear maps from slow coordinates into the fast block."""
-
-    problem: SpectralProblem
-    axes: tuple
-    values: np.ndarray  # grid shape + (fast modes, m)
-    support_radius: float | None = None
-    theta: float | None = None
-    holder_bound: float | None = None
-
-    def __post_init__(self):
-        p = self.problem
-        expect = tuple(ax.size for ax in self.axes) + (p.n_modes - p.m, p.m)
-        if self.values.shape != expect:
-            raise DimensionError(f"value grid must have shape {expect}")
-
-    @classmethod
-    def zeros(cls, problem, axes, support_radius=None):
-        shape = tuple(ax.size for ax in axes) + (
-            problem.n_modes - problem.m,
-            problem.m,
-        )
-        return cls(problem, tuple(axes), np.zeros(shape), support_radius)
-
-    def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in mesh], axis=-1)
-
-    def node_values(self) -> np.ndarray:
-        return self.values.reshape((-1,) + self.values.shape[-2:])
-
-    def eval(self, z) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = _interp_multilinear(_grid_frame(self.axes), self.values, z)
-        if self.support_radius is not None:
-            out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
-        return out
-
-    def with_values(self, values) -> "DerivativeField":
-        return DerivativeField(
-            self.problem, self.axes, values, self.support_radius, self.theta, self.holder_bound
-        )
+    def with_values(self, values) -> "GridField":
+        return GridField(self.problem, self.axes, values, self.support_radius)
 
 
 def weighted_map_norms(problem: SpectralProblem, mats) -> np.ndarray:
     """Operator norms of fast-block maps, weighted coordinate norm to
     alpha-norm; exact largest singular values, batched."""
-    mats = np.asarray(mats, dtype=float)
-    wq = problem.alpha_weights[problem.m :]
-    wp = problem.alpha_weights[: problem.m]
-    scaled = mats * wq[:, None] / wp[None, :]
-    return np.linalg.svd(scaled, compute_uv=False)[..., 0]
+    w = problem.alpha_weights
+    return weighted_opnorms(mats, row_weights=w[problem.m :], col_weights=w[: problem.m])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +389,9 @@ class _Lane:
 
 def _lane(problem, F, phi, upsilon, settings) -> _Lane:
     """The graph march over phi, or with a field upsilon the fiber march."""
+    fast, m = problem.n_modes - problem.m, problem.m
+    if phi.trailing != (fast,) or (upsilon is not None and upsilon.trailing != (fast, m)):
+        raise DimensionError("the march samples a graph and, for the fiber, a derivative field")
     purpose = "graph" if upsilon is None else "fiber"
     T = resolve_horizon(problem, F, settings, purpose=purpose)
     steps, h = _steps_for(T, resolve_step(problem, F, settings))
@@ -633,7 +601,7 @@ def _transform(members, settings):
         pieces += _march(group, settings.overflow_guard, fiber)
     out = []
     for grid, active, first, last in plans:
-        flat = np.zeros((active.size,) + grid.values.shape[grid.problem.m :])
+        flat = np.zeros((active.size,) + grid.trailing)
         if last > first:
             flat[active] = np.concatenate(pieces[first:last], axis=0)
         out.append(grid.with_values(flat.reshape(grid.values.shape)))
@@ -684,12 +652,12 @@ def _active_nodes(graph):
     return nodes, r < graph.support_radius
 
 
-def apply_T(problem, F, phi, settings=None) -> GraphFunction:
+def apply_T(problem, F, phi, settings=None) -> GridField:
     """One graph transform: backward Duhamel integral at every grid node."""
     return _transform([(problem, F, phi, None)], settings or SolveSettings())[0]
 
 
-def apply_D(problem, F, phi, upsilon, settings=None) -> DerivativeField:
+def apply_D(problem, F, phi, upsilon, settings=None) -> GridField:
     """One derivative transform along the graph phi."""
     return _transform([(problem, F, phi, upsilon)], settings or SolveSettings())[0]
 
@@ -716,12 +684,13 @@ class FixedPointResult:
 
 @dataclass(eq=False)
 class ManifoldResult(FixedPointResult):
-    graph: GraphFunction = None
+    graph: GridField = None
 
 
 @dataclass(eq=False)
 class DerivativeResult(FixedPointResult):
-    field: DerivativeField = None
+    field: GridField = None
+    holder_bound: float | None = None
 
 
 def _sweep(step, starts, diff_fns, tol, max_iter, what):
@@ -795,7 +764,8 @@ def _solve_graphs(members, settings, step) -> list:
     for problem, F in members:
         _require_gap(problem, F)
         axes = grid_axes(problem, settings, F.support_radius)
-        starts.append(GraphFunction.zeros(problem, axes, F.support_radius))
+        starts.append(GridField.zeros(problem, axes, (problem.n_modes - problem.m,),
+                                      F.support_radius))
     logs = _sweep(step, starts, [_graph_diff(problem) for problem, _ in members],
                   settings.tol_fp, settings.max_iter, "graph transform")
     return [ManifoldResult(diffs=d, ratios=r, iterations=its, graph=phi)
@@ -817,15 +787,13 @@ def _solve_fields(members, graphs, theta, settings, step) -> list:
             raise AdmissibilityError(
                 f"theta {theta:.4g} is not below the admissibility window {t0:.4g}"
             )
-        starts.append(DerivativeField.zeros(problem, phi.axes, F.support_radius))
+        starts.append(GridField.zeros(problem, phi.axes, phi.trailing + (problem.m,),
+                                      F.support_radius))
     logs = _sweep(step, starts, [_field_diff(problem) for problem, _ in members],
                   settings.tol_fp, settings.max_iter, "derivative transform")
-    out = []
-    for ups, d, r, its in logs:
-        ups.theta = theta
-        ups.holder_bound = holder_certificate(ups, theta)
-        out.append(DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups))
-    return out
+    return [DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups,
+                             holder_bound=holder_certificate(ups, theta))
+            for ups, d, r, its in logs]
 
 
 def solve_manifold(problem, F, settings=None) -> ManifoldResult:
@@ -877,7 +845,7 @@ def solve_stack(members, theta, settings=None) -> list:
 # Regularity certificates
 
 
-def lipschitz_certificate(phi: GraphFunction, rng=None, long_range_pairs=1000) -> float:
+def lipschitz_certificate(phi: GridField, rng=None, long_range_pairs=1000) -> float:
     """Largest alpha-norm difference quotient of the graph.
 
     Scans every adjacent node pair along each axis and adds seeded random
@@ -907,37 +875,41 @@ def lipschitz_certificate(phi: GraphFunction, rng=None, long_range_pairs=1000) -
     return best
 
 
-def holder_certificate(field: DerivativeField, theta: float, rng=None,
-                       pairs_per_scale=200) -> float:
-    """Largest Hoelder-theta quotient of the field over dyadic pair scales.
+def dyadic_pairs(axes, rng, pairs_per_scale):
+    """Seeded point pairs (z1, z2) at dyadic separations inside the grid box.
 
-    Scales run from the grid spacing up to the box diameter; both endpoints
-    of every sampled pair stay inside the grid box.
+    Scales run from the grid spacing, doubling, up to 1.9 times the smallest
+    half width; each scale yields pairs_per_scale pairs with z2 - z1 the
+    scale times a random unit direction and both endpoints inside the box.
+    Per scale the directions are drawn before the start points; that rng
+    order fixes the seeded certificates and reports.
     """
-    if theta < 0:
-        raise AdmissibilityError("theta must be nonnegative")
-    rng = np.random.default_rng(0) if rng is None else rng
-    problem = field.problem
-    half = np.array([ax[-1] for ax in field.axes])
-    spacing = min(ax[1] - ax[0] for ax in field.axes)
+    half = np.array([ax[-1] for ax in axes])
     top = 1.9 * float(half.min())
-    scales = []
-    s = spacing
+    scales, s = [], min(ax[1] - ax[0] for ax in axes)
     while s < top:
         scales.append(s)
         s *= 2.0
-    scales.append(top)
-    best = 0.0
-    for ell in scales:
-        dirs = rng.standard_normal((pairs_per_scale, problem.m))
+    for ell in scales + [top]:
+        dirs = rng.standard_normal((pairs_per_scale, len(axes)))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         offset = ell * dirs
         lo = -half + np.maximum(-offset, 0.0)
         hi = half - np.maximum(offset, 0.0)
-        z1 = lo + rng.uniform(size=(pairs_per_scale, problem.m)) * (hi - lo)
-        z2 = z1 + offset
-        sep = coord_norm_batch(problem, z2 - z1)
-        num = weighted_map_norms(problem, field.eval(z1) - field.eval(z2))
+        z1 = lo + rng.uniform(size=(pairs_per_scale, len(axes))) * (hi - lo)
+        yield z1, z1 + offset
+
+
+def holder_certificate(field: GridField, theta: float, rng=None,
+                       pairs_per_scale=200) -> float:
+    """Largest Hoelder-theta quotient of the field over the `dyadic_pairs`."""
+    if theta < 0:
+        raise AdmissibilityError("theta must be nonnegative")
+    rng = np.random.default_rng(0) if rng is None else rng
+    best = 0.0
+    for z1, z2 in dyadic_pairs(field.axes, rng, pairs_per_scale):
+        sep = coord_norm_batch(field.problem, z2 - z1)
+        num = weighted_map_norms(field.problem, field.eval(z1) - field.eval(z2))
         best = max(best, float((num / sep**theta).max(initial=0.0)))
     return best
 
@@ -946,51 +918,21 @@ def holder_certificate(field: DerivativeField, theta: float, rng=None,
 # Dumps
 
 
-def _node_header(problem):
+def dump_csv(grid: GridField, path):
+    """Node table, row-major: the slow coordinates, then a graph's fast values
+    or a field's maps, fast-mode index outer, slow inner."""
+    problem = grid.problem
     m = problem.m
     cols = [f"p_{i}" for i in range(1, m + 1)]
-    cols += [f"q_{i}" for i in range(m + 1, problem.n_modes + 1)]
-    return cols
-
-
-def dump_graph_csv(phi: GraphFunction, path):
-    """Node table, row-major, slow coordinates then fast values."""
-    nodes = phi.nodes()
-    table = np.concatenate([nodes, phi.node_values()], axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_node_header(phi.problem))
-        for row in table:
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
-def load_graph_csv(problem, path, support_radius=None) -> GraphFunction:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(x) for x in row] for row in reader])
-    m = sum(1 for c in header if c.startswith("p_"))
-    if m != problem.m or data.shape[1] != problem.n_modes:
-        raise DimensionError("node table does not match the problem layout")
-    axes = tuple(np.unique(data[:, d]) for d in range(m))
-    shape = tuple(ax.size for ax in axes) + (problem.n_modes - m,)
-    return GraphFunction(problem, axes, data[:, m:].reshape(shape), support_radius)
-
-
-def dump_field_csv(field: DerivativeField, path):
-    """Node table of the derivative maps, fast-mode index outer, slow inner."""
-    problem = field.problem
-    m = problem.m
-    cols = [f"p_{i}" for i in range(1, m + 1)]
-    cols += [
-        f"dq{i}_dp{j}"
-        for i in range(m + 1, problem.n_modes + 1)
-        for j in range(1, m + 1)
-    ]
-    nodes = field.nodes()
-    flat = field.node_values().reshape(nodes.shape[0], -1)
+    fast = range(m + 1, problem.n_modes + 1)
+    if grid.trailing == (problem.n_modes - m,):
+        cols += [f"q_{i}" for i in fast]
+    else:
+        cols += [f"dq{i}_dp{j}" for i in fast for j in range(1, m + 1)]
+    nodes = grid.nodes()
+    table = np.concatenate([nodes, grid.node_values().reshape(nodes.shape[0], -1)], axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for row in np.concatenate([nodes, flat], axis=1):
+        for row in table:
             writer.writerow([f"{x:.17g}" for x in row])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CertificationError, ConfigError, DimensionError
-from .spectral_core import SpectralProblem, alpha_norm_batch
+from .spectral_core import SpectralProblem, alpha_norm_batch, weighted_opnorms
 
 #: Slack applied on top of sampled maxima when certifying constants.
 CERT_SLACK = 1.1
@@ -343,8 +343,8 @@ class NonlinearityStack:
 
     A march that retires rows rebuilds the stack over the rows it still
     holds (`live`); the phase of a block that lost rows is formed over its
-    full row count with the retired rows zero-filled, and only the live
-    rows are carried further.
+    full row count with the retired rows zero-filled (once per call, for
+    all the block's atoms), and only the live rows are carried further.
     """
 
     def __init__(self, blocks, live=None):
@@ -391,10 +391,16 @@ class NonlinearityStack:
         (n, k, N) of the n stack rows."""
         n = u.shape[0]
         vals = rows = None
+        padded = {}  # block start -> its rows zero-filled to its full count
         for pos, atom, spans, dst, start, eps in self.slots:
-            parts = [atom.phase(u[lo:hi]) if keep is None
-                     else atom.phase(_padded(u[lo:hi], keep, count))[keep]
-                     for lo, hi, keep, count in spans]
+            parts = []
+            for lo, hi, keep, count in spans:
+                if keep is None:
+                    parts.append(atom.phase(u[lo:hi]))
+                    continue
+                if lo not in padded:
+                    padded[lo] = _padded(u[lo:hi], keep, count)
+                parts.append(atom.phase(padded[lo])[keep])
             phase = parts[0] if len(parts) == 1 else np.concatenate(parts)
             v = atom.value_at(phase)
             r = atom.rows_at(phase) if with_rows else None
@@ -501,13 +507,6 @@ def _ball_samples(problem: SpectralProblem, radius: float, count: int, rng):
     return np.concatenate([extras, pts])
 
 
-def _df_opnorms(F: CutoffNonlinearity, u) -> np.ndarray:
-    """Operator norms of DF(u) from the alpha-weighted norm to the plain norm."""
-    jac = F.jacobian_batch(u)
-    jac = jac / F.problem.alpha_weights[None, None, :]
-    return np.linalg.svd(jac, compute_uv=False)[:, 0]
-
-
 def certify_constants(
     F: CutoffNonlinearity,
     sample_count: int = 2000,
@@ -534,7 +533,9 @@ def certify_constants(
             witness=pts[i_worst],
         )
 
-    slopes = _df_opnorms(F, pts)
+    # derivatives and their differences: alpha-weighted norm to plain norm
+    w = F.problem.alpha_weights
+    slopes = weighted_opnorms(F.jacobian_batch(pts), col_weights=w)
     l_hat = float(slopes.max())
     if l_hat > F.L_F:
         raise CertificationError(
@@ -545,9 +546,7 @@ def certify_constants(
     # Hoelder quotient of the derivative at exponent theta_F over point pairs.
     a = _ball_samples(F.problem, radius, pair_count // 2, rng)
     b = a + rng.standard_normal(a.shape) * (0.05 * radius)
-    ja, jb = F.jacobian_batch(a), F.jacobian_batch(b)
-    dj = (ja - jb) / F.problem.alpha_weights[None, None, :]
-    num = np.linalg.svd(dj, compute_uv=False)[:, 0]
+    num = weighted_opnorms(F.jacobian_batch(a) - F.jacobian_batch(b), col_weights=w)
     den = alpha_norm_batch(F.problem, a - b) ** F.theta_F
     quot = num / (den + 1e-300)
     h_hat = float(quot.max())
@@ -569,9 +568,8 @@ def holder_quotient_of_derivative(
     a = _ball_samples(F.problem, radius, sample_count, rng)
     scales = 10.0 ** rng.uniform(-3, 0, size=a.shape[0])
     b = a + rng.standard_normal(a.shape) * (scales[:, None] * 0.3 * radius)
-    ja, jb = F.jacobian_batch(a), F.jacobian_batch(b)
-    dj = (ja - jb) / F.problem.alpha_weights[None, None, :]
-    num = np.linalg.svd(dj, compute_uv=False)[:, 0]
+    num = weighted_opnorms(F.jacobian_batch(a) - F.jacobian_batch(b),
+                           col_weights=F.problem.alpha_weights)
     den = alpha_norm_batch(F.problem, a - b) ** theta
     return CERT_SLACK * float((num / (den + 1e-300)).max())
 
@@ -608,14 +606,6 @@ class PerturbedNonlinearityPair:
         base = self.base0 if eps == 0.0 else SumBase(self.base0, self.direction, eps)
         return CutoffNonlinearity(
             problem=problem, base=base, cutoff_radius=cutoff_radius, **constants
-        )
-
-    def limit_member(
-        self, problem: SpectralProblem, eps: float, cutoff_radius: float, constants: dict
-    ) -> CutoffNonlinearity:
-        # additive rule: the limit problem's nonlinearity does not move with eps
-        return CutoffNonlinearity(
-            problem=problem, base=self.base0, cutoff_radius=cutoff_radius, **constants
         )
 
     def direction_sup(self) -> float:

@@ -20,7 +20,9 @@ from .errors import ConfigError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
+    dyadic_pairs,
     integrate_Theta,
+    mesh,
     slow_flow_rate,
     solve_derivative,
     solve_manifold,
@@ -32,6 +34,7 @@ from .spectral_core import (
     coord_norm_batch,
     norm_equivalence_delta,
     resolvent_deficiency,
+    weighted_opnorms,
 )
 
 _PASS_SLACK = 1.0 + 1e-9
@@ -112,8 +115,7 @@ def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
     e_mat = np.asarray(pair.E, dtype=float)
     lifted = u0 @ e_mat.T
     mism = F_eps.jacobian_batch(lifted) @ e_mat - e_mat @ lab.limit_F.jacobian_batch(u0)
-    w0 = lab.limit_problem.alpha_weights
-    return float(np.linalg.svd(mism / w0[None, None, :], compute_uv=False)[:, 0].max())
+    return float(weighted_opnorms(mism, col_weights=lab.limit_problem.alpha_weights).max())
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +124,7 @@ def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
 
 def _refined_grid(obj, refine: int) -> np.ndarray:
     """Limit grid refined by an integer factor, as slow-coordinate samples."""
-    axes = [
-        np.linspace(ax[0], ax[-1], refine * (ax.size - 1) + 1) for ax in obj.axes
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    return mesh([np.linspace(ax[0], ax[-1], refine * (ax.size - 1) + 1) for ax in obj.axes])
 
 
 def _lift_full(graph, z) -> np.ndarray:
@@ -172,13 +170,10 @@ def derivative_mismatch(field_eps, field0, pair, z) -> np.ndarray:
     return delta
 
 
-def _mismatch_norms(problem0, problem_eps, delta) -> np.ndarray:
-    """Operator norms of tangent mismatches, limit slow alpha-norm to
-    perturbed alpha-norm."""
-    w0 = problem0.alpha_weights[: problem0.m]
-    we = problem_eps.alpha_weights
-    scaled = delta * we[None, :, None] / w0[None, None, :]
-    return np.linalg.svd(scaled, compute_uv=False)[..., 0]
+def _mismatch_weights(problem0, problem_eps):
+    """`weighted_opnorms` weights of tangent mismatches: limit slow alpha-norm
+    to perturbed alpha-norm."""
+    return problem_eps.alpha_weights, problem0.alpha_weights[: problem0.m]
 
 
 def c1_distance(field_eps, field0, pair, refine: int = 2) -> float:
@@ -189,7 +184,8 @@ def c1_distance(field_eps, field0, pair, refine: int = 2) -> float:
     """
     z = _refined_grid(field0, refine)
     delta = derivative_mismatch(field_eps, field0, pair, z)
-    return float(_mismatch_norms(field0.problem, field_eps.problem, delta).max())
+    weights = _mismatch_weights(field0.problem, field_eps.problem)
+    return float(weighted_opnorms(delta, *weights).max())
 
 
 def holder_seminorm_of_difference(
@@ -201,44 +197,26 @@ def holder_seminorm_of_difference(
     pairs_per_scale: int = 200,
 ):
     """Hoelder seminorms of the derivative mismatch at several exponents over
-    one shared dyadic pair set.
+    one shared set of `dyadic_pairs`.
 
     Returns (seminorms keyed by exponent, sup of mismatch norms over all
     sampled points). Sharing the point set keeps interpolation inequalities
     between the returned values structural rather than statistical.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    half = np.array([ax[-1] for ax in field0.axes])
-    spacing = min(ax[1] - ax[0] for ax in field0.axes)
-    top = 1.9 * float(half.min())
-    scales = []
-    s = spacing
-    while s < top:
-        scales.append(s)
-        s *= 2.0
-    scales.append(top)
-
-    problem0, problem_eps = field0.problem, field_eps.problem
-    m = problem0.m
+    weights = _mismatch_weights(field0.problem, field_eps.problem)
     seminorms = {float(t): 0.0 for t in thetas}
     point_sup = 0.0
-    for ell in scales:
-        dirs = rng.standard_normal((pairs_per_scale, m))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        offset = ell * dirs
-        lo = -half + np.maximum(-offset, 0.0)
-        hi = half - np.maximum(offset, 0.0)
-        z1 = lo + rng.uniform(size=(pairs_per_scale, m)) * (hi - lo)
-        z2 = z1 + offset
+    for z1, z2 in dyadic_pairs(field0.axes, rng, pairs_per_scale):
         d1 = derivative_mismatch(field_eps, field0, pair, z1)
         d2 = derivative_mismatch(field_eps, field0, pair, z2)
-        num = _mismatch_norms(problem0, problem_eps, d1 - d2)
+        num = weighted_opnorms(d1 - d2, *weights)
         point_sup = max(
             point_sup,
-            float(_mismatch_norms(problem0, problem_eps, d1).max()),
-            float(_mismatch_norms(problem0, problem_eps, d2).max()),
+            float(weighted_opnorms(d1, *weights).max()),
+            float(weighted_opnorms(d2, *weights).max()),
         )
-        sep = coord_norm_batch(problem0, z2 - z1)
+        sep = coord_norm_batch(field0.problem, z2 - z1)
         for t in seminorms:
             seminorms[t] = max(seminorms[t], float((num / sep**t).max()))
     return seminorms, point_sup
@@ -368,11 +346,9 @@ def theta_comparison(
 
     # coordinate iso between slow blocks; identity extensions give B = I
     b_mat = e_mat[:m, :m]
-    w0 = lab.limit_problem.alpha_weights[:m]
-    we = member.problem.alpha_weights[:m]
     mism = b_mat[None, None] @ th0 - the @ b_mat[None, None]
-    scaled = mism * we[None, None, :, None] / w0[None, None, None, :]
-    measured = np.linalg.svd(scaled, compute_uv=False)[..., 0]
+    measured = weighted_opnorms(mism, row_weights=member.problem.alpha_weights[:m],
+                                col_weights=lab.limit_problem.alpha_weights[:m])
 
     t = -s0
     w_theta = sizes["beta"] + (sizes["tau_log"] + sizes["rho"]) ** theta

@@ -2,9 +2,10 @@
 
 A model problem is a positive diagonal operator given by its eigenvalue
 sequence, a slow-mode count m, and a fractional power alpha. Vectors are
-plain numpy arrays of eigenbasis coefficients (CoefVector below); all
-operator norms between weighted spaces reduce to singular values of
-diagonally reweighted matrices and are computed exactly via SVD.
+plain numpy arrays of eigenbasis coefficients. Every operator norm between
+weighted spaces reduces to the largest singular value of a diagonally
+reweighted matrix; `weighted_opnorms` computes it exactly, for one matrix
+or a stack, and is the package's only SVD.
 """
 from __future__ import annotations
 
@@ -13,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-
-# Coefficient vectors are bare numpy arrays; operations validate lengths.
-CoefVector = np.ndarray
 
 
 def _readonly(a):
@@ -98,19 +96,26 @@ def alpha_norm_batch(problem: SpectralProblem, v) -> np.ndarray:
     return np.linalg.norm(v * problem.alpha_weights, axis=-1)
 
 
-def weighted_coord_norm(problem: SpectralProblem, p) -> float:
-    """Slow-coordinate norm using the first m eigenvalue weights."""
+def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:
+    """Slow-coordinate norms over the last axis, using the first m
+    eigenvalue weights."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != problem.m:
         raise DimensionError(f"expected {problem.m} coordinates, got {p.shape[-1]}")
     w = problem.alpha_weights[: problem.m]
-    return float(np.linalg.norm(p * w))
-
-
-def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    w = problem.alpha_weights[: problem.m]
     return np.linalg.norm(p * w, axis=-1)
+
+
+def weighted_opnorms(mats, row_weights=None, col_weights=None) -> np.ndarray:
+    """Largest singular values of diag(row_weights) @ M @ diag(1/col_weights)
+    for each matrix M over the last two axes of mats: the exact norms of the
+    maps M from the col-weighted into the row-weighted Euclidean norm."""
+    mats = np.asarray(mats, dtype=float)
+    if row_weights is not None:
+        mats = mats * np.asarray(row_weights)[:, None]
+    if col_weights is not None:
+        mats = mats / np.asarray(col_weights)[None, :]
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,29 +145,17 @@ class ExtensionPair:
             raise ConfigError("kappa must be at least 1")
 
 
-def _opnorm(mat, row_weights=None, col_weights=None) -> float:
-    """Largest singular value of diag(row_weights) @ mat @ diag(1/col_weights)."""
-    mat = np.asarray(mat, dtype=float)
-    if row_weights is not None:
-        mat = mat * np.asarray(row_weights)[:, None]
-    if col_weights is not None:
-        mat = mat / np.asarray(col_weights)[None, :]
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
 def certify_kappa(E, M, limit: SpectralProblem, perturbed: SpectralProblem) -> float:
     """Exact common operator-norm bound for E and M, plain and weighted."""
     w0 = limit.alpha_weights
     we = perturbed.alpha_weights
     norms = (
-        _opnorm(E),
-        _opnorm(M),
-        _opnorm(E, row_weights=we, col_weights=w0),
-        _opnorm(M, row_weights=w0, col_weights=we),
+        weighted_opnorms(E),
+        weighted_opnorms(M),
+        weighted_opnorms(E, row_weights=we, col_weights=w0),
+        weighted_opnorms(M, row_weights=w0, col_weights=we),
     )
-    return max(1.0, max(norms))
+    return max(1.0, float(max(norms)))
 
 
 def identity_pair(limit: SpectralProblem, perturbed: SpectralProblem) -> ExtensionPair:
@@ -216,7 +209,7 @@ def resolvent_deficiency(
     if E.shape != (perturbed.n_modes, limit.n_modes):
         raise DimensionError("extension shape does not match the two problems")
     diff = E / perturbed.eigenvalues[:, None] - E / limit.eigenvalues[None, :]
-    return _opnorm(diff, row_weights=perturbed.alpha_weights)
+    return float(weighted_opnorms(diff, row_weights=perturbed.alpha_weights))
 
 
 def norm_equivalence_delta(limit: SpectralProblem, perturbed: SpectralProblem) -> float:

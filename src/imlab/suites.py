@@ -16,7 +16,7 @@ from . import gap_analysis
 from .config import Laboratory
 from .errors import ConfigError
 from .lyapunov_perron import (
-    DerivativeField,
+    GridField,
     apply_D,
     holder_certificate,
     integrate_Theta,
@@ -35,7 +35,7 @@ from .perturbation_harness import (
     tau_eps,
     theta_comparison,
 )
-from .spectral_core import coord_norm_batch
+from .spectral_core import coord_norm_batch, weighted_opnorms
 
 #: Relative slack absorbed before a sample counts as a violation.
 BUDGET = 1e-8
@@ -67,11 +67,6 @@ def _sample_pairs(lab: Laboratory, graph, count, rng):
     return xi1, xi1 + scale * dirs
 
 
-def _slow_alpha_norms(problem, block):
-    w = problem.alpha_weights[: problem.m]
-    return np.linalg.norm(block * w, axis=-1)
-
-
 def suite_distp(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
     """Backward separation of slow trajectories against the Gronwall bound."""
     problem, F, graph = limit.problem, limit.F, limit.graph
@@ -81,8 +76,8 @@ def suite_distp(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteRe
         problem, F, graph, np.concatenate([xi1, xi2]), lab.solve_settings
     )
     p1, p2 = traj[:count], traj[count:]
-    sep = _slow_alpha_norms(problem, xi1 - xi2)
-    measured = _slow_alpha_norms(problem, p1 - p2)
+    sep = coord_norm_batch(problem, xi1 - xi2)
+    measured = coord_norm_batch(problem, p1 - p2)
     bound = sep[:, None] * np.exp(rate * (-s))[None, :]
     ratio = measured / bound
     return SuiteResult(
@@ -97,8 +92,7 @@ def suite_distp(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteRe
 def _theta_map_norms(problem, mats):
     """Norms of slow-block linear maps in the alpha-weighted coordinates."""
     w = problem.alpha_weights[: problem.m]
-    scaled = mats * w[:, None] / w[None, :]
-    return np.linalg.svd(scaled, compute_uv=False)[..., 0]
+    return weighted_opnorms(mats, row_weights=w, col_weights=w)
 
 
 def suite_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
@@ -148,7 +142,7 @@ def suite_dist_theta_eps(
         np.concatenate([xi1, xi2]), lab.solve_settings,
     )
     measured = _theta_map_norms(problem, th[:count] - th[count:])
-    sep = _slow_alpha_norms(problem, xi1 - xi2) ** theta
+    sep = coord_norm_batch(problem, xi1 - xi2) ** theta
     if prefactor > 0:
         bound = prefactor * sep[:, None] * np.exp(rate * (-s))[None, :]
         ratio = measured / bound
@@ -202,7 +196,7 @@ def suite_psi_uniform(
         fall = m_bound * np.maximum(F.support_radius - radial, 0.0) ** theta
         cap = np.minimum(cap, fall)
     values = (cap[:, None, None] * d0).reshape(graph.values.shape[:-1] + (nq, m))
-    ups = DerivativeField(problem, graph.axes, values, F.support_radius)
+    ups = GridField(problem, graph.axes, values, F.support_radius)
     cert_in = holder_certificate(ups, theta, rng=rng)
 
     out = apply_D(problem, F, graph, ups, lab.solve_settings)

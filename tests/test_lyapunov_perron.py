@@ -3,7 +3,10 @@
 Oracles: the exponential quadrature weights are checked against a 50-digit
 decimal reference, the backward slow flow against closed-form exponentials,
 and the full transform against two fixtures (zero map, constant fast
-forcing) whose fixed points are known exactly.
+forcing) whose fixed points are known exactly. Graphs and derivative fields
+are both `GridField`s; the shape-contract tests check that the trailing
+shape of the values decides which one a grid is, and that the marches and
+the node-table dump follow it.
 """
 
 import decimal
@@ -22,19 +25,16 @@ from imlab.errors import (
     OverflowGuardError,
 )
 from imlab.lyapunov_perron import (
-    DerivativeField,
-    GraphFunction,
+    GridField,
     SolveSettings,
     apply_D,
     apply_T,
+    dump_csv,
     grid_axes,
-    dump_field_csv,
-    dump_graph_csv,
     holder_certificate,
     integrate_Theta,
     integrate_p_backward,
     lipschitz_certificate,
-    load_graph_csv,
     phi0_weight,
     phi1_weight,
     resolve_horizon,
@@ -47,6 +47,10 @@ from imlab.lyapunov_perron import (
 from imlab.nonlinearity import ConstantBase, CutoffNonlinearity, constant_map, zero_map
 from imlab.perturbation_harness import instantiate
 from imlab.spectral_core import SpectralProblem, coord_norm_batch
+
+
+# trailing value shapes of two_mode grids: graph, derivative field
+GRAPH, FIELD = (1,), (1, 1)
 
 
 def two_mode(alpha=0.0):
@@ -94,7 +98,7 @@ def test_zero_map_fixed_point_is_zero():
     assert np.all(res.graph.values == 0.0)
     der = solve_derivative(problem, F, res.graph, 0.5, st)
     assert np.all(der.field.values == 0.0)
-    assert der.field.holder_bound == 0.0
+    assert der.holder_bound == 0.0
 
 
 def test_constant_forcing_fixed_point():
@@ -111,7 +115,7 @@ def test_constant_forcing_fixed_point():
 
 
 def zero_graph(problem, half=1.5, nodes=41):
-    return GraphFunction.zeros(problem, (np.linspace(-half, half, nodes),))
+    return GridField.zeros(problem, (np.linspace(-half, half, nodes),), GRAPH)
 
 
 def test_backward_flow_matches_exponential():
@@ -147,8 +151,8 @@ def test_theta_linearization():
     F = zero_map(problem)
     st = small_settings(t_horizon=1.0)
     axes = (np.linspace(-1.5, 1.5, 41),)
-    phi = GraphFunction.zeros(problem, axes)
-    ups = DerivativeField.zeros(problem, axes)
+    phi = GridField.zeros(problem, axes, GRAPH)
+    ups = GridField.zeros(problem, axes, FIELD)
     s, theta = integrate_Theta(problem, F, phi, ups, np.array([0.3]), st)
     assert theta.shape == (s.size, 1, 1)
     assert theta[0, 0, 0] == 1.0
@@ -161,9 +165,9 @@ def test_theta_needs_graph_and_field_on_one_grid_and_support():
     F = zero_map(problem)
     st = small_settings(t_horizon=1.0)
     axes = (np.linspace(-1.5, 1.5, 41),)
-    phi = GraphFunction.zeros(problem, axes)
-    for ups in (DerivativeField.zeros(problem, axes, support_radius=1.0),
-                DerivativeField.zeros(problem, (np.linspace(-1.5, 1.5, 31),))):
+    phi = GridField.zeros(problem, axes, GRAPH)
+    for ups in (GridField.zeros(problem, axes, FIELD, support_radius=1.0),
+                GridField.zeros(problem, (np.linspace(-1.5, 1.5, 31),), FIELD)):
         with pytest.raises(DimensionError):
             integrate_Theta(problem, F, phi, ups, np.array([0.3]), st)
 
@@ -231,7 +235,7 @@ def test_solve_derivative_guards():
 def test_lipschitz_certificate_linear_graph(alpha, want):
     problem = two_mode(alpha)
     axes = (np.linspace(-1.0, 1.0, 41),)
-    phi = GraphFunction.zeros(problem, axes)
+    phi = GridField.zeros(problem, axes, GRAPH)
     phi = phi.with_values(0.5 * axes[0][:, None])
     assert lipschitz_certificate(phi) == pytest.approx(want, rel=1e-12)
 
@@ -239,7 +243,7 @@ def test_lipschitz_certificate_linear_graph(alpha, want):
 def test_holder_certificate_flat_field():
     problem = two_mode()
     axes = (np.linspace(-1.0, 1.0, 41),)
-    ups = DerivativeField.zeros(problem, axes)
+    ups = GridField.zeros(problem, axes, FIELD)
     ups = ups.with_values(np.broadcast_to(0.3, ups.values.shape).copy())
     assert holder_certificate(ups, 0.5) < 1e-14
     with pytest.raises(AdmissibilityError):
@@ -257,7 +261,7 @@ def test_interpolation_reproduces_nodes():
     problem = two_mode()
     axes = (np.linspace(-1.0, 1.0, 5),)
     vals = np.arange(5.0)[:, None] ** 2
-    phi = GraphFunction(problem, axes, vals, None)
+    phi = GridField(problem, axes, vals, None)
     nodes = phi.nodes()
     assert np.array_equal(phi.eval(nodes), phi.node_values())
     mid = phi.eval(np.array([[-0.75]]))  # halfway between nodes 0 and 1
@@ -284,18 +288,55 @@ def test_solved_limit_contracts(limit):
 
 
 def test_csv_roundtrip(tmp_path, limit):
-    graph = limit.graph
-    path = tmp_path / "graph.csv"
-    dump_graph_csv(graph, path)
-    back = load_graph_csv(graph.problem, path, support_radius=graph.support_radius)
-    for a, b in zip(back.axes, graph.axes):
-        assert np.array_equal(a, b)
-    assert np.array_equal(back.values, graph.values)
-    fpath = tmp_path / "field.csv"
-    dump_field_csv(limit.field, fpath)
-    header = fpath.read_text().splitlines()[0].split(",")
-    n, m = graph.problem.n_modes, graph.problem.m
-    assert len(header) == m + (n - m) * m
+    # the node table holds each node and value exactly (%.17g round-trips)
+    n, m = limit.problem.n_modes, limit.problem.m
+    for grid, columns in ((limit.graph, n), (limit.field, m + (n - m) * m)):
+        path = tmp_path / "table.csv"
+        dump_csv(grid, path)
+        assert len(path.read_text().splitlines()[0].split(",")) == columns
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, :m], grid.nodes())
+        assert np.array_equal(table[:, m:], grid.node_values().reshape(table.shape[0], -1))
+
+
+def test_dump_csv_headers_follow_the_trailing_shape(tmp_path):
+    problem = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0, 16.0]), m=2, alpha=0.0)
+    axes = (np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 5))
+    want = {
+        (2,): ["p_1", "p_2", "q_3", "q_4"],
+        (2, 2): ["p_1", "p_2", "dq3_dp1", "dq3_dp2", "dq4_dp1", "dq4_dp2"],
+    }
+    for trailing, cols in want.items():
+        grid = GridField(problem, axes, np.arange(15.0 * np.prod(trailing)).reshape(
+            (3, 5) + trailing))
+        path = tmp_path / "table.csv"
+        dump_csv(grid, path)
+        assert path.read_text().splitlines()[0].split(",") == cols
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert table.shape == (15, len(cols))
+        # row-major nodes; a field's maps run fast-mode index outer, slow inner
+        assert np.array_equal(table[:, :2], grid.nodes())
+        assert np.array_equal(table[7, 2:], grid.values[1, 2].reshape(-1))
+
+
+def test_grid_field_shape_contract():
+    problem = two_mode()
+    axes = (np.linspace(-1.5, 1.5, 41),)
+    for trailing in ((), (2,), (1, 2), (1, 1, 1)):
+        with pytest.raises(DimensionError):
+            GridField(problem, axes, np.zeros((41,) + trailing))
+    with pytest.raises(DimensionError):
+        GridField(problem, axes, np.zeros((40, 1)))
+    # the fiber march refuses a graph where the derivative field goes
+    F = zero_map(problem)
+    st = small_settings(t_horizon=1.0)
+    phi = GridField.zeros(problem, axes, GRAPH)
+    with pytest.raises(DimensionError):
+        apply_D(problem, F, phi, phi, st)
+    with pytest.raises(DimensionError):
+        integrate_Theta(problem, F, phi, phi, np.array([0.3]), st)
+    with pytest.raises(DimensionError):
+        apply_T(problem, F, GridField.zeros(problem, axes, FIELD), st)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +420,10 @@ def live_counts(monkeypatch):
 
 def assert_transforms_match_reference(problem, F, settings):
     axes = grid_axes(problem, settings, F.support_radius)
-    phi = apply_T(problem, F, GraphFunction.zeros(problem, axes, F.support_radius), settings)
-    ups = apply_D(problem, F, phi, DerivativeField.zeros(problem, axes, F.support_radius),
-                  settings)
+    fast = problem.n_modes - problem.m
+    phi = apply_T(problem, F, GridField.zeros(problem, axes, (fast,), F.support_radius), settings)
+    ups = apply_D(problem, F, phi,
+                  GridField.zeros(problem, axes, (fast, problem.m), F.support_radius), settings)
     assert np.any(phi.values != 0.0) and np.any(ups.values != 0.0)
     assert np.array_equal(apply_T(problem, F, phi, settings).values,
                           reference_march(problem, F, phi, None, settings))
@@ -416,7 +458,7 @@ def test_overflow_guard_covers_retired_rows(t_horizon, trips):
     problem = two_mode()
     F = CutoffNonlinearity(problem=problem, base=ConstantBase(vector=np.array([0.0, 1.0])),
                            cutoff_radius=1.0, C_F=1.0, L_F=0.0)
-    phi = GraphFunction.zeros(problem, (np.linspace(-1.5, 1.5, 41),), support_radius=1.0)
+    phi = GridField.zeros(problem, (np.linspace(-1.5, 1.5, 41),), GRAPH, support_radius=1.0)
     st = small_settings(t_horizon=t_horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -219,7 +219,7 @@ def test_rho_eps_exact_for_cosine_direction():
     consts = dict(C_F=1.0, L_F=1.0, theta_F=1.0, L=1.0)
     eps = 0.05
     F_eps = family.member(problem, eps, 1.0, consts)
-    F_lim = family.limit_member(problem, eps, 1.0, consts)
+    F_lim = family.member(problem, 0.0, 1.0, consts)
     pair = identity_pair(problem, problem)
     rho = rho_eps(F_eps, F_lim, pair.E, sample_count=300, rng=np.random.default_rng(6))
     # the mismatch eps * zeta(r) |cos(W u)| |amps| peaks at the origin sample

@@ -13,7 +13,7 @@ import pytest
 
 from imlab.config import build_lab, config_from_dict
 from imlab.errors import ConfigError, ConvergenceError
-from imlab.lyapunov_perron import DerivativeField, GraphFunction
+from imlab.lyapunov_perron import GridField
 from imlab.perturbation_harness import (
     beta_eps,
     c1_distance,
@@ -72,14 +72,14 @@ def test_beta_linear_in_eps(lab, limit):
 def constant_graph(problem, axes, c):
     vals = np.zeros(tuple(ax.size for ax in axes) + (problem.n_modes - problem.m,))
     vals[..., 0] = c
-    return GraphFunction(problem, axes, vals, None)
+    return GridField(problem, axes, vals, None)
 
 
 def test_sup_distance_constant_offset(lab, limit):
     problem = lab.limit_problem
     axes = limit.graph.axes
     pair = lab.extension_at(0.0)
-    phi0 = GraphFunction.zeros(problem, axes)
+    phi0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m,))
     phi_eps = constant_graph(problem, axes, 0.3)
     assert sup_distance(phi_eps, phi0, pair) == pytest.approx(0.3, rel=1e-14)
     assert sup_distance(phi0, phi0, pair) == 0.0
@@ -89,7 +89,7 @@ def test_c1_distance_constant_field(lab, limit):
     problem = lab.limit_problem
     axes = limit.graph.axes
     pair = lab.extension_at(0.0)
-    f0 = DerivativeField.zeros(problem, axes)
+    f0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m, problem.m))
     vals = np.zeros(f0.values.shape)
     vals[..., 0, 0] = 0.2
     fe = f0.with_values(vals)
@@ -218,7 +218,7 @@ def assert_same_solve(stacked, alone):
         assert got.iterations == want.iterations
     assert np.array_equal(stacked.graph.values, alone.graph.values)
     assert np.array_equal(stacked.field.values, alone.field.values)
-    assert stacked.field.holder_bound == alone.field.holder_bound
+    assert stacked.derivative.holder_bound == alone.derivative.holder_bound
 
 
 def test_stacked_members_equal_one_member_solves(lab, limit, member):

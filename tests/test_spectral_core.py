@@ -1,4 +1,4 @@
-"""Spectral building blocks: norms, semigroups, extension pairs.
+"""Spectral building blocks: norms, weighted operator norms, extension pairs.
 
 Closed-form goldens are computed by hand from two-mode problems; the
 perturbation metrics (resolvent deficiency, norm equivalence) have exact
@@ -25,7 +25,7 @@ from imlab.spectral_core import (
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,
-    weighted_coord_norm,
+    weighted_opnorms,
 )
 
 
@@ -68,9 +68,9 @@ def test_alpha_norm_golden():
 
 def test_coord_norm_golden():
     prob = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0, 16.0]), m=2, alpha=0.5)
-    assert weighted_coord_norm(prob, [1.0, 2.0]) == pytest.approx(math.sqrt(17), rel=1e-15)
+    assert coord_norm_batch(prob, [1.0, 2.0]) == pytest.approx(math.sqrt(17), rel=1e-15)
     with pytest.raises(DimensionError):
-        weighted_coord_norm(prob, [1.0, 2.0, 3.0])
+        coord_norm_batch(prob, [1.0, 2.0, 3.0])
 
 
 @given(
@@ -96,8 +96,24 @@ def test_batch_norms_match_scalar():
     assert np.allclose(got, want, rtol=1e-14)
     ps = rng.normal(size=(50, 1))
     got = coord_norm_batch(prob, ps)
-    want = [weighted_coord_norm(prob, p) for p in ps]
-    assert np.allclose(got, want, rtol=1e-14)
+    assert np.allclose(got, np.abs(ps[:, 0]) * prob.alpha_weights[0], rtol=1e-14)
+
+
+def test_weighted_opnorms_golden_and_stacking():
+    # diag(3, -4) weighted to diag(3 * 1 / 2, -4 * 2 / 1)
+    mat = np.diag([3.0, -4.0])
+    assert weighted_opnorms(mat) == pytest.approx(4.0, rel=1e-15)
+    assert weighted_opnorms(mat, row_weights=[1.0, 2.0], col_weights=[2.0, 1.0]) \
+        == pytest.approx(8.0, rel=1e-15)
+    assert weighted_opnorms(mat, col_weights=[0.5, 8.0]) == pytest.approx(6.0, rel=1e-15)
+    # a matrix inside a stack gets the same norm as alone, bit for bit
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(4, 6, 5, 3))
+    rows, cols = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 3)
+    got = weighted_opnorms(stack, rows, cols)
+    assert got.shape == (4, 6)
+    want = [[weighted_opnorms(m, rows, cols) for m in block] for block in stack]
+    assert np.array_equal(got, want)
 
 
 def test_extension_pair_validation():
