@@ -25,6 +25,7 @@ from .nonlinearity import (
     _ball_samples,
     certify_constants,
     holder_quotient_of_derivative,
+    pad_rows,
 )
 from .spectral_core import (
     ExtensionPair,
@@ -385,7 +386,12 @@ def _unit_bases(cfg: ExperimentConfig, rng):
 def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     F = PerturbedNonlinearityPair(base, direction, eps).member(problem, eps, radius, {})
     pts = _ball_samples(problem, radius, count, rng)
-    return float(weighted_opnorms(F.jacobian_batch(pts), col_weights=problem.alpha_weights).max())
+    # The top singular value of a (K, N) block and of its zero-extended
+    # N x N matrix can differ in the last bit, and the amplitude scales every
+    # reported number; the extension keeps the amplitude bit-stable until
+    # ROADMAP item 1 replaces this sampled normalization by a closed form.
+    jac = pad_rows(F.jacobian_batch(pts), problem.n_modes)
+    return float(weighted_opnorms(jac, col_weights=problem.alpha_weights).max())
 
 
 def build_lab(cfg: ExperimentConfig) -> Laboratory:

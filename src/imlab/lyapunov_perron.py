@@ -33,8 +33,7 @@ equals one that marches every row to the end, bit for bit.
 The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
 Jacobian-vector product, which forms only the base map's leading Jacobian
-rows. Dense N x N Jacobians stay with certification and the regularity
-estimates.
+rows.
 """
 from __future__ import annotations
 
@@ -214,6 +213,11 @@ class GridField:
     def trailing(self) -> tuple:
         """(fast modes,) for a graph, (fast modes, m) for a derivative field."""
         return self.values.shape[len(self.axes) :]
+
+    @property
+    def is_graph(self) -> bool:
+        """True for a graph, False for a derivative field."""
+        return self.trailing == (self.problem.n_modes - self.problem.m,)
 
     def nodes(self) -> np.ndarray:
         return mesh(self.axes)
@@ -851,6 +855,8 @@ def lipschitz_certificate(phi: GridField, rng=None, long_range_pairs=1000) -> fl
     Scans every adjacent node pair along each axis and adds seeded random
     long-range pairs evaluated through the interpolant.
     """
+    if not phi.is_graph:
+        raise DimensionError("lipschitz_certificate takes a graph, not a derivative field")
     rng = np.random.default_rng(0) if rng is None else rng
     problem = phi.problem
     wq = problem.alpha_weights[problem.m :]
@@ -905,6 +911,8 @@ def holder_certificate(field: GridField, theta: float, rng=None,
     """Largest Hoelder-theta quotient of the field over the `dyadic_pairs`."""
     if theta < 0:
         raise AdmissibilityError("theta must be nonnegative")
+    if field.is_graph:
+        raise DimensionError("holder_certificate takes a derivative field, not a graph")
     rng = np.random.default_rng(0) if rng is None else rng
     best = 0.0
     for z1, z2 in dyadic_pairs(field.axes, rng, pairs_per_scale):
@@ -925,7 +933,7 @@ def dump_csv(grid: GridField, path):
     m = problem.m
     cols = [f"p_{i}" for i in range(1, m + 1)]
     fast = range(m + 1, problem.n_modes + 1)
-    if grid.trailing == (problem.n_modes - m,):
+    if grid.is_graph:
         cols += [f"q_{i}" for i in fast]
     else:
         cols += [f"dq{i}_dp{j}" for i in fast for j in range(1, m + 1)]

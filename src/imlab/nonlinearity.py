@@ -6,10 +6,14 @@ in the annulus, identically 0 outside radius R. Constants are certified by
 seeded dense sampling with a fixed slack factor; certification failures are
 loud and carry a witness. `NonlinearityStack` evaluates the nonlinearities of
 several family members over one stack of rows, as the batched marches need.
+
+A base map writes only its first K coefficients, so every Jacobian here is
+its (K, N) block of leading rows; the rows past K are exactly zero and are
+never formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +73,7 @@ def cutoff_derivative(r, radius: float):
 # Base maps: smooth maps with exact derivatives on the coefficient space
 
 
-def _pad_rows(rows, count: int) -> np.ndarray:
+def pad_rows(rows, count: int) -> np.ndarray:
     """Stack of row blocks (B, k, N) zero-extended to (B, count, N)."""
     if rows.shape[1] == count:
         return rows
@@ -81,9 +85,6 @@ def _pad_rows(rows, count: int) -> np.ndarray:
 class _BaseMap:
     """Base maps vanish, value and Jacobian alike, past their first `rows`
     coefficients; `jacobian_rows(u)` gives the (B, rows, N) leading block."""
-
-    def jacobian(self, u):
-        return _pad_rows(self.jacobian_rows(u), self.n)
 
     def terms(self) -> list:
         """(atom, scale) pairs whose sum, in order, is this map; the first
@@ -210,8 +211,8 @@ class SumBase(_BaseMap):
         return self.first.value(u) + self.second_scale * self.second.value(u)
 
     def jacobian_rows(self, u):
-        return _pad_rows(self.first.jacobian_rows(u), self.rows) \
-            + self.second_scale * _pad_rows(self.second.jacobian_rows(u), self.rows)
+        return pad_rows(self.first.jacobian_rows(u), self.rows) \
+            + self.second_scale * pad_rows(self.second.jacobian_rows(u), self.rows)
 
     def terms(self) -> list:
         return self.first.terms() + [(self.second, self.second_scale)]
@@ -229,12 +230,11 @@ class CutoffNonlinearity:
     closed-form fixtures and is flagged so reports can record that
     certification was skipped.
 
-    Two derivative paths share the product rule through the bump. The fiber
-    march calls `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its
-    one-member call), which forms only the base map's leading Jacobian rows
-    and applies them to the tangent. Certification, the derivative mismatch
-    and the Hoelder quotients call `jacobian_batch`, which returns dense
-    N x N Jacobians.
+    Derivatives are the leading K = `base.rows` rows of DF, the only rows
+    that can be nonzero. `jacobian_batch` returns them for certification,
+    the derivative mismatch and the Hoelder quotients; the fiber march
+    applies the same rows to its tangent through
+    `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its one-member call).
     """
 
     problem: SpectralProblem
@@ -265,13 +265,12 @@ class CutoffNonlinearity:
         u = self._points(u)
         return NonlinearityStack([(self, u.shape[0])]).eval(u)
 
-    def eval_F(self, u) -> np.ndarray:
-        return self.eval_batch(np.asarray(u, dtype=float)[None, :])[0]
-
     def jacobian_batch(self, u) -> np.ndarray:
-        """Exact Jacobians, product rule through the radial bump."""
+        """Leading K = `base.rows` rows of the exact Jacobians, shape
+        (B, K, N), by the product rule through the radial bump; the rows
+        K..N-1 of DF are exactly zero."""
         u = self._points(u)
-        jac = self.base.jacobian(u)
+        jac = self.base.jacobian_rows(u)
         if self.cutoff_radius is None:
             return jac
         r = alpha_norm_batch(self.problem, u)
@@ -283,7 +282,7 @@ class CutoffNonlinearity:
             # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
             w2 = self.problem.alpha_weights**2
             grad = (u[live] * w2) / r[live, None]
-            vals = self.base.value(u[live])
+            vals = self.base.value(u[live])[:, : self.base.rows]
             out[live] += dzeta[live, None, None] * vals[:, :, None] * grad[:, None, :]
         return out
 
@@ -298,9 +297,6 @@ class CutoffNonlinearity:
         if u.shape[-1] != self.problem.n_modes:
             raise DimensionError("wrong coefficient count")
         return u
-
-    def with_constants(self, C_F, L_F, theta_F, L) -> "CutoffNonlinearity":
-        return replace(self, C_F=C_F, L_F=L_F, theta_F=theta_F, L=L)
 
 
 def per_row(values, counts) -> np.ndarray:
@@ -409,7 +405,7 @@ class NonlinearityStack:
                 vals[d] += eps * v
                 if with_rows:
                     rows[d] += (eps if isinstance(eps, float) else eps[:, :, None]) \
-                        * _pad_rows(r, self.k)
+                        * pad_rows(r, self.k)
             elif start == 0 and dst.size == n and (r is None or r.shape[1] == self.k):
                 vals, rows = v, r  # the only first term: keep its fresh arrays
             else:
@@ -435,11 +431,9 @@ class NonlinearityStack:
         """F(u) and DF(u) V for the stack rows u and tangents V
         (n, N, m), computing the base value, radius and bump once.
 
-        Only the leading k rows of DF(u) are formed. Each keeps the
-        element-wise product rule of `CutoffNonlinearity.jacobian_batch` and
-        the same sum over n as `jacobian_batch(u) @ V`, so the fiber march
-        keeps the dense path's rounding. The other rows of DF(u) V are
-        exactly zero.
+        Only the leading k rows of DF(u) are formed, by the element-wise
+        product rule of `CutoffNonlinearity.jacobian_batch`; the other rows
+        of DF(u) V are exactly zero.
         """
         n = u.shape[0]
         vals, rows = self._base(u, with_rows=True)
@@ -607,10 +601,6 @@ class PerturbedNonlinearityPair:
         return CutoffNonlinearity(
             problem=problem, base=base, cutoff_radius=cutoff_radius, **constants
         )
-
-    def direction_sup(self) -> float:
-        """Sup norm of the direction; exact for zero-phase cosine directions."""
-        return float(np.linalg.norm(self.direction.amplitudes))
 
 
 def rho_eps(

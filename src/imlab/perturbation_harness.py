@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Laboratory
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
@@ -28,7 +28,7 @@ from .lyapunov_perron import (
     solve_manifold,
     solve_stack,
 )
-from .nonlinearity import rho_eps
+from .nonlinearity import pad_rows, rho_eps
 from .spectral_core import (
     alpha_norm_batch,
     coord_norm_batch,
@@ -107,14 +107,27 @@ def rho_of(lab: Laboratory, eps: float, rng=None) -> float:
 
 def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
     """Sup over the solved limit manifold of the derivative mismatch
-    DF_eps(E u) E - E DF_0(u), measured alpha-weighted to plain."""
+    DF_eps(E u) E - E DF_0(u), measured alpha-weighted to plain.
+
+    Both Jacobians are their K leading rows, so the mismatch is its K
+    leading rows DF_eps(E u) E - E[:K, :K] DF_0(u); that is exact while E
+    maps nothing from the first K coordinates past them, E[K:, :K] == 0.
+    """
     graph = getattr(manifold0, "graph", manifold0)
     problem, F_eps, pair = instantiate(lab, eps)
+    F_0 = lab.limit_F
+    k = max(F_eps.base.rows, F_0.base.rows)
+    e_mat = np.asarray(pair.E, dtype=float)
+    if np.any(e_mat[k:, :k]):
+        raise DimensionError(
+            f"the extension maps the first {k} coordinates past them; "
+            "the K-row derivative mismatch needs E[K:, :K] == 0"
+        )
     z = _refined_grid(graph, 2)
     u0 = _lift_full(graph, z)
-    e_mat = np.asarray(pair.E, dtype=float)
     lifted = u0 @ e_mat.T
-    mism = F_eps.jacobian_batch(lifted) @ e_mat - e_mat @ lab.limit_F.jacobian_batch(u0)
+    mism = pad_rows(F_eps.jacobian_batch(lifted), k) @ e_mat \
+        - e_mat[:k, :k] @ pad_rows(F_0.jacobian_batch(u0), k)
     return float(weighted_opnorms(mism, col_weights=lab.limit_problem.alpha_weights).max())
 
 

@@ -109,8 +109,11 @@ def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:
 def weighted_opnorms(mats, row_weights=None, col_weights=None) -> np.ndarray:
     """Largest singular values of diag(row_weights) @ M @ diag(1/col_weights)
     for each matrix M over the last two axes of mats: the exact norms of the
-    maps M from the col-weighted into the row-weighted Euclidean norm."""
+    maps M from the col-weighted into the row-weighted Euclidean norm.
+    A map into or from a zero-dimensional space has norm 0."""
     mats = np.asarray(mats, dtype=float)
+    if 0 in mats.shape[-2:]:
+        return np.zeros(mats.shape[:-2])
     if row_weights is not None:
         mats = mats * np.asarray(row_weights)[:, None]
     if col_weights is not None:

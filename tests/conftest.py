@@ -3,9 +3,13 @@
 The default laboratory and its solved limit manifold are expensive enough
 (a second or two each) that every module reuses one session-scoped copy.
 Tests that mutate nothing may share them freely; anything that needs a
-different configuration builds its own lab locally.
+different configuration builds its own lab locally. The plain helpers
+below are imported by the test modules (`from conftest import ...`).
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from imlab.config import build_lab, default_config
@@ -20,3 +24,19 @@ def lab():
 @pytest.fixture(scope="session")
 def limit(lab):
     return solve_member(lab, 0.0)
+
+
+def eval_one(F, u):
+    """F at a single point u (N,)."""
+    return F.eval_batch(np.asarray(u, dtype=float)[None, :])[0]
+
+
+def with_constants(F, C_F, L_F, theta_F, L):
+    """F with its configured constants replaced."""
+    return replace(F, C_F=C_F, L_F=L_F, theta_F=theta_F, L=L)
+
+
+def direction_sup(family):
+    """Sup norm of a family's direction; exact for zero-phase cosine
+    directions, whose norm peaks at u = 0."""
+    return float(np.linalg.norm(family.direction.amplitudes))

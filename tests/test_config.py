@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ def test_normalized_amplitude_passes_certification(lab):
     for est in sampled.values():
         assert est["C_F"] <= F.C_F and est["L_F"] <= F.L_F and est["L"] <= F.L
     assert F.L_F == pytest.approx(0.1, rel=1e-12)
+
+
+def test_build_and_certify_stay_small():
+    # the Jacobian samples are (K, N) row blocks, not dense N x N stacks,
+    # which took the two peaks to 124 and 158 MB on the default config
+    tracemalloc.start()
+    try:
+        lab = build_lab(default_config())
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        lab.certify()
+        _, certify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 48e6 and certify_peak < 48e6, (build_peak, certify_peak)
 
 
 def test_understated_constants_fail_certification():

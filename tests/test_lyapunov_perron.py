@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import with_constants
 from imlab import lyapunov_perron
 from imlab.config import build_lab, config_from_dict
 from imlab.errors import (
@@ -222,7 +223,7 @@ def test_solve_derivative_guards():
     st = small_settings()
     phi = solve_manifold(problem, F, st).graph
     with pytest.raises(AdmissibilityError, match="exponent"):
-        solve_derivative(problem, F.with_constants(0.0, 0.0, 0.5, 0.0), phi, 0.9, st)
+        solve_derivative(problem, with_constants(F, 0.0, 0.0, 0.5, 0.0), phi, 0.9, st)
     narrow = SpectralProblem(eigenvalues=np.array([1.0, 1.3]), m=1, alpha=0.0)
     Fn = zero_map(narrow)
     stn = small_settings(h=0.05)
@@ -248,6 +249,20 @@ def test_holder_certificate_flat_field():
     assert holder_certificate(ups, 0.5) < 1e-14
     with pytest.raises(AdmissibilityError):
         holder_certificate(ups, -0.5)
+
+
+def test_lipschitz_certificate_rejects_a_field():
+    problem = two_mode()
+    ups = GridField.zeros(problem, (np.linspace(-1.0, 1.0, 41),), FIELD)
+    with pytest.raises(DimensionError, match="graph"):
+        lipschitz_certificate(ups)
+
+
+def test_holder_certificate_rejects_a_graph():
+    problem = two_mode()
+    phi = GridField.zeros(problem, (np.linspace(-1.0, 1.0, 41),), GRAPH)
+    with pytest.raises(DimensionError, match="field"):
+        holder_certificate(phi, 0.5)
 
 
 def test_weighted_map_norms_golden():

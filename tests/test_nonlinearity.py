@@ -1,8 +1,9 @@
 """Cutoff nonlinearities: geometry, derivatives, certification.
 
-The jacobian oracle is central finite differencing of eval_batch; the bump
-geometry has exact plateau and vanishing regions by construction, so those
-are asserted without tolerance.
+The jacobian oracle is central finite differencing of eval_batch; the
+Jacobians are the base map's K leading rows, and the differenced rows past K
+must vanish exactly. The bump geometry has exact plateau and vanishing
+regions by construction, so those are asserted without tolerance.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import direction_sup, eval_one, with_constants
 from imlab.errors import CertificationError, ConfigError, DimensionError
 from imlab.nonlinearity import (
     ConstantBase,
@@ -81,11 +83,12 @@ def test_base_maps_value_and_scale():
     assert np.allclose(v0[:2], amps) and np.allclose(v0[2:], 0.0)
     assert np.allclose(cos.scaled(2.0).value(np.zeros(n)), 2.0 * v0)
     const = ConstantBase(vector=np.arange(float(n)))
-    assert np.allclose(const.jacobian(np.ones(n)), 0.0)
+    assert np.allclose(const.jacobian_rows(np.ones(n)), 0.0)
     both = SumBase(sine, cos, second_scale=0.5)
     u = np.full(n, 0.1)
     assert np.allclose(both.value(u), sine.value(u) + 0.5 * cos.value(u))
-    assert np.allclose(both.jacobian(u), sine.jacobian(u) + 0.5 * cos.jacobian(u))
+    assert np.allclose(both.jacobian_rows(u),
+                       sine.jacobian_rows(u) + 0.5 * cos.jacobian_rows(u))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -100,20 +103,23 @@ def test_jacobian_matches_finite_differences(alpha):
         pts.append(u * target / alpha_norm(problem, u))
     pts = np.array(pts)
     jac = F.jacobian_batch(pts)
+    k = F.base.rows
+    assert jac.shape == (3, k, problem.n_modes) and k < problem.n_modes
     h = 1e-6
     for b, u in enumerate(pts):
         for j in range(problem.n_modes):
             e = np.zeros(problem.n_modes)
             e[j] = h
-            fd = (F.eval_F(u + e) - F.eval_F(u - e)) / (2 * h)
-            assert np.allclose(jac[b, :, j], fd, atol=5e-8), (b, j)
+            fd = (eval_one(F, u + e) - eval_one(F, u - e)) / (2 * h)
+            assert np.allclose(jac[b, :, j], fd[:k], atol=5e-8), (b, j)
+            assert np.all(fd[k:] == 0.0), (b, j)
 
 
 def test_eval_vanishes_outside_support():
     problem = make_problem()
     F = sine_field(problem)
     far = np.full(problem.n_modes, 3.0)
-    assert np.all(F.eval_F(far) == 0.0)
+    assert np.all(eval_one(F, far) == 0.0)
     assert np.all(F.jacobian_batch(far[None]) == 0.0)
 
 
@@ -122,7 +128,7 @@ def test_constant_and_zero_fixtures():
     F = constant_map(problem, [0.0, 1.0])
     assert F.analytic_fixture and F.support_radius is None
     assert F.C_F == 1.0
-    assert np.allclose(F.eval_F(np.array([5.0, -3.0])), [0.0, 1.0])
+    assert np.allclose(eval_one(F, np.array([5.0, -3.0])), [0.0, 1.0])
     assert np.all(F.jacobian_batch(np.zeros((1, 2))) == 0.0)
     Z = zero_map(problem)
     assert Z.C_F == 0.0 and Z.L_F == 0.0
@@ -136,12 +142,13 @@ def test_certification_accepts_honest_constants():
     raw = sine_field(problem)
     rng = np.random.default_rng(9)
     sampled = certify_constants(
-        raw.with_constants(C_F=10.0, L_F=10.0, theta_F=1.0, L=100.0),
+        with_constants(raw, C_F=10.0, L_F=10.0, theta_F=1.0, L=100.0),
         sample_count=400,
         rng=rng,
         pair_count=2000,
     )
-    honest = raw.with_constants(
+    honest = with_constants(
+        raw,
         C_F=1.1 * sampled["C_F"],
         L_F=1.1 * sampled["L_F"],
         theta_F=1.0,
@@ -161,7 +168,7 @@ def test_certification_accepts_honest_constants():
 )
 def test_certification_rejects_lies_with_witness(lie, phrase):
     problem = make_problem()
-    F = sine_field(problem).with_constants(theta_F=1.0, **lie)
+    F = with_constants(sine_field(problem), theta_F=1.0, **lie)
     with pytest.raises(CertificationError) as err:
         certify_constants(F, sample_count=400, rng=np.random.default_rng(2), pair_count=2000)
     assert phrase in str(err.value)
@@ -175,6 +182,11 @@ def test_holder_quotient_of_linear_map_is_zero():
     )
     q = holder_quotient_of_derivative(F, 0.5, sample_count=200, rng=np.random.default_rng(1))
     assert q == 0.0
+    # the zero map has no Jacobian rows at all
+    Z = zero_map(problem)
+    assert Z.jacobian_batch(np.zeros((2, 3))).shape == (2, 0, 3)
+    assert holder_quotient_of_derivative(Z, 0.5, sample_count=200,
+                                         rng=np.random.default_rng(1)) == 0.0
 
 
 def test_holder_quotient_positive_for_cutoff_field(lab):
@@ -223,7 +235,7 @@ def test_rho_eps_exact_for_cosine_direction():
     pair = identity_pair(problem, problem)
     rho = rho_eps(F_eps, F_lim, pair.E, sample_count=300, rng=np.random.default_rng(6))
     # the mismatch eps * zeta(r) |cos(W u)| |amps| peaks at the origin sample
-    assert rho == pytest.approx(eps * family.direction_sup(), rel=1e-14)
+    assert rho == pytest.approx(eps * direction_sup(family), rel=1e-14)
 
 
 def _jvp_member(kind, problem, seed):
@@ -266,11 +278,12 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
     V = rng.normal(size=(3, problem.n_modes, m))
     fv, jvp = F.eval_and_jvp(u, V)
     assert np.array_equal(fv, F.eval_batch(u))
-    dense = F.jacobian_batch(u) @ V
-    scale = max(np.abs(dense).max(), 1e-300)
-    assert np.abs(jvp - dense).max() <= 1e-14 * scale
-    assert np.all(jvp[:, F.base.rows :] == 0.0)
-    assert np.all(dense[:, F.base.rows :] == 0.0)
+    k = F.base.rows
+    rows = F.jacobian_batch(u) @ V
+    assert rows.shape == (3, k, m)
+    scale = max(np.abs(rows).max(initial=0.0), 1e-300)
+    assert np.abs(jvp[:, :k] - rows).max(initial=0.0) <= 1e-14 * scale
+    assert np.all(jvp[:, k:] == 0.0)
 
 
 def test_stack_blocks_equal_each_member_alone():

@@ -6,15 +6,20 @@ which pins the estimators down without reference to the solver. Solved-member
 checks then exercise the full pipeline at the largest default eps.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import direction_sup
 from imlab.config import build_lab, config_from_dict
-from imlab.errors import ConfigError, ConvergenceError
+from imlab.errors import ConfigError, ConvergenceError, DimensionError
 from imlab.lyapunov_perron import GridField
+from imlab.nonlinearity import pad_rows
 from imlab.perturbation_harness import (
+    _lift_full,
+    _refined_grid,
     beta_eps,
     c1_distance,
     c1theta_distance,
@@ -29,6 +34,7 @@ from imlab.perturbation_harness import (
     tau_eps,
     theta_comparison,
 )
+from imlab.spectral_core import mode_mixing_pair, weighted_opnorms
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +63,7 @@ def test_tau_closed_form(lab):
 
 def test_rho_linear_in_eps(lab):
     rho = rho_of(lab, 0.05)
-    assert rho == pytest.approx(0.05 * lab.family.direction_sup(), rel=1e-13)
+    assert rho == pytest.approx(0.05 * direction_sup(lab.family), rel=1e-13)
     assert rho_of(lab, 0.0) == 0.0
 
 
@@ -67,6 +73,27 @@ def test_beta_linear_in_eps(lab, limit):
     assert b1 > 0
     assert b2 == pytest.approx(2 * b1, rel=1e-11)
     assert beta_eps(lab, 0.0, limit.graph) == 0.0
+
+
+def test_beta_rows_follow_the_extension(lab, limit):
+    # a rotation inside the first K modes keeps E[K:, :K] == 0, and the
+    # K-row mismatch gives the dense N x N value; one that mixes mode 0 with
+    # a mode past K would need the dropped rows, so it is refused
+    k, n = lab.limit_F.base.rows, lab.limit_problem.n_modes
+    mixed = copy.copy(lab)
+    mixed.extension_at = lambda eps: mode_mixing_pair(
+        lab.limit_problem, lab.problem_at(eps), 0.3, (0, k - 1))
+    beta = beta_eps(mixed, 0.1, limit.graph)
+    problem, F_eps, pair = instantiate(mixed, 0.1)
+    u0 = _lift_full(limit.graph, _refined_grid(limit.graph, 2))
+    mism = pad_rows(F_eps.jacobian_batch(u0 @ pair.E.T), n) @ pair.E \
+        - pair.E @ pad_rows(lab.limit_F.jacobian_batch(u0), n)
+    dense = weighted_opnorms(mism, col_weights=lab.limit_problem.alpha_weights).max()
+    assert beta > 0 and beta == pytest.approx(dense, rel=1e-14)
+    mixed.extension_at = lambda eps: mode_mixing_pair(
+        lab.limit_problem, lab.problem_at(eps), 0.3, (0, k))
+    with pytest.raises(DimensionError, match="E\\[K:, :K\\]"):
+        beta_eps(mixed, 0.1, limit.graph)
 
 
 def constant_graph(problem, axes, c):

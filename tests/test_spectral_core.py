@@ -116,6 +116,24 @@ def test_weighted_opnorms_golden_and_stacking():
     assert np.array_equal(got, want)
 
 
+@given(n=st.integers(1, 32), k=st.integers(0, 32), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_weighted_opnorms_of_leading_rows_match_zero_extension(n, k, seed):
+    # Jacobians are kept as their K leading rows; their norms must be those
+    # of the zero-extended N x N matrices up to rounding, and 0 for K = 0
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(7, k, n)) * 10.0 ** rng.uniform(-6, 3, size=(7, 1, 1))
+    rows, cols = rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 30.0, n)
+    dense = np.zeros((7, n, n))
+    dense[:, :k] = block
+    for row_w, col_w in ((None, cols), (rows, cols)):
+        got = weighted_opnorms(block, None if row_w is None else row_w[:k], col_w)
+        want = weighted_opnorms(dense, row_w, col_w)
+        assert got.shape == want.shape == (7,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
 def test_extension_pair_validation():
     good_e = np.eye(3)[:, :2]
     good_m = good_e.T
