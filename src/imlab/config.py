@@ -386,12 +386,18 @@ def _unit_bases(cfg: ExperimentConfig, rng):
 def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     F = PerturbedNonlinearityPair(base, direction, eps).member(problem, eps, radius, {})
     pts = _ball_samples(problem, radius, count, rng)
-    # The top singular value of a (K, N) block and of its zero-extended
-    # N x N matrix can differ in the last bit, and the amplitude scales every
-    # reported number; the extension keeps the amplitude bit-stable until
-    # ROADMAP item 1 replaces this sampled normalization by a closed form.
-    jac = pad_rows(F.jacobian_batch(pts), problem.n_modes)
-    return float(weighted_opnorms(jac, col_weights=problem.alpha_weights).max())
+    w = problem.alpha_weights
+    # The amplitude scales every reported number, and it was fixed by the
+    # largest norm of the zero-extended N x N Jacobians, whose top singular
+    # value can differ from the (K, N) block's in the last bit. Both are
+    # backward-stable SVDs of the same matrix, so they agree to a few ulps:
+    # a sample whose K-row norm is more than 1e-9 relative below the largest
+    # cannot hold the N x N maximum. Only the samples within that margin are
+    # zero-extended, and the maximum comes out bit for bit as before.
+    jac = F.jacobian_batch(pts)
+    norms = weighted_opnorms(jac, col_weights=w)
+    top = pad_rows(jac[norms >= (1.0 - 1e-9) * norms.max()], problem.n_modes)
+    return float(weighted_opnorms(top, col_weights=w).max())
 
 
 def build_lab(cfg: ExperimentConfig) -> Laboratory:

@@ -9,7 +9,10 @@ several family members over one stack of rows, as the batched marches need.
 
 A base map writes only its first K coefficients, so every Jacobian here is
 its (K, N) block of leading rows; the rows past K are exactly zero and are
-never formed.
+never formed. Certification streams its thousands of sampled Jacobians in
+fixed blocks of `JACOBIAN_BLOCK` points (`CutoffNonlinearity.jacobian_blocks`):
+the gemms run once over the whole sample batch, so the blocks carry the same
+bits as one whole-batch evaluation, and only one block is held at a time.
 """
 from __future__ import annotations
 
@@ -22,6 +25,9 @@ from .spectral_core import SpectralProblem, alpha_norm_batch, weighted_opnorms
 
 #: Slack applied on top of sampled maxima when certifying constants.
 CERT_SLACK = 1.1
+
+#: Rows per block when certification streams sampled Jacobians.
+JACOBIAN_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def pad_rows(rows, count: int) -> np.ndarray:
 
 class _BaseMap:
     """Base maps vanish, value and Jacobian alike, past their first `rows`
-    coefficients; `jacobian_rows(u)` gives the (B, rows, N) leading block."""
+    coefficients."""
 
     def terms(self) -> list:
         """(atom, scale) pairs whose sum, in order, is this map; the first
@@ -93,14 +99,12 @@ class _BaseMap:
 
 
 class _Atom(_BaseMap):
-    """A base map whose value and Jacobian rows both follow from one phase
-    array per point, so a batch needs the phase `u @ W.T` only once."""
+    """A base map whose value and leading Jacobian rows (`rows_at`, shape
+    (B, rows, N)) both follow from one phase array per point, so a batch
+    needs the phase `u @ W.T` only once."""
 
     def value(self, u):
         return self.value_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
-
-    def jacobian_rows(self, u):
-        return self.rows_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
 
 
 class SineBase(_Atom):
@@ -210,10 +214,6 @@ class SumBase(_BaseMap):
     def value(self, u):
         return self.first.value(u) + self.second_scale * self.second.value(u)
 
-    def jacobian_rows(self, u):
-        return pad_rows(self.first.jacobian_rows(u), self.rows) \
-            + self.second_scale * pad_rows(self.second.jacobian_rows(u), self.rows)
-
     def terms(self) -> list:
         return self.first.terms() + [(self.second, self.second_scale)]
 
@@ -231,8 +231,9 @@ class CutoffNonlinearity:
     certification was skipped.
 
     Derivatives are the leading K = `base.rows` rows of DF, the only rows
-    that can be nonzero. `jacobian_batch` returns them for certification,
-    the derivative mismatch and the Hoelder quotients; the fiber march
+    that can be nonzero. `jacobian_blocks` streams them for certification
+    and the Hoelder quotients, `jacobian_batch` returns them at once for the
+    derivative mismatch and the slope normalization; the fiber march
     applies the same rows to its tangent through
     `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its one-member call).
     """
@@ -267,24 +268,49 @@ class CutoffNonlinearity:
 
     def jacobian_batch(self, u) -> np.ndarray:
         """Leading K = `base.rows` rows of the exact Jacobians, shape
-        (B, K, N), by the product rule through the radial bump; the rows
-        K..N-1 of DF are exactly zero."""
+        (B, K, N): the one-block case of `jacobian_blocks`."""
         u = self._points(u)
-        jac = self.base.jacobian_rows(u)
-        if self.cutoff_radius is None:
-            return jac
-        r = alpha_norm_batch(self.problem, u)
-        zeta = cutoff_value(r, self.cutoff_radius)
-        dzeta = cutoff_derivative(r, self.cutoff_radius)
-        out = jac * zeta[:, None, None]
-        live = dzeta != 0.0
-        if np.any(live):
-            # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
-            w2 = self.problem.alpha_weights**2
-            grad = (u[live] * w2) / r[live, None]
-            vals = self.base.value(u[live])[:, : self.base.rows]
-            out[live] += dzeta[live, None, None] * vals[:, :, None] * grad[:, None, :]
-        return out
+        return next(self.jacobian_blocks(u, max(u.shape[0], 1)))
+
+    def jacobian_blocks(self, u, size: int = JACOBIAN_BLOCK):
+        """Yield the leading K = `base.rows` rows of the exact Jacobians in
+        consecutive (<= size, K, N) blocks of the batch u, by the product
+        rule through the radial bump; the rows K..N-1 of DF are exactly zero.
+
+        Every gemm (each atom's phase `u @ W.T`, the base values on the
+        annulus rows) runs once over the whole batch, because OpenBLAS rounds
+        a row differently by call shape; only the element-wise products are
+        formed per block. So the blocks equal slices of `jacobian_batch(u)`
+        bit for bit, and a consumer holds one block at a time.
+        """
+        u = self._points(u)
+        k = self.base.rows
+        phases = [(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()]
+        if self.cutoff_radius is not None:
+            r = alpha_norm_batch(self.problem, u)
+            zeta = cutoff_value(r, self.cutoff_radius)
+            dzeta = cutoff_derivative(r, self.cutoff_radius)
+            live = np.flatnonzero(dzeta != 0.0)
+            if live.size:
+                # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
+                grad = (u[live] * self.problem.alpha_weights**2) / r[live, None]
+                vals = self.base.value(u[live])[:, :k]
+        for lo in range(0, max(u.shape[0], 1), size):
+            hi = lo + size
+            (atom, _, phase), *rest = phases  # SumBase order, first + eps * second
+            jac = atom.rows_at(phase[lo:hi])
+            for atom, scale, phase in rest:
+                jac = pad_rows(jac, k) + scale * pad_rows(atom.rows_at(phase[lo:hi]), k)
+            if self.cutoff_radius is None:
+                yield jac
+                continue
+            jac = jac * zeta[lo:hi, None, None]
+            a, b = np.searchsorted(live, [lo, hi])
+            if b > a:
+                at = live[a:b] - lo
+                jac[at] += dzeta[live[a:b], None, None] * vals[a:b, :, None] \
+                    * grad[a:b, None, :]
+            yield jac
 
     def eval_and_jvp(self, u, V):
         """F(u) and DF(u) V for a batch of points u (B, N) and tangents V
@@ -501,6 +527,17 @@ def _ball_samples(problem: SpectralProblem, radius: float, count: int, rng):
     return np.concatenate([extras, pts])
 
 
+def _jacobian_norms(F: CutoffNonlinearity, a, b=None) -> np.ndarray:
+    """|DF(a)|, or |DF(a) - DF(b)| over aligned point pairs, from the
+    alpha-weighted to the plain norm, one block of points at a time."""
+    w = F.problem.alpha_weights
+    if b is None:
+        return np.concatenate([weighted_opnorms(ja, col_weights=w)
+                               for ja in F.jacobian_blocks(a)])
+    return np.concatenate([weighted_opnorms(ja - jb, col_weights=w)
+                           for ja, jb in zip(F.jacobian_blocks(a), F.jacobian_blocks(b))])
+
+
 def certify_constants(
     F: CutoffNonlinearity,
     sample_count: int = 2000,
@@ -509,6 +546,9 @@ def certify_constants(
 ) -> dict:
     """Sample sup norms and difference quotients; fail loudly on violations.
 
+    The Jacobian samples stream through `jacobian_blocks`, so only one block
+    of rows (or of pair differences) is held at a time; the norms are exact
+    per matrix, so the per-block norms concatenate to the whole batch's.
     Returns the sampled estimates (before slack). Raises CertificationError
     with a witness when a sample exceeds a configured constant.
     """
@@ -528,8 +568,7 @@ def certify_constants(
         )
 
     # derivatives and their differences: alpha-weighted norm to plain norm
-    w = F.problem.alpha_weights
-    slopes = weighted_opnorms(F.jacobian_batch(pts), col_weights=w)
+    slopes = _jacobian_norms(F, pts)
     l_hat = float(slopes.max())
     if l_hat > F.L_F:
         raise CertificationError(
@@ -540,7 +579,7 @@ def certify_constants(
     # Hoelder quotient of the derivative at exponent theta_F over point pairs.
     a = _ball_samples(F.problem, radius, pair_count // 2, rng)
     b = a + rng.standard_normal(a.shape) * (0.05 * radius)
-    num = weighted_opnorms(F.jacobian_batch(a) - F.jacobian_batch(b), col_weights=w)
+    num = _jacobian_norms(F, a, b)
     den = alpha_norm_batch(F.problem, a - b) ** F.theta_F
     quot = num / (den + 1e-300)
     h_hat = float(quot.max())
@@ -562,8 +601,7 @@ def holder_quotient_of_derivative(
     a = _ball_samples(F.problem, radius, sample_count, rng)
     scales = 10.0 ** rng.uniform(-3, 0, size=a.shape[0])
     b = a + rng.standard_normal(a.shape) * (scales[:, None] * 0.3 * radius)
-    num = weighted_opnorms(F.jacobian_batch(a) - F.jacobian_batch(b),
-                           col_weights=F.problem.alpha_weights)
+    num = _jacobian_norms(F, a, b)
     den = alpha_norm_batch(F.problem, a - b) ** theta
     return CERT_SLACK * float((num / (den + 1e-300)).max())
 

@@ -90,6 +90,28 @@ def test_build_default(tmp_path, capsys):
     assert (out / "derivative.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "distance-study"])
+def test_out_beneath_a_file_fails_before_solving(tmp_path, capsys, command):
+    # no chmod: the tests may run as root, who may write anywhere
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main([command, "--out", str(blocker / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+    assert "eps=" not in captured.out and captured.out == ""
+
+
+def test_build_unwritable_report_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "certificates.json").mkdir(parents=True)
+    rc = main(["build", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+
+
 def test_build_zero_field(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"nonlinearity": {"amplitude": 0.0}})
     out = tmp_path / "out"

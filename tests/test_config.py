@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from imlab.cli import main
 from imlab.config import (
     ExperimentConfig,
+    _sampled_slope,
+    _unit_bases,
     build_lab,
     config_from_dict,
     config_to_dict,
@@ -21,7 +23,13 @@ from imlab.config import (
     load_config,
 )
 from imlab.errors import AdmissibilityError, CertificationError, ConfigError
-from imlab.nonlinearity import certify_constants
+from imlab.nonlinearity import (
+    PerturbedNonlinearityPair,
+    _ball_samples,
+    certify_constants,
+    pad_rows,
+)
+from imlab.spectral_core import SpectralProblem, weighted_opnorms
 
 
 def test_defaults():
@@ -113,8 +121,9 @@ def test_normalized_amplitude_passes_certification(lab):
 
 
 def test_build_and_certify_stay_small():
-    # the Jacobian samples are (K, N) row blocks, not dense N x N stacks,
-    # which took the two peaks to 124 and 158 MB on the default config
+    # the Jacobian samples stream in blocks of (K, N) rows, not whole dense
+    # N x N stacks, which took the two peaks to 124 and 158 MB on the default
+    # config (and whole K-row stacks to 26 and 24 MB)
     tracemalloc.start()
     try:
         lab = build_lab(default_config())
@@ -124,7 +133,27 @@ def test_build_and_certify_stay_small():
         _, certify_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build_peak < 48e6 and certify_peak < 48e6, (build_peak, certify_peak)
+    assert build_peak < 16e6 and certify_peak < 16e6, (build_peak, certify_peak)
+
+
+@pytest.mark.parametrize("payload", [{"seed": s} for s in range(4)]
+                         + [{"spectral": {"m": 2}, "solver": {"grid_nodes": 21}}])
+def test_sampled_slope_equals_the_dense_maximum(payload):
+    # the amplitude rests on this maximum, so the K-row shortcut must give
+    # the zero-extended N x N stack's value bit for bit
+    cfg = config_from_dict(payload)
+    nl = cfg.nonlinearity
+    base, direction = _unit_bases(cfg, np.random.default_rng(cfg.seed))
+    lam = cfg.spectral.limit_eigenvalues()
+    for eps in (0.0, max(cfg.family.eps_grid)):
+        problem = SpectralProblem(lam * (1.0 + eps), cfg.spectral.m, cfg.spectral.alpha)
+        F = PerturbedNonlinearityPair(base, direction, eps).member(problem, eps, nl.radius, {})
+        pts = _ball_samples(problem, nl.radius, 1500, np.random.default_rng(cfg.seed))
+        dense = pad_rows(F.jacobian_batch(pts), problem.n_modes)
+        want = weighted_opnorms(dense, col_weights=problem.alpha_weights).max()
+        got = _sampled_slope(problem, base, direction, eps, nl.radius,
+                             np.random.default_rng(cfg.seed))
+        assert got == want, (eps, got, want)
 
 
 def test_understated_constants_fail_certification():

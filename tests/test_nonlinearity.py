@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import direction_sup, eval_one, with_constants
 from imlab.errors import CertificationError, ConfigError, DimensionError
 from imlab.nonlinearity import (
+    JACOBIAN_BLOCK,
     ConstantBase,
     CosineBase,
     CutoffNonlinearity,
@@ -29,7 +30,7 @@ from imlab.nonlinearity import (
     rho_eps,
     zero_map,
 )
-from imlab.spectral_core import SpectralProblem, alpha_norm, identity_pair
+from imlab.spectral_core import SpectralProblem, alpha_norm, alpha_norm_batch, identity_pair
 
 
 def make_problem(n=5, alpha=0.0):
@@ -83,12 +84,13 @@ def test_base_maps_value_and_scale():
     assert np.allclose(v0[:2], amps) and np.allclose(v0[2:], 0.0)
     assert np.allclose(cos.scaled(2.0).value(np.zeros(n)), 2.0 * v0)
     const = ConstantBase(vector=np.arange(float(n)))
-    assert np.allclose(const.jacobian_rows(np.ones(n)), 0.0)
+    assert np.allclose(const.rows_at(const.phase(np.ones((1, n)))), 0.0)
     both = SumBase(sine, cos, second_scale=0.5)
-    u = np.full(n, 0.1)
+    u = np.full((1, n), 0.1)
     assert np.allclose(both.value(u), sine.value(u) + 0.5 * cos.value(u))
-    assert np.allclose(both.jacobian_rows(u),
-                       sine.jacobian_rows(u) + 0.5 * cos.jacobian_rows(u))
+    F = CutoffNonlinearity(problem=make_problem(n), base=both, cutoff_radius=None)
+    assert np.allclose(F.jacobian_batch(u), sine.rows_at(sine.phase(u))
+                       + 0.5 * cos.rows_at(cos.phase(u)))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -330,3 +332,50 @@ def test_stack_blocks_equal_each_member_alone():
         part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
         assert np.array_equal(part.eval(u[live]), vals[live])
         assert np.array_equal(part_fv, fv[live]) and np.array_equal(part_jvp, jvp[live])
+
+
+def _radial_batch(problem, radii, seed):
+    """Random directions scaled to the given alpha-norm radii."""
+    u = np.random.default_rng(seed).normal(size=(len(radii), problem.n_modes))
+    return u * (np.asarray(radii) / alpha_norm_batch(problem, u))[:, None]
+
+
+_LAYOUTS = {
+    "mixed": np.linspace(0.0, 1.5, 23),
+    "no_annulus": np.concatenate([np.linspace(0.0, 0.45, 12), np.linspace(1.05, 2.0, 11)]),
+    "annulus_last": np.concatenate([np.linspace(0.0, 0.45, 21), [0.7, 0.9]]),
+}
+
+
+@pytest.mark.parametrize("kind", ["sine", "sum", "fixture", "zero"])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_jacobian_blocks_equal_the_batch(kind, layout):
+    # the blocks must carry the bits of one whole-batch call; a one-row
+    # block that formed its own phase would go to gemv and round differently
+    problem = SpectralProblem(2.0 * np.arange(1.0, 7.0) ** 2, m=1, alpha=0.5)
+    F = zero_map(problem) if kind == "zero" else _jvp_member(kind, problem, 7)
+    u = _radial_batch(problem, _LAYOUTS[layout], 7)
+    annulus = np.flatnonzero(cutoff_derivative(alpha_norm_batch(problem, u), 1.0))
+    assert {"mixed": annulus.size > 2, "no_annulus": annulus.size == 0,
+            "annulus_last": list(annulus) == [21, 22]}[layout]
+    whole = F.jacobian_batch(u)
+    rows = len(u)
+    for size in (1, 7, rows, rows + 1):
+        blocks = list(F.jacobian_blocks(u, size))
+        starts = range(0, rows, size)
+        assert len(blocks) == len(starts)
+        for lo, block in zip(starts, blocks):
+            assert np.array_equal(block, whole[lo:lo + size]), (size, lo)
+
+
+@pytest.mark.parametrize("kind", ["sine", "sum"])
+def test_default_blocks_equal_a_large_batch(kind):
+    # past a few hundred rows OpenBLAS rounds a gemm row by the call's row
+    # count, so blocks of JACOBIAN_BLOCK rows must not run their own gemms
+    problem = SpectralProblem(2.0 * np.arange(1.0, 33.0) ** 2, m=1, alpha=0.0)
+    F = _jvp_member(kind, problem, 3)
+    rows = 2 * JACOBIAN_BLOCK + 37
+    u = _radial_batch(problem, np.linspace(0.0, 1.5, rows), 3)
+    blocks = list(F.jacobian_blocks(u))
+    assert [len(b) for b in blocks] == [JACOBIAN_BLOCK, JACOBIAN_BLOCK, 37]
+    assert np.array_equal(np.concatenate(blocks), F.jacobian_batch(u))
