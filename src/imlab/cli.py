@@ -9,10 +9,10 @@ converge, or trips the overflow guard).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,25 +32,6 @@ from .lyapunov_perron import dump_csv, lipschitz_certificate
 _EXIT_CONFIG = 1
 _EXIT_ADMISSIBILITY = 2
 _EXIT_NUMERICAL = 3
-
-
-def _steady_heap():
-    """Let freed heap memory be reused instead of mapped afresh (glibc only).
-
-    The marches allocate and free row stacks of about 1 MB in every RK4
-    stage. glibc maps a block above its mmap threshold anew and returns a
-    freed heap top above its trim threshold to the system, and raises both
-    thresholds only after it frees a larger mapped block. Certification
-    streams its Jacobians in small blocks, so nothing raises them, and each
-    stage would page-fault its stacks in again. This sets the thresholds that
-    glibc itself would pick after a 16 MB free. Elsewhere it does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return  # no C library that offers mallopt
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD: blocks up to 16 MB from the heap
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: keep up to 32 MB of freed heap top
 
 
 def _load(args) -> "ExperimentConfig":
@@ -79,6 +60,16 @@ def _out_dir(args, cfg) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
+
+
+@contextmanager
+def _writing(out):
+    """Report writes into out; one the directory refuses ends in one error
+    line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output in {out}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -123,8 +114,9 @@ def cmd_build(args) -> int:
     if not lab.limit_F.analytic_fixture:
         sampled = lab.certify()
     member = perturbation_harness.solve_member(lab, 0.0)
-    dump_csv(member.graph, out / "manifold.csv")
-    dump_csv(member.field, out / "derivative.csv")
+    with _writing(out):
+        dump_csv(member.graph, out / "manifold.csv")
+        dump_csv(member.field, out / "derivative.csv")
     lip = lipschitz_certificate(member.graph)
     holder = member.derivative.holder_bound
     payload = {
@@ -146,7 +138,7 @@ def cmd_build(args) -> int:
         "field_diffs": member.derivative.diffs,
         "field_ratios": member.derivative.ratios,
     }
-    with open(out / "certificates.json", "w") as fh:
+    with _writing(out), open(out / "certificates.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"manifold: {out / 'manifold.csv'}")
@@ -167,9 +159,10 @@ def cmd_distance_study(args) -> int:
     if not lab.limit_F.analytic_fixture:
         lab.certify()
     report = perturbation_harness.rate_study(lab)
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "report.json")
-    perturbation_harness.write_plot_script(out / "plot_report.py")
+    with _writing(out):
+        report.write_csv(out / "report.csv")
+        report.write_json(out / "report.json")
+        perturbation_harness.write_plot_script(out / "plot_report.py")
     for row, ps, pc in zip(report.rows, report.passes_sup, report.passes_c1theta):
         print(
             f"eps={row.eps:.3g}  d_sup={row.d_sup:.6g}  bound={row.bound_sup:.6g}  "
@@ -260,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _steady_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -277,10 +269,6 @@ def main(argv=None) -> int:
     except ImlabError as exc:
         # remaining taxonomy members are configuration-shaped
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except OSError as exc:
-        # a report write the output directory refuses
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except MemoryError as exc:
         # sizes numpy refuses to allocate, such as an enormous spectral N

@@ -112,6 +112,17 @@ def test_build_unwritable_report_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot write output")
 
 
+def test_oserror_outside_the_report_writes_propagates(tmp_path, monkeypatch):
+    # only the report writes map OSError to an error line; one from elsewhere
+    # (a broken stdout pipe, say) is not a refused output directory
+    def broken(*args, **kwargs):
+        raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr("imlab.cli.perturbation_harness.solve_member", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["build", "--out", str(tmp_path / "out")])
+
+
 def test_build_zero_field(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"nonlinearity": {"amplitude": 0.0}})
     out = tmp_path / "out"
