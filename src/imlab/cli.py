@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("self-test", help="run the inequality verification suites")
     common(sp)
-    sp.add_argument("--out", help="output directory (default from config)")
+    sp.add_argument("--out", help="accepted and ignored: self-test prints its suite "
+                    "lines and writes no files")
     sp.add_argument("--suites", help="comma-separated suite names "
                     f"(default all: {','.join(suites.ALL_SUITES)})")
     sp.set_defaults(fn=cmd_self_test)

@@ -393,11 +393,19 @@ def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     # backward-stable SVDs of the same matrix, so they agree to a few ulps:
     # a sample whose K-row norm is more than 1e-9 relative below the largest
     # cannot hold the N x N maximum. Only the samples within that margin are
-    # zero-extended, and the maximum comes out bit for bit as before.
-    jac = F.jacobian_batch(pts)
-    norms = weighted_opnorms(jac, col_weights=w)
-    top = pad_rows(jac[norms >= (1.0 - 1e-9) * norms.max()], problem.n_modes)
-    return float(weighted_opnorms(top, col_weights=w).max())
+    # zero-extended, and the maximum comes out bit for bit as before. The
+    # Jacobians stream in blocks and the candidates are pruned as the
+    # running maximum rises: a sample within the margin of the final maximum
+    # is within it of every running one, so exactly those are held at the end.
+    top = -np.inf
+    norms_held, held = np.empty(0), np.empty((0, F.base.rows, problem.n_modes))
+    for jac in F.jacobian_blocks(pts):
+        norms = weighted_opnorms(jac, col_weights=w)
+        top = max(top, norms.max())
+        keep, fresh = norms_held >= (1.0 - 1e-9) * top, norms >= (1.0 - 1e-9) * top
+        norms_held = np.concatenate([norms_held[keep], norms[fresh]])
+        held = np.concatenate([held[keep], jac[fresh]])
+    return float(weighted_opnorms(pad_rows(held, problem.n_modes), col_weights=w).max())
 
 
 def build_lab(cfg: ExperimentConfig) -> Laboratory:

@@ -34,6 +34,18 @@ The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
 Jacobian-vector product, which forms only the base map's leading Jacobian
 rows.
+
+A march holds only the fast modes that can be nonzero. F writes only its
+first K coefficients, so the Duhamel integral of every fast mode past K is
+an exact zero: the weights, integrand and integral carry the leading
+min(max(K, m), N) - m fast modes, and the transforms zero-fill the rest of
+their node tables. On the input side the march interpolates only the
+leading fast modes that hold a value in some member's graph or field (its
+`reach`), computed once per transform from the grid values; the rest of
+its state and tangent buffers stays +0.0. The nonlinearity still sees all
+N modes: its phase gemm and its cutoff norm run over full rows, whose call
+shape and summation order set the bits, and an input field may be dense in
+every fast mode (the PsiUniform suite's is).
 """
 from __future__ import annotations
 
@@ -138,7 +150,7 @@ def _interp_multilinear(frame, values, z, lane=None):
     if lane is not None:
         # fold the lane axis into the first grid axis
         idx[0] = idx[0] + lane * values.shape[1]
-        values = values.reshape((-1,) + values.shape[2:])
+        values = values.reshape((values.shape[0] * values.shape[1],) + values.shape[2:])
     if m == 1:
         i = idx[0]
         f = frac[0]
@@ -380,7 +392,11 @@ def _exit_radius(lane) -> float:
 @dataclass(eq=False)
 class _Lane:
     """One member's march: its RK4 plan and the grid values its right-hand
-    side samples (the graph, or the graph and field stacked)."""
+    side samples (the graph, or the graph and field stacked), cut to their
+    leading `reach` fast modes.
+
+    width is the number of leading fast modes its integral can fill, the
+    fast rows of F's K leading coefficients."""
 
     problem: SpectralProblem
     F: CutoffNonlinearity
@@ -389,6 +405,8 @@ class _Lane:
     frame: np.ndarray
     values: np.ndarray
     support_radius: float | None
+    width: int
+    reach: int
 
 
 def _lane(problem, F, phi, upsilon, settings) -> _Lane:
@@ -399,18 +417,38 @@ def _lane(problem, F, phi, upsilon, settings) -> _Lane:
     purpose = "graph" if upsilon is None else "fiber"
     T = resolve_horizon(problem, F, settings, purpose=purpose)
     steps, h = _steps_for(T, resolve_step(problem, F, settings))
-    values = phi.values if upsilon is None else _stacked_graph_and_field(phi, upsilon)
-    return _Lane(problem, F, steps, h, _grid_frame(phi.axes), values, phi.support_radius)
+    if upsilon is None:
+        reach = _reach(phi)
+        values = phi.values[..., :reach]
+    else:
+        reach = max(_reach(phi), _reach(upsilon))
+        values = _stacked_graph_and_field(phi, upsilon, reach)
+    width = min(max(F.base.rows, m), problem.n_modes) - m
+    return _Lane(problem, F, steps, h, _grid_frame(phi.axes), values, phi.support_radius,
+                 width, reach)
 
 
-def _stacked_graph_and_field(phi, upsilon):
-    """Graph values and field maps stacked along the trailing axis, shape
-    grid + (fast modes, 1 + m), so one interpolation samples both."""
+def _reach(grid) -> int:
+    """Leading fast modes in which the grid holds anything but +0.0 at some
+    node. Past them every interpolated sample is +0.0, the value the
+    march's zero-filled buffers already hold."""
+    bits = grid.node_values().view(np.int64)
+    for col in range(bits.shape[1], 0, -1):
+        if bits[:, col - 1].any():
+            return col
+    return 0
+
+
+def _stacked_graph_and_field(phi, upsilon, reach):
+    """Graph values and field maps of the leading reach fast modes stacked
+    along the trailing axis, shape grid + (reach, 1 + m), so one
+    interpolation samples both."""
     if upsilon.support_radius != phi.support_radius or not all(
         np.array_equal(a, b) for a, b in zip(upsilon.axes, phi.axes)
     ):
         raise DimensionError("graph and derivative field must share grid and support")
-    return np.concatenate([phi.values[..., None], upsilon.values], axis=-1)
+    return np.concatenate([phi.values[..., :reach, None], upsilon.values[..., :reach, :]],
+                          axis=-1)
 
 
 def _take(a, keep):
@@ -429,9 +467,16 @@ def _march(blocks, guard, fiber, collect=False):
     `_exit_radius`: every later term of its integral is an exact zero, so
     its integral is final. Retired rows leave the stack, the overflow guard
     is checked over the steps they skip, and the march ends when no row is
-    left. Returns the fast-block integral of each block, in block order;
-    with collect, the sample times and trajectory of a one-block stack
-    (slow points, or tangent maps for fiber).
+    left. Returns the integral of the leading fast modes the stack's F can
+    reach (`_Lane.width`, the most over its lanes) of each block, in block
+    order; past them every integral is an exact zero. With collect, returns
+    the sample times and trajectory of a one-block stack (slow points, or
+    tangent maps for fiber).
+
+    The samples fill only the leading `_Lane.reach` fast columns of the
+    (rows, N) state and tangent buffers, which stay zero past them; the
+    nonlinearity takes full rows. Either count may be 0 (a zero map, the
+    zero graph of a first sweep), so shapes are spelled out, not inferred.
     """
     lanes = [lane for lane, _ in blocks]
     counts = [len(points) for _, points in blocks]
@@ -441,13 +486,19 @@ def _march(blocks, guard, fiber, collect=False):
 
     problem = lanes[0].problem
     m, n_modes = problem.m, problem.n_modes
+    # fast modes the integral can fill, and leading fast columns the samples
+    # can fill; explicit sizes, since either may be 0
+    q = max(lane.width for lane in lanes)
+    reach = max(lane.reach for lane in lanes)
     lam_p = lane_rows(lambda lane: lane.problem.eigenvalues[:m])
     ext = (1,) if fiber else ()
-    w0, w1, decay_step = (
-        lane_rows(lambda lane: f(lane.problem.eigenvalues[m:] * lane.h)).reshape(
-            (-1, n_modes - m) + ext)
-        for f in (phi0_weight, phi1_weight, lambda z: np.exp(-z))
-    )
+
+    def fast_rows(f):
+        a = lane_rows(lambda lane: f(lane.problem.eigenvalues[m : m + q] * lane.h))
+        return a.reshape((a.shape[0], q) + ext)
+
+    w0, w1, decay_step = (fast_rows(f) for f in (phi0_weight, phi1_weight,
+                                                   lambda z: np.exp(-z)))
     h = lane_rows(lambda lane: [lane.h])
     z = h * lam_p
     log_growth = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
@@ -456,7 +507,11 @@ def _march(blocks, guard, fiber, collect=False):
     if len(unique) == 1:
         values, which = unique[0].values, None
     else:
-        values = np.stack([lane.values for lane in unique])
+        # one table over the lanes, zero past each lane's own reach
+        grid, trail = unique[0].values.shape[:m], unique[0].values.shape[m + 1 :]
+        values = np.zeros((len(unique),) + grid + (reach,) + trail)
+        for table, lane in zip(values, unique):
+            table[(slice(None),) * m + (slice(lane.reach),)] = lane.values
         which = np.repeat([unique.index(lane) for lane in lanes], counts)
     supported = any(lane.support_radius is not None for lane in lanes)
     radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
@@ -476,8 +531,10 @@ def _march(blocks, guard, fiber, collect=False):
 
     p = np.concatenate([points for _, points in blocks]).astype(float)
     rows = p.shape[0]
+    # the nonlinearity sees every mode; the columns past m + reach stay zero
+    u = np.zeros((rows, n_modes))
+    fast = slice(m, m + reach)
     if fiber:
-        u = np.zeros((rows, n_modes))
         # graph tangent map: identity over the slow block, the field below it
         tangent = np.zeros((rows, n_modes, m))
         tangent[:, :m, :] = np.eye(m)
@@ -488,22 +545,22 @@ def _march(blocks, guard, fiber, collect=False):
             n = pv.shape[0]
             sampled = sample(pv)
             u[:n, :m] = pv
-            u[:n, m:] = sampled[..., 0]
-            tangent[:n, m:, :] = sampled[..., 1:]
+            u[:n, fast] = sampled[..., 0]
+            tangent[:n, fast, :] = sampled[..., 1:]
             fv, dfj = F.eval_and_jvp(u[:n], tangent[:n])
             fp = fv[:, :m] - pv * lam_p
             ft = dfj[:, :m, :] @ tv - lam_p[:, :, None] * tv
-            return [fp, ft], dfj[:, m:, :] @ tv
+            return [fp, ft], dfj[:, m : m + q, :] @ tv
     else:
         state = [p]
 
         def rhs(st):
             pv = st[0]
-            lifted = np.zeros((pv.shape[0], n_modes))
-            lifted[:, :m] = pv
-            lifted[:, m:] = sample(pv)
-            fv = F.eval(lifted)
-            return [fv[:, :m] - pv * lam_p], fv[:, m:]
+            n = pv.shape[0]
+            u[:n, :m] = pv
+            u[:n, fast] = sample(pv)
+            fv = F.eval(u[:n])
+            return [fv[:, :m] - pv * lam_p], fv[:, m : m + q]
 
     if h.shape[0] == 1:
         h = float(h[0, 0])  # one step size: scalar arithmetic, as for one member
@@ -559,7 +616,7 @@ def _march(blocks, guard, fiber, collect=False):
         if not isinstance(h, float):
             h = h[keep]
             hs = steps_of(h)
-        F = NonlinearityStack(stack, live)
+        F = NonlinearityStack(stack, live, F.work)
     if collect:
         lane = lanes[0]
         s = -lane.h * np.arange(lane.steps + 1)
@@ -605,9 +662,12 @@ def _transform(members, settings):
         pieces += _march(group, settings.overflow_guard, fiber)
     out = []
     for grid, active, first, last in plans:
+        # past the member's own width its integral is an exact zero; a
+        # march that stacked it with a wider member carries zeros there
         flat = np.zeros((active.size,) + grid.trailing)
         if last > first:
-            flat[active] = np.concatenate(pieces[first:last], axis=0)
+            q = blocks[first][0].width
+            flat[active, :q] = np.concatenate([piece[:, :q] for piece in pieces[first:last]])
         out.append(grid.with_values(flat.reshape(grid.values.shape)))
     return out
 

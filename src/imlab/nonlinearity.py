@@ -13,6 +13,15 @@ never formed. Certification streams its thousands of sampled Jacobians in
 fixed blocks of `JACOBIAN_BLOCK` points (`CutoffNonlinearity.jacobian_blocks`):
 the gemms run once over the whole sample batch, so the blocks carry the same
 bits as one whole-batch evaluation, and only one block is held at a time.
+
+The other per-sample temporaries are held one block at a time too: the
+samples are drawn, normalized and scaled in one preallocated array, the
+perturbed pair points are formed in their noise array, the norms go row
+block by row block (`alpha_norm_batch`), and the norm gradient, the pair
+differences and the Hoelder quotients are formed per Jacobian block. Each
+is the same element-wise operation on the same operands, so the sampled
+constants keep their bits. The marches' Jacobian rows go into buffers that
+`NonlinearityStack` reuses across RK4 stages.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from .spectral_core import SpectralProblem, alpha_norm_batch, weighted_opnorms
 CERT_SLACK = 1.1
 
 #: Rows per block when certification streams sampled Jacobians.
-JACOBIAN_BLOCK = 512
+JACOBIAN_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +109,8 @@ class _BaseMap:
 
 class _Atom(_BaseMap):
     """A base map whose value and leading Jacobian rows (`rows_at`, shape
-    (B, rows, N)) both follow from one phase array per point, so a batch
-    needs the phase `u @ W.T` only once."""
+    (B, rows, N), optionally written into out) both follow from one phase
+    array per point, so a batch needs the phase `u @ W.T` only once."""
 
     def value(self, u):
         return self.value_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
@@ -130,9 +139,9 @@ class SineBase(_Atom):
         out[:, : self.rows] = self.amplitudes * np.sin(phase)
         return out
 
-    def rows_at(self, phase):
+    def rows_at(self, phase, out=None):
         c = self.amplitudes * np.cos(phase)
-        return c[:, :, None] * self.weights[None, :, :]
+        return np.multiply(c[:, :, None], self.weights[None, :, :], out=out)
 
     def scaled(self, factor: float) -> "SineBase":
         return SineBase(self.n, self.amplitudes * factor, self.weights, self.phases)
@@ -163,9 +172,9 @@ class CosineBase(_Atom):
         out[:, : self.rows] = self.amplitudes * np.cos(phase)
         return out
 
-    def rows_at(self, phase):
+    def rows_at(self, phase, out=None):
         c = -self.amplitudes * np.sin(phase)
-        return c[:, :, None] * self.weights[None, :, :]
+        return np.multiply(c[:, :, None], self.weights[None, :, :], out=out)
 
     def scaled(self, factor: float) -> "CosineBase":
         return CosineBase(self.n, self.amplitudes * factor, self.weights)
@@ -190,8 +199,11 @@ class ConstantBase(_Atom):
     def value_at(self, phase):
         return np.broadcast_to(self.vector, (phase.shape[0], self.n)).copy()
 
-    def rows_at(self, phase):
-        return np.zeros((phase.shape[0], self.rows, self.n))
+    def rows_at(self, phase, out=None):
+        if out is None:
+            return np.zeros((phase.shape[0], self.rows, self.n))
+        out[...] = 0.0
+        return out
 
     def scaled(self, factor: float) -> "ConstantBase":
         return ConstantBase(self.vector * factor)
@@ -292,24 +304,26 @@ class CutoffNonlinearity:
             dzeta = cutoff_derivative(r, self.cutoff_radius)
             live = np.flatnonzero(dzeta != 0.0)
             if live.size:
-                # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
-                grad = (u[live] * self.problem.alpha_weights**2) / r[live, None]
-                vals = self.base.value(u[live])[:, :k]
+                vals = self.base.value(u[live])[:, :k].copy()
+            w2 = self.problem.alpha_weights**2
         for lo in range(0, max(u.shape[0], 1), size):
             hi = lo + size
             (atom, _, phase), *rest = phases  # SumBase order, first + eps * second
-            jac = atom.rows_at(phase[lo:hi])
+            jac = pad_rows(atom.rows_at(phase[lo:hi]), k)
             for atom, scale, phase in rest:
-                jac = pad_rows(jac, k) + scale * pad_rows(atom.rows_at(phase[lo:hi]), k)
+                term = pad_rows(atom.rows_at(phase[lo:hi]), k)
+                term *= scale
+                jac += term
             if self.cutoff_radius is None:
                 yield jac
                 continue
-            jac = jac * zeta[lo:hi, None, None]
+            jac *= zeta[lo:hi, None, None]
             a, b = np.searchsorted(live, [lo, hi])
             if b > a:
-                at = live[a:b] - lo
-                jac[at] += dzeta[live[a:b], None, None] * vals[a:b, :, None] \
-                    * grad[a:b, None, :]
+                at = live[a:b]
+                # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
+                grad = (u[at] * w2) / r[at, None]
+                jac[at - lo] += dzeta[at, None, None] * vals[a:b, :, None] * grad[:, None, :]
             yield jac
 
     def eval_and_jvp(self, u, V):
@@ -367,12 +381,20 @@ class NonlinearityStack:
     holds (`live`); the phase of a block that lost rows is formed over its
     full row count with the retired rows zero-filled (once per call, for
     all the block's atoms), and only the live rows are carried further.
+
+    The (rows, K, N) Jacobian rows of `eval_and_jvp` are formed in two
+    buffers, `work`, that a march hands on to each rebuilt stack, so its
+    RK4 stages reuse them instead of allocating fresh stacks: the products
+    and sums are the same element-wise operations, in the same order, as
+    when each term's rows are formed anew.
     """
 
-    def __init__(self, blocks, live=None):
+    def __init__(self, blocks, live=None, work=None):
         """blocks: (CutoffNonlinearity, row count) pairs in stack order;
         live: increasing indices of the stack rows the methods take, by
-        default all of them."""
+        default all of them; work: the buffers of the stack this one
+        replaces, if any."""
+        self.work = {} if work is None else work
         first = blocks[0][0]
         self.n = first.problem.n_modes
         self.radius = first.cutoff_radius
@@ -408,11 +430,27 @@ class NonlinearityStack:
                 scales = scales[0]
             self.slots.append((pos, atom, spans, rows, _start_if_contiguous(rows), scales))
 
+    def _buffer(self, name, count):
+        """The first count rows of a reused (rows, k, N) buffer."""
+        buf = self.work.get(name)
+        if buf is None or buf.shape[0] < count:
+            buf = self.work[name] = np.empty((count, self.k, self.n))
+        return buf[:count]
+
+    def _atom_rows(self, atom, phase, name):
+        """atom's Jacobian rows at phase, zero-extended to k rows, in a
+        buffer."""
+        out = self._buffer(name, phase.shape[0])
+        atom.rows_at(phase, out=out[:, : atom.rows])
+        out[:, atom.rows :] = 0.0
+        return out
+
     def _base(self, u, with_rows):
         """Base values (n, N) and, with rows, the leading Jacobian rows
-        (n, k, N) of the n stack rows."""
+        (n, k, N) of the n stack rows, the latter in the "rows" buffer."""
         n = u.shape[0]
-        vals = rows = None
+        vals = None
+        rows = self._buffer("rows", n) if with_rows else None
         padded = {}  # block start -> its rows zero-filled to its full count
         for pos, atom, spans, dst, start, eps in self.slots:
             parts = []
@@ -425,24 +463,28 @@ class NonlinearityStack:
                 parts.append(atom.phase(padded[lo])[keep])
             phase = parts[0] if len(parts) == 1 else np.concatenate(parts)
             v = atom.value_at(phase)
-            r = atom.rows_at(phase) if with_rows else None
             d = dst if start is None else slice(start, start + dst.size)
+            whole = start == 0 and dst.size == n  # the only first term
             if pos > 0:
                 vals[d] += eps * v
                 if with_rows:
-                    rows[d] += (eps if isinstance(eps, float) else eps[:, :, None]) \
-                        * pad_rows(r, self.k)
-            elif start == 0 and dst.size == n and (r is None or r.shape[1] == self.k):
-                vals, rows = v, r  # the only first term: keep its fresh arrays
+                    term = self._atom_rows(atom, phase, "term")
+                    term *= eps if isinstance(eps, float) else eps[:, :, None]
+                    rows[d] += term
+                continue
+            if whole:
+                vals = v  # keep its fresh array
             else:
                 if vals is None:
                     vals = np.zeros((n, self.n))
-                    rows = np.zeros((n, self.k, self.n)) if with_rows else None
                 vals[d] = v
-                if with_rows:
-                    rows[d, : r.shape[1]] = r
+            if with_rows:
+                if whole:
+                    self._atom_rows(atom, phase, "rows")
+                else:
+                    rows[d] = self._atom_rows(atom, phase, "term")
         if vals is None:  # no rows at all
-            vals, rows = np.zeros((0, self.n)), np.zeros((0, self.k, self.n))
+            vals = np.zeros((0, self.n))
         return vals, rows
 
     def eval(self, u) -> np.ndarray:
@@ -469,11 +511,13 @@ class NonlinearityStack:
             zeta = cutoff_value(r, self.radius)
             dzeta = cutoff_derivative(r, self.radius)
             rows *= zeta[:, None, None]
-            live = dzeta != 0.0
-            if np.any(live):
+            at = np.flatnonzero(dzeta)
+            if at.size:
                 w2 = self.weights2
-                grad = (u[live] * (w2 if len(w2) == 1 else w2[live])) / r[live, None]
-                rows[live] += dzeta[live, None, None] * vals[live, :k, None] * grad[:, None, :]
+                grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r[at, None]
+                scale = dzeta[at, None] * vals[at, :k]
+                for j in range(k):  # one Jacobian row at a time: (rows, N) temporaries
+                    rows[at, j] += scale[:, j, None] * grad
             vals *= zeta[:, None]
         jvp = np.zeros((n, self.n) + V.shape[2:])
         jvp[:, :k] = rows @ V
@@ -511,8 +555,14 @@ def _ball_samples(problem: SpectralProblem, radius: float, count: int, rng):
     """
     n = problem.n_modes
     w = problem.alpha_weights
-    dirs = rng.standard_normal((count, n))
-    dirs /= np.linalg.norm(dirs * w, axis=1)[:, None] + 1e-300
+    axes = min(n, 8)
+    out = np.empty((1 + axes + count, n))
+    out[0] = 0.0
+    out[1 : 1 + axes] = 0.25 * radius * (np.eye(n)[:axes] / w[:axes, None])
+    # the directions are drawn, normalized and scaled in place
+    dirs = out[1 + axes :]
+    rng.standard_normal(out=dirs)
+    dirs /= alpha_norm_batch(problem, dirs)[:, None] + 1e-300
     # deterministic radius ladder: plateau, annulus, exterior
     radii = np.concatenate(
         [
@@ -521,21 +571,23 @@ def _ball_samples(problem: SpectralProblem, radius: float, count: int, rng):
             np.linspace(radius, 2.0 * radius, count - 2 * (count // 3)),
         ]
     )
-    pts = dirs * radii[:, None]
-    axis = np.eye(n)[: min(n, 8)] / w[: min(n, 8), None]
-    extras = np.concatenate([np.zeros((1, n)), 0.25 * radius * axis])
-    return np.concatenate([extras, pts])
+    dirs *= radii[:, None]
+    return out
 
 
-def _jacobian_norms(F: CutoffNonlinearity, a, b=None) -> np.ndarray:
-    """|DF(a)|, or |DF(a) - DF(b)| over aligned point pairs, from the
-    alpha-weighted to the plain norm, one block of points at a time."""
+def _holder_quotients(F: CutoffNonlinearity, a, b, theta) -> np.ndarray:
+    """|DF(a) - DF(b)| / |a - b|^theta over aligned point pairs, from the
+    alpha-weighted to the plain norm, one block of pairs at a time."""
     w = F.problem.alpha_weights
-    if b is None:
-        return np.concatenate([weighted_opnorms(ja, col_weights=w)
-                               for ja in F.jacobian_blocks(a)])
-    return np.concatenate([weighted_opnorms(ja - jb, col_weights=w)
-                           for ja, jb in zip(F.jacobian_blocks(a), F.jacobian_blocks(b))])
+    out = np.empty(a.shape[0])
+    lo = 0
+    for ja, jb in zip(F.jacobian_blocks(a), F.jacobian_blocks(b)):
+        hi = lo + ja.shape[0]
+        ja -= jb
+        den = alpha_norm_batch(F.problem, a[lo:hi] - b[lo:hi]) ** theta
+        out[lo:hi] = weighted_opnorms(ja, col_weights=w) / (den + 1e-300)
+        lo = hi
+    return out
 
 
 def certify_constants(
@@ -568,7 +620,8 @@ def certify_constants(
         )
 
     # derivatives and their differences: alpha-weighted norm to plain norm
-    slopes = _jacobian_norms(F, pts)
+    slopes = np.concatenate([weighted_opnorms(jac, col_weights=F.problem.alpha_weights)
+                             for jac in F.jacobian_blocks(pts)])
     l_hat = float(slopes.max())
     if l_hat > F.L_F:
         raise CertificationError(
@@ -578,10 +631,10 @@ def certify_constants(
 
     # Hoelder quotient of the derivative at exponent theta_F over point pairs.
     a = _ball_samples(F.problem, radius, pair_count // 2, rng)
-    b = a + rng.standard_normal(a.shape) * (0.05 * radius)
-    num = _jacobian_norms(F, a, b)
-    den = alpha_norm_batch(F.problem, a - b) ** F.theta_F
-    quot = num / (den + 1e-300)
+    b = rng.standard_normal(a.shape)  # a + noise * scale, formed in place
+    b *= 0.05 * radius
+    b += a
+    quot = _holder_quotients(F, a, b, F.theta_F)
     h_hat = float(quot.max())
     if h_hat > F.L:
         raise CertificationError(
@@ -600,10 +653,10 @@ def holder_quotient_of_derivative(
     radius = F.cutoff_radius if F.cutoff_radius is not None else 1.0
     a = _ball_samples(F.problem, radius, sample_count, rng)
     scales = 10.0 ** rng.uniform(-3, 0, size=a.shape[0])
-    b = a + rng.standard_normal(a.shape) * (scales[:, None] * 0.3 * radius)
-    num = _jacobian_norms(F, a, b)
-    den = alpha_norm_batch(F.problem, a - b) ** theta
-    return CERT_SLACK * float((num / (den + 1e-300)).max())
+    b = rng.standard_normal(a.shape)  # a + noise * scale, formed in place
+    b *= scales[:, None] * 0.3 * radius
+    b += a
+    return CERT_SLACK * float(_holder_quotients(F, a, b, theta).max())
 
 
 # ---------------------------------------------------------------------------

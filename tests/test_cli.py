@@ -200,6 +200,18 @@ def test_self_test_single_suite(tmp_path, capsys):
     assert "distp" in text and "ok" in text and "FAIL" not in text
 
 
+def test_self_test_writes_no_files(tmp_path, capsys):
+    # --out is accepted, so every subcommand takes the same flags, and ignored
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["self-test", "--suites", "PsiUniform", "--out", str(out)]) == 0
+    assert "PsiUniform" in capsys.readouterr().out
+    assert list(out.iterdir()) == []
+    with pytest.raises(SystemExit):
+        main(["self-test", "--help"])
+    assert "writes no files" in " ".join(capsys.readouterr().out.split())
+
+
 def test_eps_grid_flag_validation(tmp_path, capsys):
     assert main(["distance-study", "--eps-grid", "abc", "--out", str(tmp_path)]) == 1
     assert main(["distance-study", "--eps-grid", ",", "--out", str(tmp_path)]) == 1

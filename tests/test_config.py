@@ -29,6 +29,7 @@ from imlab.nonlinearity import (
     certify_constants,
     pad_rows,
 )
+from imlab.perturbation_harness import solve_members
 from imlab.spectral_core import SpectralProblem, weighted_opnorms
 
 
@@ -123,7 +124,8 @@ def test_normalized_amplitude_passes_certification(lab):
 def test_build_and_certify_stay_small():
     # the Jacobian samples stream in blocks of (K, N) rows, not whole dense
     # N x N stacks, which took the two peaks to 124 and 158 MB on the default
-    # config (and whole K-row stacks to 26 and 24 MB)
+    # config (whole K-row stacks to 26 and 24 MB, and whole-batch sampling
+    # temporaries to 8.6 and 9.2 MB)
     tracemalloc.start()
     try:
         lab = build_lab(default_config())
@@ -133,7 +135,20 @@ def test_build_and_certify_stay_small():
         _, certify_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build_peak < 16e6 and certify_peak < 16e6, (build_peak, certify_peak)
+    assert build_peak < 8e6 and certify_peak < 8e6, (build_peak, certify_peak)
+
+
+def test_family_solve_stays_small(lab):
+    # the march carries only the fast modes F can reach and forms its
+    # Jacobian rows in reused buffers; all 31 fast modes and fresh (rows, K,
+    # N) stacks in every RK4 stage took the default family's solve to 10.3 MB
+    tracemalloc.start()
+    try:
+        solve_members(lab, (0.0,) + lab.eps_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, peak
 
 
 @pytest.mark.parametrize("payload", [{"seed": s} for s in range(4)]

@@ -422,8 +422,8 @@ def live_counts(monkeypatch):
     seen = []
 
     class Recording(lyapunov_perron.NonlinearityStack):
-        def __init__(self, blocks, live=None):
-            super().__init__(blocks, live)
+        def __init__(self, blocks, live=None, work=None):
+            super().__init__(blocks, live, work)
             if live is not None:
                 edges = np.cumsum([0] + [count for _, count in blocks])
                 held = np.diff(np.searchsorted(live, edges))
@@ -464,6 +464,36 @@ def test_retiring_rows_is_exact_across_configs(payload):
     for eps in (0.0, 0.1):
         problem, F, _ = instantiate(lab, eps)
         assert_transforms_match_reference(problem, F, lab.solve_settings)
+
+
+def dense_grid(problem, axes, trailing, support_radius, rng):
+    """A grid with random values in every fast mode at the nodes inside the
+    support, zero at the others."""
+    grid = GridField.zeros(problem, axes, trailing, support_radius)
+    values = grid.node_values()
+    inside = coord_norm_batch(problem, grid.nodes()) < support_radius
+    values[inside] = 0.1 * rng.standard_normal((int(inside.sum()),) + tuple(trailing))
+    return grid
+
+
+@pytest.mark.parametrize("payload", [{}, {"spectral": {"m": 2}, "solver": {"grid_nodes": 11}}])
+def test_transforms_on_dense_inputs_match_reference(payload):
+    # the march integrates only the fast modes F can reach, but samples
+    # every fast mode its inputs hold: a graph and a field dense in all of
+    # them reach F through its phase and its cutoff norm
+    lab = build_lab(config_from_dict(payload))
+    rng = np.random.default_rng(11)
+    for eps in (0.0, 0.1):
+        problem, F, _ = instantiate(lab, eps)
+        settings = lab.solve_settings
+        axes = grid_axes(problem, settings, F.support_radius)
+        fast, m = problem.n_modes - problem.m, problem.m
+        phi = dense_grid(problem, axes, (fast,), F.support_radius, rng)
+        ups = dense_grid(problem, axes, (fast, m), F.support_radius, rng)
+        assert np.array_equal(apply_T(problem, F, phi, settings).values,
+                              reference_march(problem, F, phi, None, settings))
+        assert np.array_equal(apply_D(problem, F, phi, ups, settings).values,
+                              reference_march(problem, F, phi, ups, settings))
 
 
 @pytest.mark.parametrize("t_horizon, trips", [(25.0, False), (30.0, True), (500.0, True)])

@@ -1,0 +1,49 @@
+"""The benchmark's output rule, held in tier-1.
+
+`perfbench/run.py` checks every child's outputs against references recorded
+at the baseline commit (`perfbench/refs`): byte-identical, or every number
+within 1e-12 relative. A drift in the last bits of the march shows there
+first, so one study and one self-test seed are compared here with the same
+rule. `perfbench/outputs.py` is loaded from its file.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from imlab.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    spec = importlib.util.spec_from_file_location("perfbench_outputs", BENCH / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(argv, out_dir):
+    """Run the CLI in-process, its stdout saved as stdout.txt in out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    (out_dir / "stdout.txt").write_text(buf.getvalue())
+    return code
+
+
+@pytest.mark.parametrize("workload, argv, names", [
+    ("study", ["distance-study"], ("report.csv", "report.json", "plot_report.py")),
+    ("selftest", ["self-test"], ("suites.txt",)),
+])
+def test_outputs_match_the_benchmark_references(outputs, tmp_path, workload, argv, names):
+    out = tmp_path / workload
+    assert run(argv + ["--seed", "1", "--out", str(out)], out) == 0
+    ref = outputs.load_reference(BENCH / "refs" / workload / "seed1", names)
+    got = outputs.collect(out, names)
+    assert outputs.mismatches(ref, got) == []
