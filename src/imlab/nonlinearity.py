@@ -17,8 +17,9 @@ bits as one whole-batch evaluation, and only one block is held at a time.
 The other per-sample temporaries are held one block at a time too: the
 samples are drawn, normalized and scaled in one preallocated array, the
 perturbed pair points are formed in their noise array, the norms go row
-block by row block (`alpha_norm_batch`), and the norm gradient, the pair
-differences and the Hoelder quotients are formed per Jacobian block. Each
+block by row block (`alpha_norm_batch`), and the base values and norm
+gradient on the annulus, the pair differences and the Hoelder quotients are
+formed per Jacobian block. Each
 is the same element-wise operation on the same operands, so the sampled
 constants keep their bits. The marches' Jacobian rows go into buffers that
 `NonlinearityStack` reuses across RK4 stages.
@@ -289,26 +290,30 @@ class CutoffNonlinearity:
         consecutive (<= size, K, N) blocks of the batch u, by the product
         rule through the radial bump; the rows K..N-1 of DF are exactly zero.
 
-        Every gemm (each atom's phase `u @ W.T`, the base values on the
-        annulus rows) runs once over the whole batch, because OpenBLAS rounds
-        a row differently by call shape; only the element-wise products are
+        Every gemm (each atom's phase `u @ W.T` over the whole batch, and
+        over the annulus rows for the base values there, as `base.value`
+        forms them) runs once, because OpenBLAS rounds a row differently by
+        call shape; everything element-wise, the base values included, is
         formed per block. So the blocks equal slices of `jacobian_batch(u)`
         bit for bit, and a consumer holds one block at a time.
         """
         u = self._points(u)
         k = self.base.rows
-        phases = [(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()]
+
+        def term_phases(x):  # SumBase order, first + eps * second
+            return [(atom, scale, atom.phase(x)) for atom, scale in self.base.terms()]
+
+        phases = term_phases(u)
         if self.cutoff_radius is not None:
             r = alpha_norm_batch(self.problem, u)
             zeta = cutoff_value(r, self.cutoff_radius)
             dzeta = cutoff_derivative(r, self.cutoff_radius)
             live = np.flatnonzero(dzeta != 0.0)
-            if live.size:
-                vals = self.base.value(u[live])[:, :k].copy()
+            ring = term_phases(u[live])
             w2 = self.problem.alpha_weights**2
         for lo in range(0, max(u.shape[0], 1), size):
             hi = lo + size
-            (atom, _, phase), *rest = phases  # SumBase order, first + eps * second
+            (atom, _, phase), *rest = phases
             jac = pad_rows(atom.rows_at(phase[lo:hi]), k)
             for atom, scale, phase in rest:
                 term = pad_rows(atom.rows_at(phase[lo:hi]), k)
@@ -321,9 +326,13 @@ class CutoffNonlinearity:
             a, b = np.searchsorted(live, [lo, hi])
             if b > a:
                 at = live[a:b]
+                (atom, _, phase), *rest = ring
+                vals = atom.value_at(phase[a:b])[:, :k]
+                for atom, scale, phase in rest:
+                    vals = vals + scale * atom.value_at(phase[a:b])[:, :k]
                 # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
                 grad = (u[at] * w2) / r[at, None]
-                jac[at - lo] += dzeta[at, None, None] * vals[a:b, :, None] * grad[:, None, :]
+                jac[at - lo] += dzeta[at, None, None] * vals[:, :, None] * grad[:, None, :]
             yield jac
 
     def eval_and_jvp(self, u, V):
