@@ -19,10 +19,10 @@ samples are drawn, normalized and scaled in one preallocated array, the
 perturbed pair points are formed in their noise array, the norms go row
 block by row block (`alpha_norm_batch`), and the base values and norm
 gradient on the annulus, the pair differences and the Hoelder quotients are
-formed per Jacobian block. Each
-is the same element-wise operation on the same operands, so the sampled
-constants keep their bits. The marches' Jacobian rows go into buffers that
-`NonlinearityStack` reuses across RK4 stages.
+formed per Jacobian block. Each is the same element-wise operation on the
+same operands, so the sampled constants keep their bits. The marches'
+Jacobian rows go into buffers that `NonlinearityStack` reuses across RK4
+stages.
 """
 from __future__ import annotations
 
@@ -244,9 +244,9 @@ class CutoffNonlinearity:
     certification was skipped.
 
     Derivatives are the leading K = `base.rows` rows of DF, the only rows
-    that can be nonzero. `jacobian_blocks` streams them for certification
-    and the Hoelder quotients, `jacobian_batch` returns them at once for the
-    derivative mismatch and the slope normalization; the fiber march
+    that can be nonzero. `jacobian_blocks` streams them for certification,
+    the Hoelder quotients and the slope normalization, `jacobian_batch`
+    returns them at once for the derivative mismatch; the fiber march
     applies the same rows to its tangent through
     `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its one-member call).
     """

@@ -125,7 +125,7 @@ def test_build_and_certify_stay_small():
     # the Jacobian samples stream in blocks of (K, N) rows, not whole dense
     # N x N stacks, which took the two peaks to 124 and 158 MB on the default
     # config (whole K-row stacks to 26 and 24 MB, and whole-batch sampling
-    # temporaries to 8.6 and 9.2 MB)
+    # temporaries to 8.6 and 9.9 MB)
     tracemalloc.start()
     try:
         lab = build_lab(default_config())
