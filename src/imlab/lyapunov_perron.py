@@ -22,13 +22,15 @@ exact zero, so most of a march's row-steps are never computed.
 `solve_stack` drives the fixed-point sweeps of several members in lockstep
 over that kernel, and the one-member operations (`apply_T`, `apply_D`,
 `solve_manifold`, ...) are one-member calls of the same code. The
-nonlinearity's phase `u @ W.T` is formed one member block at a time, over
-all the rows the block started with (see `NonlinearityStack`): OpenBLAS
-rounds a gemm row differently depending on how many rows the call holds,
-so a gemm over the whole stack, or over a block's remaining rows, would
-move results in the last bits. Every other step is row-wise, so a member
-solved in a stack equals its solve alone, and a march that retires rows
-equals one that marches every row to the end, bit for bit.
+nonlinearity's phase `u @ W.T` is one stacked product per atom over the
+member blocks of equal row count, each block held at the rows it started
+with, the retired ones as zero rows (see `NonlinearityStack`): numpy runs
+one gemm per block of such a product, and OpenBLAS rounds a gemm row
+differently depending on how many rows the call holds, so a gemm over the
+whole stack, or over a block's remaining rows, would move results in the
+last bits. Every other step is row-wise, so a member solved in a stack
+equals its solve alone, and a march that retires rows equals one that
+marches every row to the end, bit for bit.
 
 The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
@@ -763,9 +765,11 @@ def _sweep(step, starts, diff_fns, tol, max_iter, what):
     step(live, xs) applies one transform to the iterates xs of the members
     listed in live. Each member keeps its own diffs, ratios, stall counter
     and iteration budget, and leaves the sweep once its diff reaches tol.
-    Returns (x, diffs, ratios, iterations) per member.
+    Returns (x, diffs, ratios, iterations) per member. The iterates
+    replace the entries of starts as they come, so the start fields are
+    freed after the first step.
     """
-    xs = list(starts)
+    xs = starts
     diffs = [[] for _ in xs]
     ratios = [[] for _ in xs]
     stalled = [0] * len(xs)

@@ -195,7 +195,7 @@ class ConstantBase(_Atom):
         self.rows = int(nonzero[-1]) + 1 if nonzero.size else 0
 
     def phase(self, u):
-        return np.empty((u.shape[0], 0))
+        return np.empty(u.shape[:-1] + (0,))
 
     def value_at(self, phase):
         return np.broadcast_to(self.vector, (phase.shape[0], self.n)).copy()
@@ -358,18 +358,12 @@ def per_row(values, counts) -> np.ndarray:
     return np.repeat(np.stack(values), counts, axis=0)
 
 
-def _start_if_contiguous(idx):
-    """First index of a run of consecutive indices, else None."""
+def _run(idx):
+    """Increasing indices as a slice when they are one run of consecutive
+    indices, so that indexing with them takes a view; else unchanged."""
     if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return int(idx[0])
-    return None
-
-
-def _padded(rows, keep, count) -> np.ndarray:
-    """rows placed at positions keep of an otherwise zero (count, N) array."""
-    out = np.zeros((count, rows.shape[1]))
-    out[keep] = rows
-    return out
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 class NonlinearityStack:
@@ -377,19 +371,20 @@ class NonlinearityStack:
     grouped into blocks of consecutive rows that share a member.
 
     Each base atom (`SineBase`, `CosineBase`, `ConstantBase`) is evaluated
-    once over the blocks whose member uses it, and each member's terms
-    combine in `SumBase` order, first + eps * second, with a per-row eps;
-    rows whose member lacks a term skip it. The phase `u @ W.T` is formed
-    one block at a time over all the rows the block started with: OpenBLAS
-    rounds a gemm row differently depending on how many rows the call holds
-    (a one-row product goes to gemv), so each block must see the call its
-    member sees alone. Every other operation is row-wise, so each block
-    comes out bit for bit as its member's own evaluation.
+    over the blocks whose member uses it, and each member's terms combine
+    in `SumBase` order, first + eps * second, with a per-row eps; rows whose
+    member lacks a term skip it. The phase `u @ W.T` is one stacked product
+    per atom and block row count, over a (blocks, count, N) array: numpy
+    runs one gemm per block of such a product, and OpenBLAS rounds a gemm
+    row by how many rows the call holds (a one-row product goes to gemv),
+    so each block sees the call its member sees alone. Every other
+    operation is row-wise, so each block comes out bit for bit as its
+    member's own evaluation.
 
     A march that retires rows rebuilds the stack over the rows it still
-    holds (`live`); the phase of a block that lost rows is formed over its
-    full row count with the retired rows zero-filled (once per call, for
-    all the block's atoms), and only the live rows are carried further.
+    holds (`live`). The phase is then formed over every row the stack
+    started with, the retired ones as zero rows, so each block keeps its
+    starting row count; only the live rows are carried further.
 
     The (rows, K, N) Jacobian rows of `eval_and_jvp` are formed in two
     buffers, `work`, that a march hands on to each rebuilt stack, so its
@@ -412,32 +407,38 @@ class NonlinearityStack:
             raise DimensionError("stacked nonlinearities must share N and the cutoff radius")
         counts = [count for _, count in blocks]
         bounds = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-        live = np.arange(bounds[-1]) if live is None else np.asarray(live)
+        self.size = int(bounds[-1])
+        live = np.arange(self.size) if live is None else np.asarray(live)
+        # the stack rows to scatter the rows taken to, if any has retired
+        self.live = None if live.size == self.size else _run(live)
         weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
         self.weights = weights if len(weights) == 1 else weights[live]
         self.weights2 = self.weights**2
         self.k = max(F.base.rows for F, _ in blocks)
-        # where each block's live rows sit now: rows [lo, hi) of the stack
-        # taken, at positions keep (None: all) of the block's own rows
-        at = np.searchsorted(live, bounds)
-        # one slot per term position and atom: the blocks it covers and their eps
-        slots = {}
-        for (F, count), lo, hi, start in zip(blocks, at[:-1], at[1:], bounds):
-            if hi == lo:
+        where = np.full(self.size, -1)  # row taken of each stack row; -1: retired
+        where[live] = np.arange(live.size)
+        # one group per term position, atom and block row count
+        groups = {}
+        for (F, count), start in zip(blocks, bounds):
+            if not (where[start : start + count] >= 0).any():
                 continue
-            keep = None if hi - lo == count else live[lo:hi] - start
             for pos, (atom, eps) in enumerate(F.base.terms()):
-                _, spans, scales = slots.setdefault((pos, id(atom)), (atom, [], []))
-                spans.append((lo, hi, keep, count))
+                _, starts, scales = groups.setdefault((pos, id(atom), count), (atom, [], []))
+                starts.append(start)
                 scales.append(eps)
-        self.slots = []
-        for (pos, _), (atom, spans, scales) in sorted(slots.items(), key=lambda kv: kv[0][0]):
-            rows = np.concatenate([np.arange(lo, hi) for lo, hi, _, _ in spans])
+        self.groups = []
+        for (pos, _, count), (atom, starts, scales) in sorted(groups.items(),
+                                                              key=lambda kv: kv[0][0]):
+            src = np.add.outer(starts, np.arange(count)).ravel()  # the group's stack rows
+            dst = where[src]
+            held = np.flatnonzero(dst >= 0)
             if len(set(scales)) > 1:
-                scales = np.repeat(scales, [hi - lo for lo, hi, _, _ in spans])[:, None]
+                scales = np.repeat(scales, count)[held, None]
             else:
                 scales = scales[0]
-            self.slots.append((pos, atom, spans, rows, _start_if_contiguous(rows), scales))
+            self.groups.append((pos, atom, (len(starts), count, self.n), _run(src),
+                                None if held.size == src.size else held,
+                                _run(dst[held]), scales))
 
     def _buffer(self, name, count):
         """The first count rows of a reused (rows, k, N) buffer."""
@@ -446,10 +447,8 @@ class NonlinearityStack:
             buf = self.work[name] = np.empty((count, self.k, self.n))
         return buf[:count]
 
-    def _atom_rows(self, atom, phase, name):
-        """atom's Jacobian rows at phase, zero-extended to k rows, in a
-        buffer."""
-        out = self._buffer(name, phase.shape[0])
+    def _atom_rows(self, atom, phase, out):
+        """atom's Jacobian rows at phase, zero-extended to k rows, in out."""
         atom.rows_at(phase, out=out[:, : atom.rows])
         out[:, atom.rows :] = 0.0
         return out
@@ -458,42 +457,32 @@ class NonlinearityStack:
         """Base values (n, N) and, with rows, the leading Jacobian rows
         (n, k, N) of the n stack rows, the latter in the "rows" buffer."""
         n = u.shape[0]
-        vals = None
+        full = u
+        if self.live is not None:
+            full = np.zeros((self.size, self.n))
+            full[self.live] = u
+        vals = np.empty((n, self.n))
         rows = self._buffer("rows", n) if with_rows else None
-        padded = {}  # block start -> its rows zero-filled to its full count
-        for pos, atom, spans, dst, start, eps in self.slots:
-            parts = []
-            for lo, hi, keep, count in spans:
-                if keep is None:
-                    parts.append(atom.phase(u[lo:hi]))
-                    continue
-                if lo not in padded:
-                    padded[lo] = _padded(u[lo:hi], keep, count)
-                parts.append(atom.phase(padded[lo])[keep])
-            phase = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for pos, atom, shape, src, held, dst, eps in self.groups:
+            phase = atom.phase(full[src].reshape(shape))
+            phase = phase.reshape(shape[0] * shape[1], phase.shape[-1])
+            if held is not None:
+                phase = phase[held]
             v = atom.value_at(phase)
-            d = dst if start is None else slice(start, start + dst.size)
-            whole = start == 0 and dst.size == n  # the only first term
-            if pos > 0:
-                vals[d] += eps * v
-                if with_rows:
-                    term = self._atom_rows(atom, phase, "term")
-                    term *= eps if isinstance(eps, float) else eps[:, :, None]
-                    rows[d] += term
-                continue
-            if whole:
-                vals = v  # keep its fresh array
+            if pos == 0:
+                vals[dst] = v
             else:
-                if vals is None:
-                    vals = np.zeros((n, self.n))
-                vals[d] = v
-            if with_rows:
-                if whole:
-                    self._atom_rows(atom, phase, "rows")
-                else:
-                    rows[d] = self._atom_rows(atom, phase, "term")
-        if vals is None:  # no rows at all
-            vals = np.zeros((0, self.n))
+                vals[dst] += eps * v
+            if not with_rows:
+                continue
+            direct = pos == 0 and isinstance(dst, slice)
+            term = self._atom_rows(atom, phase,
+                                   rows[dst] if direct else self._buffer("term", len(phase)))
+            if pos > 0:
+                term *= eps if isinstance(eps, float) else eps[:, :, None]
+                rows[dst] += term
+            elif not direct:
+                rows[dst] = term
         return vals, rows
 
     def eval(self, u) -> np.ndarray:
@@ -637,6 +626,7 @@ def certify_constants(
             f"sampled sup |DF| = {l_hat:.6g} exceeds configured L_F = {F.L_F:.6g}",
             witness=pts[int(slopes.argmax())],
         )
+    del pts, values, slopes  # not read past here; the pair stage sets the peak
 
     # Hoelder quotient of the derivative at exponent theta_F over point pairs.
     a = _ball_samples(F.problem, radius, pair_count // 2, rng)

@@ -288,12 +288,34 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
     assert np.all(jvp[:, k:] == 0.0)
 
 
-def test_stack_blocks_equal_each_member_alone():
-    # one family, four members with their own spectra (alpha > 0 gives each
-    # its own norm weights) in blocks of unequal size; the limit member's
-    # block has no direction term. OpenBLAS rounds gemm rows differently once
-    # a call holds a few hundred rows, so at 1000 rows a single gemm over the
-    # stack fails this test; it guards the per-block rule.
+@pytest.mark.parametrize("count", [1, 2, 57, 133, 400])
+def test_stacked_phase_product_equals_per_block_products(count):
+    # NonlinearityStack forms each atom's phase as one stacked product over
+    # its blocks of equal row count, and its bits rest on numpy running one
+    # gemm per block there, as a one-block call does; a numpy that folded
+    # the batch into one gemm over all the rows would round most rows
+    # differently (1060 of 1064 at 8 blocks of 133 rows)
+    n, k = 32, 4
+    rng = np.random.default_rng(count)
+    W = rng.normal(size=(k, n))
+    for blocks in range(1, 9):
+        U3 = rng.normal(size=(blocks, count, n))
+        stacked = U3 @ W.T
+        for b in range(blocks):
+            assert np.array_equal(stacked[b], U3[b] @ W.T), (blocks, b)
+
+
+@pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],
+                         ids=["distinct_counts", "repeated_counts"])
+def test_stack_blocks_equal_each_member_alone(counts):
+    # one family, members with their own spectra (alpha > 0 gives each its
+    # own norm weights) in blocks of unequal size; the limit member's block,
+    # the second, has no direction term. OpenBLAS rounds gemm rows
+    # differently once a call holds a few hundred rows, so at 1000 rows a
+    # single gemm over the stack fails this test; it guards the rule that
+    # each stacked phase product holds only blocks of one row count. In the
+    # second layout one product holds three 133-row blocks, and the
+    # direction's 133-row blocks are not one run of rows.
     n, m = 32, 1
     rng = np.random.default_rng(11)
     base0 = SineBase(n, 0.1 * rng.uniform(0.5, 1.0, 4), rng.normal(size=(4, n)),
@@ -304,9 +326,8 @@ def test_stack_blocks_equal_each_member_alone():
     ev = 2.0 * np.arange(1, n + 1) ** 2
     members = [
         family.member(SpectralProblem(ev * (1 + eps), m, 0.25), eps, 1.0, consts)
-        for eps in (0.1, 0.0, 1e-4, 0.03)
+        for eps in (0.1, 0.0, 1e-4, 0.03, 0.05)[: len(counts)]
     ]
-    counts = (133, 57, 410, 400)
     rows = sum(counts)
     u = rng.normal(size=(rows, n))
     u *= (rng.uniform(0.0, 1.5, rows) / np.linalg.norm(u, axis=1))[:, None]
@@ -325,9 +346,12 @@ def test_stack_blocks_equal_each_member_alone():
     # the rows a march still holds after retiring others: the first block
     # keeps one row, each in turn (a one-row product alone goes to gemv and
     # rounds some rows differently), the second none, and the third drops
-    # below the row count where OpenBLAS changes its gemm rounding
+    # rows (in the first layout below the row count where OpenBLAS changes
+    # its gemm rounding); the retired rows enter the phase as zero rows
+    edges = np.cumsum((0,) + counts)
     for one in range(counts[0]):
-        live = np.concatenate([[one], 190 + np.arange(0, 410, 7), 600 + np.arange(400)])
+        live = np.concatenate([[one], edges[2] + np.arange(0, counts[2], 7),
+                               np.arange(edges[3], rows)])
         part = NonlinearityStack(list(zip(members, counts)), live)
         part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
         assert np.array_equal(part.eval(u[live]), vals[live])

@@ -7,7 +7,11 @@ checks then exercise the full pipeline at the largest default eps.
 """
 
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,35 @@ def test_stacked_members_equal_one_member_solves_across_configs(payload, eps, di
         assert len({s.manifold.iterations for s in stacked}) > 1
     if differ == "grids":
         assert not np.array_equal(stacked[0].graph.axes[0], stacked[1].graph.axes[0])
+
+
+_SOLVE_DIGEST = """
+import hashlib
+from imlab.config import build_lab, config_from_dict
+from imlab.perturbation_harness import solve_members
+lab = build_lab(config_from_dict({"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05},
+                                  "solver": {"grid_nodes": 51}}))
+digest = hashlib.sha256()
+for solved in solve_members(lab, (0.0, 0.1)):
+    digest.update(solved.graph.values.tobytes())
+    digest.update(solved.field.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_stacked_solve_bits_do_not_depend_on_the_blas_thread_count():
+    # the members' blocks differ in row count here (alpha > 0), so the
+    # stacked phase products hold blocks of several counts; the bytes of
+    # the solved graphs and fields must not change with the BLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _SOLVE_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_stacked_members_fail_as_one_member_solves(lab):
