@@ -89,7 +89,6 @@ from .spectral_core import (
     alpha_norm_batch,
     certify_kappa,
     identity_pair,
-    mode_mixing_pair,
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,

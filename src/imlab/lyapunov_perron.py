@@ -21,16 +21,23 @@ the cutoff support: from there every term of its Duhamel integral is an
 exact zero, so most of a march's row-steps are never computed.
 `solve_stack` drives the fixed-point sweeps of several members in lockstep
 over that kernel, and the one-member operations (`apply_T`, `apply_D`,
-`solve_manifold`, ...) are one-member calls of the same code. The
+`solve_manifold`, ...) are one-member calls of the same code. A march
+builds its `NonlinearityStack` once and retires rows from it in place. The
 nonlinearity's phase `u @ W.T` is one stacked product per atom over the
 member blocks of equal row count, each block held at the rows it started
-with, the retired ones as zero rows (see `NonlinearityStack`): numpy runs
-one gemm per block of such a product, and OpenBLAS rounds a gemm row
-differently depending on how many rows the call holds, so a gemm over the
-whole stack, or over a block's remaining rows, would move results in the
-last bits. Every other step is row-wise, so a member solved in a stack
-equals its solve alone, and a march that retires rows equals one that
-marches every row to the end, bit for bit.
+with, the retired ones scattered in as zero rows, until no row of the
+block is left: numpy runs one gemm per block of such a product, and
+OpenBLAS rounds a gemm row differently depending on how many rows the call
+holds, so a gemm over the whole stack, or over a block's remaining rows,
+would move results in the last bits. Every other step is row-wise, so a
+member solved in a stack equals its solve alone, and a march that retires
+rows equals one that marches every row to the end, bit for bit.
+
+A right-hand side holds a few dozen to a few hundred rows, so each RK4
+stage costs mostly the fixed cost of its numpy calls. The hot path spends
+few of them: one radius, clip and pair of bumps give the cutoff and its
+slope, and norms and clips go through bare ufuncs (`spectral_core.row_norms`,
+`np.minimum`/`np.maximum`), which give the same bits as their wrapped forms.
 
 The fiber march samples the graph and its derivative field in one
 interpolation call and advances the tangent with the nonlinearity's
@@ -67,7 +74,7 @@ from .errors import (
     OverflowGuardError,
 )
 from .nonlinearity import CutoffNonlinearity, NonlinearityStack, per_row
-from .spectral_core import SpectralProblem, coord_norm_batch, weighted_opnorms
+from .spectral_core import SpectralProblem, coord_norm_batch, row_norms, weighted_opnorms
 
 _NODE_CHUNK = 8192
 
@@ -146,7 +153,7 @@ def _interp_multilinear(frame, values, z, lane=None):
     idx, frac = [], []
     for d in range(m):
         t = (z[:, d] - lo[..., d]) / step[..., d]
-        i = np.clip(np.floor(t).astype(int), 0, values.shape[lead + d] - 2)
+        i = np.minimum(np.maximum(np.floor(t).astype(int), 0), values.shape[lead + d] - 2)
         idx.append(i)
         frac.append((t - i).reshape(bshape))
     if lane is not None:
@@ -355,7 +362,7 @@ _OVERFLOW = ("backward slow flow exceeded the overflow guard; the horizon is "
 
 
 def _check_guard(p, guard):
-    if not np.all(np.isfinite(p)) or np.abs(p).max(initial=0.0) > guard:
+    if not np.isfinite(p).all() or np.abs(p).max(initial=0.0) > guard:
         raise OverflowGuardError(_OVERFLOW)
 
 
@@ -519,16 +526,15 @@ def _march(blocks, guard, fiber, collect=False):
     radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
                                      else lane.support_radius])[:, 0]
     w_slow = lane_rows(lambda lane: lane.problem.alpha_weights[:m])
-    last = lane_rows(lambda lane: [lane.steps])[:, 0]
+    last = np.repeat([lane.steps for lane in lanes], counts)
     exit_radius = lane_rows(lambda lane: [_exit_radius(lane)])[:, 0]
     retiring = not collect and bool(np.isfinite(exit_radius).any())
-    stack = [(lane.F, c) for lane, c in zip(lanes, counts)]
-    F = NonlinearityStack(stack)
+    F = NonlinearityStack([(lane.F, c) for lane, c in zip(lanes, counts)], width=m + q)
 
     def sample(pv):
         out = _interp_multilinear(frame, values, pv, which)
         if supported:
-            out[np.linalg.norm(pv * w_slow, axis=-1) >= radius] = 0.0
+            out[row_norms(pv * w_slow) >= radius] = 0.0
         return out
 
     p = np.concatenate([points for _, points in blocks]).astype(float)
@@ -596,14 +602,14 @@ def _march(blocks, guard, fiber, collect=False):
         g_prev = g_new
         if collect:
             traj.append(state[-1].copy())
-        drop = np.broadcast_to(last <= k, live.shape)
+        drop = last <= k
         if retiring:
-            drop = drop | (np.linalg.norm(state[0] * w_slow, axis=-1) >= exit_radius)
+            drop = drop | (row_norms(state[0] * w_slow) >= exit_radius)
         if not drop.any():
             continue
         out[live[drop]] = acc[drop]
         _check_guard_ahead([s[drop] for s in state], _take(log_growth, drop),
-                           np.broadcast_to(last, live.shape)[drop] - k, guard)
+                           last[drop] - k, guard)
         keep = ~drop
         live = live[keep]
         if not live.size:
@@ -618,7 +624,7 @@ def _march(blocks, guard, fiber, collect=False):
         if not isinstance(h, float):
             h = h[keep]
             hs = steps_of(h)
-        F = NonlinearityStack(stack, live, F.work)
+        F.retire(keep)
     if collect:
         lane = lanes[0]
         s = -lane.h * np.arange(lane.steps + 1)

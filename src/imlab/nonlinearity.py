@@ -20,9 +20,11 @@ perturbed pair points are formed in their noise array, the norms go row
 block by row block (`alpha_norm_batch`), and the base values and norm
 gradient on the annulus, the pair differences and the Hoelder quotients are
 formed per Jacobian block. Each is the same element-wise operation on the
-same operands, so the sampled constants keep their bits. The marches'
-Jacobian rows go into buffers that `NonlinearityStack` reuses across RK4
-stages.
+same operands, so the sampled constants keep their bits. A march builds
+one `NonlinearityStack` and retires rows from it; the stack forms values
+over the K leading coefficients and Jacobian rows in buffers it reuses
+across RK4 stages. The cutoff's value and slope come from one pass over
+the radii (`cutoff_and_slope`).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ConfigError, DimensionError
-from .spectral_core import SpectralProblem, alpha_norm_batch, weighted_opnorms
+from .spectral_core import SpectralProblem, alpha_norm_batch, row_norms, weighted_opnorms
 
 #: Slack applied on top of sampled maxima when certifying constants.
 CERT_SLACK = 1.1
@@ -45,44 +47,57 @@ JACOBIAN_BLOCK = 128
 
 
 def _bump_f(x):
-    """exp(-1/x) continued by 0 for x <= 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 1e-12
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+    """exp(-1/x) continued by 0 for x <= 1e-12 (and NaN): exp(-1/x)
+    underflows to +0.0 there, so clamping x to 1e-12 gives the zeros
+    without a mask; fmax also sends NaN to the clamp."""
+    return np.exp(-1.0 / np.fmax(x, 1e-12))
 
 
-def _bump_fprime(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 1e-12
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
+def _bumps(r, half: float):
+    """The pair [1 - s, s] of the scaled radius s = (r - half) / half
+    clipped to [0, 1], their bumps [f(1 - s), f(s)], both stacked on a
+    leading axis of 2, and the cutoff value at the radii r."""
+    pair = np.empty((2,) + r.shape)
+    np.minimum(np.maximum((r - half) / half, 0.0), 1.0, out=pair[1, ...])
+    np.subtract(1.0, pair[1], out=pair[0, ...])
+    f = _bump_f(pair)
+    return pair, f, f[0] / (f[0] + f[1] + 1e-300)
 
 
 def cutoff_value(r, radius: float):
     """Smooth bump: 1 for r <= radius/2, 0 for r >= radius."""
-    r = np.asarray(r, dtype=float)
-    s = (r - radius / 2.0) / (radius / 2.0)
-    s = np.clip(s, 0.0, 1.0)
-    fa = _bump_f(1.0 - s)
-    fb = _bump_f(s)
-    return fa / (fa + fb + 1e-300)
+    return _bumps(np.asarray(r, dtype=float), radius / 2.0)[-1]
+
+
+def cutoff_and_slope(r, radius: float):
+    """The bump at the radii r (1-d), the indices of the radii where its
+    derivative is nonzero, and the derivative there.
+
+    One scaling, clip and pair of bumps serves both. On the annulus the
+    derivative reuses exp(-1/x): exp(-1/x) / x**2 is the bump's f' at x for
+    x = 1 - s and x = s, both far above 1e-154 there (1 - s is at least an
+    ulp of 1, s about the rounding of r - R/2 relative to R/2), so x**2
+    does not underflow and a zero bump gives a zero f'.
+    """
+    half = radius / 2.0
+    pair, f, zeta = _bumps(r, half)
+    ring = np.nonzero((pair[1] > 0.0) & (pair[1] < 1.0))[0]
+    if not ring.size:
+        return zeta, ring, np.empty(0)
+    pair, f = pair[:, ring], f[:, ring]
+    terms = f / pair**2 * f[::-1]  # f'(1 - s) f(s), f'(s) f(1 - s)
+    dzeta = -(terms[0] + terms[1]) / (f[0] + f[1]) ** 2 / half
+    nonzero = dzeta != 0.0
+    return zeta, ring[nonzero], dzeta[nonzero]
 
 
 def cutoff_derivative(r, radius: float):
     """Derivative of the bump with respect to r; zero off the annulus."""
     r = np.asarray(r, dtype=float)
-    half = radius / 2.0
-    s = (r - half) / half
-    inside = (s > 0.0) & (s < 1.0)
-    out = np.zeros_like(s)
-    sc = s[inside]
-    fa, fb = _bump_f(1.0 - sc), _bump_f(sc)
-    dfa, dfb = _bump_fprime(1.0 - sc), _bump_fprime(sc)
-    out[inside] = -(dfa * fb + fa * dfb) / (fa + fb) ** 2 / half
-    return out
+    _, at, dzeta = cutoff_and_slope(r.reshape(-1), radius)
+    out = np.zeros(r.size)
+    out[at] = dzeta
+    return out.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +105,11 @@ def cutoff_derivative(r, radius: float):
 
 
 def pad_rows(rows, count: int) -> np.ndarray:
-    """Stack of row blocks (B, k, N) zero-extended to (B, count, N)."""
+    """Stack of row blocks (B, k, ...) zero-extended to (B, count, ...): the
+    leading values (B, k) or Jacobian rows (B, k, N) of a base map."""
     if rows.shape[1] == count:
         return rows
-    out = np.zeros((rows.shape[0], count, rows.shape[2]))
+    out = np.zeros((rows.shape[0], count) + rows.shape[2:])
     out[:, : rows.shape[1]] = rows
     return out
 
@@ -109,12 +125,14 @@ class _BaseMap:
 
 
 class _Atom(_BaseMap):
-    """A base map whose value and leading Jacobian rows (`rows_at`, shape
-    (B, rows, N), optionally written into out) both follow from one phase
-    array per point, so a batch needs the phase `u @ W.T` only once."""
+    """A base map whose leading values (`value_at`, shape (B, rows)) and
+    leading Jacobian rows (`rows_at`, shape (B, rows, N), optionally written
+    into out) both follow from one phase array per point, so a batch needs
+    the phase `u @ W.T` only once."""
 
     def value(self, u):
-        return self.value_at(self.phase(np.atleast_2d(np.asarray(u, dtype=float))))
+        phase = self.phase(np.atleast_2d(np.asarray(u, dtype=float)))
+        return pad_rows(self.value_at(phase), self.n)
 
 
 class SineBase(_Atom):
@@ -136,9 +154,7 @@ class SineBase(_Atom):
         return u @ self.weights.T + self.phases
 
     def value_at(self, phase):
-        out = np.zeros((phase.shape[0], self.n))
-        out[:, : self.rows] = self.amplitudes * np.sin(phase)
-        return out
+        return self.amplitudes * np.sin(phase)
 
     def rows_at(self, phase, out=None):
         c = self.amplitudes * np.cos(phase)
@@ -169,9 +185,7 @@ class CosineBase(_Atom):
         return u @ self.weights.T
 
     def value_at(self, phase):
-        out = np.zeros((phase.shape[0], self.n))
-        out[:, : self.rows] = self.amplitudes * np.cos(phase)
-        return out
+        return self.amplitudes * np.cos(phase)
 
     def rows_at(self, phase, out=None):
         c = -self.amplitudes * np.sin(phase)
@@ -198,7 +212,7 @@ class ConstantBase(_Atom):
         return np.empty(u.shape[:-1] + (0,))
 
     def value_at(self, phase):
-        return np.broadcast_to(self.vector, (phase.shape[0], self.n)).copy()
+        return np.broadcast_to(self.vector[: self.rows], (phase.shape[0], self.rows))
 
     def rows_at(self, phase, out=None):
         if out is None:
@@ -306,9 +320,7 @@ class CutoffNonlinearity:
         phases = term_phases(u)
         if self.cutoff_radius is not None:
             r = alpha_norm_batch(self.problem, u)
-            zeta = cutoff_value(r, self.cutoff_radius)
-            dzeta = cutoff_derivative(r, self.cutoff_radius)
-            live = np.flatnonzero(dzeta != 0.0)
+            zeta, live, dzeta = cutoff_and_slope(r, self.cutoff_radius)
             ring = term_phases(u[live])
             w2 = self.problem.alpha_weights**2
         for lo in range(0, max(u.shape[0], 1), size):
@@ -327,12 +339,12 @@ class CutoffNonlinearity:
             if b > a:
                 at = live[a:b]
                 (atom, _, phase), *rest = ring
-                vals = atom.value_at(phase[a:b])[:, :k]
+                vals = pad_rows(atom.value_at(phase[a:b]), k)
                 for atom, scale, phase in rest:
-                    vals = vals + scale * atom.value_at(phase[a:b])[:, :k]
+                    vals = vals + scale * pad_rows(atom.value_at(phase[a:b]), k)
                 # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
                 grad = (u[at] * w2) / r[at, None]
-                jac[at - lo] += dzeta[at, None, None] * vals[:, :, None] * grad[:, None, :]
+                jac[at - lo] += dzeta[a:b, None, None] * vals[:, :, None] * grad[:, None, :]
             yield jac
 
     def eval_and_jvp(self, u, V):
@@ -366,6 +378,51 @@ def _run(idx):
     return idx
 
 
+class _Group:
+    """The blocks of a stack that share a term position, an atom and a row
+    count, whose phases are one stacked product, and the rows they still
+    hold: `held` indexes the group's rows (all of them when None), `dst`
+    gives each held row's place among the rows the stack takes, and `scale`
+    is the term's eps (None for a first term), one per held row when the
+    blocks' members differ in it."""
+
+    def __init__(self, pos, atom, count, starts, scales, n):
+        self.pos, self.atom, self.count, self.n = pos, atom, count, n
+        self.starts = np.asarray(starts)
+        self.held = None
+        self.dst = np.add.outer(self.starts, np.arange(count)).ravel()
+        self.scale = scales[0] if len(set(scales)) == 1 else np.repeat(scales, count)[:, None]
+        self._runs()
+
+    def _runs(self):
+        """The stack rows of the group's blocks, the product's (blocks,
+        count, N) shape, and dst, as slices where they are runs."""
+        self.src = _run(np.add.outer(self.starts, np.arange(self.count)).ravel())
+        self.shape = (self.starts.size, self.count, self.n)
+        self.to = _run(self.dst)
+
+    def retire(self, keep, place):
+        """Keep the held rows whose rows taken keep marks, renumbered by
+        place; drop the blocks left without rows from the product. False
+        when no row is left."""
+        kept = keep[self.dst]
+        self.dst = place[self.dst[kept]]
+        if isinstance(self.scale, np.ndarray):
+            self.scale = self.scale[kept]
+        held = np.flatnonzero(kept) if self.held is None else self.held[kept]
+        if not held.size:
+            return False
+        block = held // self.count
+        alive = np.zeros(self.starts.size, dtype=bool)
+        alive[block] = True
+        if not alive.all():
+            self.starts = self.starts[alive]
+            held = (np.cumsum(alive) - 1)[block] * self.count + held % self.count
+        self.held = None if held.size == self.starts.size * self.count else held
+        self._runs()
+        return True
+
+
 class NonlinearityStack:
     """Cutoff nonlinearities of several members over one stack of rows,
     grouped into blocks of consecutive rows that share a member.
@@ -381,24 +438,26 @@ class NonlinearityStack:
     operation is row-wise, so each block comes out bit for bit as its
     member's own evaluation.
 
-    A march that retires rows rebuilds the stack over the rows it still
-    holds (`live`). The phase is then formed over every row the stack
-    started with, the retired ones as zero rows, so each block keeps its
-    starting row count; only the live rows are carried further.
+    A march builds its stack once and retires rows from it (`retire`):
+    each group keeps the indices of its rows still taken, renumbered in
+    place, and a block left without rows leaves its group's product. The
+    phase is formed over every row of the blocks still held, the retired
+    ones scattered in as zero rows, so each block keeps its starting row
+    count; only the rows taken are carried further.
 
-    The (rows, K, N) Jacobian rows of `eval_and_jvp` are formed in two
-    buffers, `work`, that a march hands on to each rebuilt stack, so its
-    RK4 stages reuse them instead of allocating fresh stacks: the products
-    and sums are the same element-wise operations, in the same order, as
-    when each term's rows are formed anew.
+    The values are formed over the k leading coefficients, the most any
+    member's base map writes, and the Jacobian rows as (rows, k, N) in
+    buffers reused across calls, so a march's RK4 stages allocate no fresh
+    stacks: the products and sums are the same element-wise operations, in
+    the same order, as when each term's rows are formed anew. The methods
+    zero-extend their results to `width` leading coefficients.
     """
 
-    def __init__(self, blocks, live=None, work=None):
+    def __init__(self, blocks, width=None):
         """blocks: (CutoffNonlinearity, row count) pairs in stack order;
-        live: increasing indices of the stack rows the methods take, by
-        default all of them; work: the buffers of the stack this one
-        replaces, if any."""
-        self.work = {} if work is None else work
+        width: the leading coefficients of the values and Jacobian-vector
+        products the methods return, at least the widest base map's rows;
+        by default all N."""
         first = blocks[0][0]
         self.n = first.problem.n_modes
         self.radius = first.cutoff_radius
@@ -408,37 +467,33 @@ class NonlinearityStack:
         counts = [count for _, count in blocks]
         bounds = np.concatenate([[0], np.cumsum(counts)]).astype(int)
         self.size = int(bounds[-1])
-        live = np.arange(self.size) if live is None else np.asarray(live)
-        # the stack rows to scatter the rows taken to, if any has retired
-        self.live = None if live.size == self.size else _run(live)
-        weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
-        self.weights = weights if len(weights) == 1 else weights[live]
+        self.live = None  # stack row of each row taken, once some have retired
+        self.weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
         self.weights2 = self.weights**2
         self.k = max(F.base.rows for F, _ in blocks)
-        where = np.full(self.size, -1)  # row taken of each stack row; -1: retired
-        where[live] = np.arange(live.size)
+        self.width = self.n if width is None else width
+        self.work = {}
         # one group per term position, atom and block row count
         groups = {}
         for (F, count), start in zip(blocks, bounds):
-            if not (where[start : start + count] >= 0).any():
-                continue
             for pos, (atom, eps) in enumerate(F.base.terms()):
                 _, starts, scales = groups.setdefault((pos, id(atom), count), (atom, [], []))
                 starts.append(start)
                 scales.append(eps)
-        self.groups = []
-        for (pos, _, count), (atom, starts, scales) in sorted(groups.items(),
-                                                              key=lambda kv: kv[0][0]):
-            src = np.add.outer(starts, np.arange(count)).ravel()  # the group's stack rows
-            dst = where[src]
-            held = np.flatnonzero(dst >= 0)
-            if len(set(scales)) > 1:
-                scales = np.repeat(scales, count)[held, None]
-            else:
-                scales = scales[0]
-            self.groups.append((pos, atom, (len(starts), count, self.n), _run(src),
-                                None if held.size == src.size else held,
-                                _run(dst[held]), scales))
+        self.groups = [_Group(pos, atom, count, starts, scales, self.n)
+                       for (pos, _, count), (atom, starts, scales)
+                       in sorted(groups.items(), key=lambda kv: kv[0][0])]
+
+    def retire(self, keep):
+        """Drop the rows taken where the boolean keep is False; the methods
+        then take the rows kept, in order."""
+        live = np.arange(self.size) if self.live is None else self.live
+        self.live = live[keep]
+        self.scatter = _run(self.live)
+        if len(self.weights) > 1:
+            self.weights, self.weights2 = self.weights[keep], self.weights2[keep]
+        place = np.cumsum(keep) - 1
+        self.groups = [g for g in self.groups if g.retire(keep, place)]
 
     def _buffer(self, name, count):
         """The first count rows of a reused (rows, k, N) buffer."""
@@ -450,76 +505,72 @@ class NonlinearityStack:
     def _atom_rows(self, atom, phase, out):
         """atom's Jacobian rows at phase, zero-extended to k rows, in out."""
         atom.rows_at(phase, out=out[:, : atom.rows])
-        out[:, atom.rows :] = 0.0
+        if atom.rows < self.k:
+            out[:, atom.rows :] = 0.0
         return out
 
     def _base(self, u, with_rows):
-        """Base values (n, N) and, with rows, the leading Jacobian rows
-        (n, k, N) of the n stack rows, the latter in the "rows" buffer."""
+        """Base values (n, k) and, with rows, the leading Jacobian rows
+        (n, k, N) of the n rows taken, the latter in the "rows" buffer."""
         n = u.shape[0]
         full = u
         if self.live is not None:
             full = np.zeros((self.size, self.n))
-            full[self.live] = u
-        vals = np.empty((n, self.n))
+            full[self.scatter] = u
+        vals = np.empty((n, self.k))
         rows = self._buffer("rows", n) if with_rows else None
-        for pos, atom, shape, src, held, dst, eps in self.groups:
-            phase = atom.phase(full[src].reshape(shape))
+        for g in self.groups:
+            atom, shape, dst = g.atom, g.shape, g.to
+            phase = atom.phase(full[g.src].reshape(shape))
             phase = phase.reshape(shape[0] * shape[1], phase.shape[-1])
-            if held is not None:
-                phase = phase[held]
-            v = atom.value_at(phase)
-            if pos == 0:
+            if g.held is not None:
+                phase = phase[g.held]
+            v = pad_rows(atom.value_at(phase), self.k)
+            if g.pos == 0:
                 vals[dst] = v
             else:
-                vals[dst] += eps * v
+                vals[dst] += g.scale * v
             if not with_rows:
                 continue
-            direct = pos == 0 and isinstance(dst, slice)
+            direct = g.pos == 0 and isinstance(dst, slice)
             term = self._atom_rows(atom, phase,
                                    rows[dst] if direct else self._buffer("term", len(phase)))
-            if pos > 0:
-                term *= eps if isinstance(eps, float) else eps[:, :, None]
+            if g.pos > 0:
+                term *= g.scale if isinstance(g.scale, float) else g.scale[:, :, None]
                 rows[dst] += term
             elif not direct:
                 rows[dst] = term
         return vals, rows
 
     def eval(self, u) -> np.ndarray:
-        """F(u) for the stack rows u."""
+        """F(u) for the rows taken u."""
         vals, _ = self._base(u, with_rows=False)
-        if self.radius is None:
-            return vals
-        r = np.linalg.norm(u * self.weights, axis=-1)
-        return vals * cutoff_value(r, self.radius)[:, None]
+        if self.radius is not None:
+            vals *= cutoff_value(row_norms(u * self.weights), self.radius)[:, None]
+        return pad_rows(vals, self.width)
 
     def eval_and_jvp(self, u, V):
-        """F(u) and DF(u) V for the stack rows u and tangents V
-        (n, N, m), computing the base value, radius and bump once.
+        """F(u) and DF(u) V for the rows taken u and tangents V (n, N, m),
+        computing the base value, radius and bump once.
 
         Only the leading k rows of DF(u) are formed, by the element-wise
         product rule of `CutoffNonlinearity.jacobian_batch`; the other rows
         of DF(u) V are exactly zero.
         """
-        n = u.shape[0]
         vals, rows = self._base(u, with_rows=True)
-        k = self.k
         if self.radius is not None:
-            r = np.linalg.norm(u * self.weights, axis=-1)
-            zeta = cutoff_value(r, self.radius)
-            dzeta = cutoff_derivative(r, self.radius)
+            r = row_norms(u * self.weights)
+            zeta, at, dzeta = cutoff_and_slope(r, self.radius)
             rows *= zeta[:, None, None]
-            at = np.flatnonzero(dzeta)
             if at.size:
                 w2 = self.weights2
                 grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r[at, None]
-                scale = dzeta[at, None] * vals[at, :k]
-                for j in range(k):  # one Jacobian row at a time: (rows, N) temporaries
-                    rows[at, j] += scale[:, j, None] * grad
+                scale = dzeta[:, None] * vals[at]
+                for lo in range(0, at.size, JACOBIAN_BLOCK):  # (block, k, N) temporaries
+                    hi = lo + JACOBIAN_BLOCK
+                    rows[at[lo:hi]] += scale[lo:hi, :, None] * grad[lo:hi, None, :]
             vals *= zeta[:, None]
-        jvp = np.zeros((n, self.n) + V.shape[2:])
-        jvp[:, :k] = rows @ V
-        return vals, jvp
+        return pad_rows(vals, self.width), pad_rows(rows @ V, self.width)
 
 
 def constant_map(problem: SpectralProblem, vector) -> CutoffNonlinearity:

@@ -109,6 +109,13 @@ def alpha_norm_batch(problem: SpectralProblem, v) -> np.ndarray:
     return out.reshape(v.shape[:-1])
 
 
+def row_norms(x) -> np.ndarray:
+    """Euclidean norms over the last axis of a real array: the ufuncs that
+    `np.linalg.norm(x, axis=-1)` runs for it, so the same bits, without the
+    wrapper's per-call argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:
     """Slow-coordinate norms over the last axis, using the first m
     eigenvalue weights."""
@@ -181,33 +188,6 @@ def identity_pair(limit: SpectralProblem, perturbed: SpectralProblem) -> Extensi
         raise ConfigError("perturbed problem cannot have fewer modes than the limit")
     E = np.zeros((ne, n0))
     E[:n0, :n0] = np.eye(n0)
-    M = E.T.copy()
-    kappa = certify_kappa(E, M, limit, perturbed)
-    return ExtensionPair(E=E, M=M, kappa=kappa)
-
-
-def mode_mixing_pair(
-    limit: SpectralProblem,
-    perturbed: SpectralProblem,
-    angle: float,
-    modes: tuple[int, int],
-) -> ExtensionPair:
-    """Orthogonal rotation mixing two modes; exercises kappa > 1 at alpha > 0.
-
-    Modes are zero-based indices into the shared coefficient space.
-    """
-    n0, ne = limit.n_modes, perturbed.n_modes
-    if ne != n0:
-        raise ConfigError("mode mixing requires equal mode counts")
-    i, j = modes
-    if not (0 <= i < n0 and 0 <= j < n0 and i != j):
-        raise ConfigError(f"invalid mode pair {modes}")
-    E = np.eye(n0)
-    c, s = np.cos(angle), np.sin(angle)
-    E[i, i] = c
-    E[j, j] = c
-    E[i, j] = -s
-    E[j, i] = s
     M = E.T.copy()
     kappa = certify_kappa(E, M, limit, perturbed)
     return ExtensionPair(E=E, M=M, kappa=kappa)

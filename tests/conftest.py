@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from imlab.config import build_lab, default_config
+from imlab.errors import ConfigError
 from imlab.perturbation_harness import solve_member
+from imlab.spectral_core import ExtensionPair, certify_kappa
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,25 @@ def direction_sup(family):
     """Sup norm of a family's direction; exact for zero-phase cosine
     directions, whose norm peaks at u = 0."""
     return float(np.linalg.norm(family.direction.amplitudes))
+
+
+def mode_mixing_pair(limit, perturbed, angle, modes):
+    """Orthogonal rotation mixing two modes; exercises kappa > 1 at alpha > 0.
+
+    Modes are zero-based indices into the shared coefficient space.
+    """
+    n0, ne = limit.n_modes, perturbed.n_modes
+    if ne != n0:
+        raise ConfigError("mode mixing requires equal mode counts")
+    i, j = modes
+    if not (0 <= i < n0 and 0 <= j < n0 and i != j):
+        raise ConfigError(f"invalid mode pair {modes}")
+    E = np.eye(n0)
+    c, s = np.cos(angle), np.sin(angle)
+    E[i, i] = c
+    E[j, j] = c
+    E[i, j] = -s
+    E[j, i] = s
+    M = E.T.copy()
+    kappa = certify_kappa(E, M, limit, perturbed)
+    return ExtensionPair(E=E, M=M, kappa=kappa)

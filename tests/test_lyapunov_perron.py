@@ -46,7 +46,7 @@ from imlab.lyapunov_perron import (
     weighted_map_norms,
 )
 from imlab.nonlinearity import ConstantBase, CutoffNonlinearity, constant_map, zero_map
-from imlab.perturbation_harness import instantiate
+from imlab.perturbation_harness import instantiate, solve_member
 from imlab.spectral_core import SpectralProblem, coord_norm_batch
 
 
@@ -418,16 +418,18 @@ def reference_march(problem, F, phi, upsilon, settings):
 @pytest.fixture
 def live_counts(monkeypatch):
     """Row counts of blocks that had lost some of their rows, one entry per
-    block and stack rebuild."""
+    block and retirement."""
     seen = []
 
     class Recording(lyapunov_perron.NonlinearityStack):
-        def __init__(self, blocks, live=None, work=None):
-            super().__init__(blocks, live, work)
-            if live is not None:
-                edges = np.cumsum([0] + [count for _, count in blocks])
-                held = np.diff(np.searchsorted(live, edges))
-                seen.extend(held[(held > 0) & (held < np.diff(edges))].tolist())
+        def __init__(self, blocks, width=None):
+            super().__init__(blocks, width)
+            self.edges = np.cumsum([0] + [count for _, count in blocks])
+
+        def retire(self, keep):
+            super().retire(keep)
+            held = np.diff(np.searchsorted(self.live, self.edges))
+            seen.extend(held[(held > 0) & (held < np.diff(self.edges))].tolist())
 
     monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Recording)
     return seen
@@ -453,6 +455,33 @@ def test_retiring_rows_is_exact_on_the_default_lab(lab, eps, live_counts):
     # the fiber march ends with a block of one row among retired ones: the
     # phase gemm must not turn into a one-row product there
     assert min(live_counts) == 1
+
+
+def test_one_stack_per_march_in_the_default_member_solve(lab, monkeypatch):
+    # a march builds its nonlinearity stack once and retires rows from it
+    # in place; a rebuild per retiring step would redo the grouping and the
+    # per-row tables hundreds of times per solve
+    built, retired, marched = [], [], []
+    march = lyapunov_perron._march
+
+    class Counting(lyapunov_perron.NonlinearityStack):
+        def __init__(self, blocks, width=None):
+            built.append(len(blocks))
+            super().__init__(blocks, width)
+
+        def retire(self, keep):
+            retired.append(int(keep.size - keep.sum()))
+            super().retire(keep)
+
+    def counting_march(*args, **kwargs):
+        marched.append(len(args[0]))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Counting)
+    monkeypatch.setattr(lyapunov_perron, "_march", counting_march)
+    solve_member(lab, 0.1)
+    assert marched and built == marched
+    assert len(retired) > len(marched) and min(retired) > 0
 
 
 @pytest.mark.parametrize("payload", [

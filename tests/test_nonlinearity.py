@@ -24,6 +24,7 @@ from imlab.nonlinearity import (
     SumBase,
     certify_constants,
     constant_map,
+    cutoff_and_slope,
     cutoff_derivative,
     cutoff_value,
     holder_quotient_of_derivative,
@@ -71,6 +72,55 @@ def test_cutoff_derivative_matches_fd():
     fd = (cutoff_value(rs + h, 1.0) - cutoff_value(rs - h, 1.0)) / (2 * h)
     exact = cutoff_derivative(rs, 1.0)
     assert np.allclose(exact, fd, atol=1e-7)
+
+
+def _two_pass_bump(r, radius):
+    """The cutoff value and derivative formed apart, each with its own
+    scaling and masked bumps: the definitions the one-pass
+    `cutoff_and_slope` replaces."""
+    def f(x, prime=False):
+        out = np.zeros_like(x)
+        pos = x > 1e-12
+        out[pos] = np.exp(-1.0 / x[pos]) / (x[pos] ** 2 if prime else 1.0)
+        return out
+
+    half = radius / 2.0
+    s = np.clip((r - radius / 2.0) / (radius / 2.0), 0.0, 1.0)
+    value = f(1.0 - s) / (f(1.0 - s) + f(s) + 1e-300)
+    s = (r - half) / half
+    inside = (s > 0.0) & (s < 1.0)
+    sc = s[inside]
+    fa, fb, dfa, dfb = f(1.0 - sc), f(sc), f(1.0 - sc, True), f(sc, True)
+    slope = np.zeros_like(s)
+    slope[inside] = -(dfa * fb + fa * dfb) / (fa + fb) ** 2 / half
+    return value, slope
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.37, 2.5, 1e-3])
+def test_cutoff_and_slope_equal_the_two_pass_bump(radius):
+    # a dense ladder through plateau, annulus and exterior, both ends of
+    # the annulus to the last bits (1 - s <= 1e-12 and s <= 1e-12, where
+    # the bumps flush to zero), and random radii
+    half = radius / 2.0
+    r = np.concatenate([
+        np.linspace(0.0, 2.0 * radius, 100_001),
+        radius * (1.0 - np.logspace(-17, -9, 2000)),
+        half * (1.0 + np.logspace(-17, -9, 2000)),
+        [half, radius, np.nextafter(half, radius), np.nextafter(radius, 0.0), 3.0 * radius],
+        np.random.default_rng(5).uniform(0.0, 2.0 * radius, 100_000),
+    ])
+    value, slope = _two_pass_bump(r, radius)
+    zeta, at, dzeta = cutoff_and_slope(r, radius)
+    assert np.array_equal(zeta.view(np.int64), value.view(np.int64))
+    assert np.array_equal(at, np.flatnonzero(slope))
+    assert np.array_equal(dzeta.view(np.int64), slope[at].view(np.int64))
+    assert np.array_equal(cutoff_value(r, radius).view(np.int64), value.view(np.int64))
+    assert np.array_equal(cutoff_derivative(r, radius), slope)
+    # the ladder reaches radii where the derivative flushes to zero inside
+    # the annulus, and the one-pass form skips them as the two-pass one did
+    s = (r - half) / half
+    assert np.any((s > 0.0) & (s < 1.0) & (slope == 0.0))
+    assert np.any(1.0 - s[(s > 0.0) & (s < 1.0)] <= 1e-12)
 
 
 def test_base_maps_value_and_scale():
@@ -343,19 +393,30 @@ def test_stack_blocks_equal_each_member_alone(counts):
         assert np.array_equal(fv[block], want_fv)
         assert np.array_equal(jvp[block], want_jvp)
         lo += count
-    # the rows a march still holds after retiring others: the first block
-    # keeps one row, each in turn (a one-row product alone goes to gemv and
-    # rounds some rows differently), the second none, and the third drops
+    # a march retires rows from the stack it built, in steps; after each
+    # step the rows it still takes must equal the whole stack's. Below, the
+    # first block keeps one row at the end, each in turn (a one-row product
+    # alone goes to gemv and rounds some rows differently), the second
+    # retires whole, so it leaves its group's product, and the third drops
     # rows (in the first layout below the row count where OpenBLAS changes
     # its gemm rounding); the retired rows enter the phase as zero rows
     edges = np.cumsum((0,) + counts)
+    first, third = (np.arange(edges[i], edges[i + 1]) for i in (0, 2))
+    rest = np.arange(edges[3], rows)
     for one in range(counts[0]):
-        live = np.concatenate([[one], edges[2] + np.arange(0, counts[2], 7),
-                               np.arange(edges[3], rows)])
-        part = NonlinearityStack(list(zip(members, counts)), live)
-        part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
-        assert np.array_equal(part.eval(u[live]), vals[live])
-        assert np.array_equal(part_fv, fv[live]) and np.array_equal(part_jvp, jvp[live])
+        steps = [
+            np.concatenate([first[(first % 3 == one % 3) | (first == one)],
+                            np.arange(edges[1], edges[2]), third[::7], rest]),
+            np.concatenate([[one], third[::7], rest]),
+            np.concatenate([[one], third[::14], rest[::2]]),
+        ]
+        part = NonlinearityStack(list(zip(members, counts)))
+        for live in steps:
+            part.retire(np.isin(part.live if part.live is not None else np.arange(rows), live))
+            assert np.array_equal(part.live, live)
+            part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
+            assert np.array_equal(part.eval(u[live]), vals[live])
+            assert np.array_equal(part_fv, fv[live]) and np.array_equal(part_jvp, jvp[live])
 
 
 def _radial_batch(problem, radii, seed):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import direction_sup
+from conftest import direction_sup, mode_mixing_pair
 from imlab.config import build_lab, config_from_dict
 from imlab.errors import ConfigError, ConvergenceError, DimensionError
 from imlab.lyapunov_perron import GridField
@@ -38,7 +38,7 @@ from imlab.perturbation_harness import (
     tau_eps,
     theta_comparison,
 )
-from imlab.spectral_core import mode_mixing_pair, weighted_opnorms
+from imlab.spectral_core import weighted_opnorms
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mode_mixing_pair
 from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
     ExtensionPair,
@@ -21,7 +22,6 @@ from imlab.spectral_core import (
     certify_kappa,
     coord_norm_batch,
     identity_pair,
-    mode_mixing_pair,
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,
