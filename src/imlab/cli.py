@@ -27,7 +27,7 @@ from .errors import (
     ImlabError,
     OverflowGuardError,
 )
-from .lyapunov_perron import dump_csv, lipschitz_certificate
+from .lyapunov_perron import dump_csv, holder_certificate, lipschitz_certificate
 
 _EXIT_CONFIG = 1
 _EXIT_ADMISSIBILITY = 2
@@ -118,7 +118,7 @@ def cmd_build(args) -> int:
         dump_csv(member.graph, out / "manifold.csv")
         dump_csv(member.field, out / "derivative.csv")
     lip = lipschitz_certificate(member.graph)
-    holder = member.derivative.holder_bound
+    holder = holder_certificate(member.field, lab.theta)
     payload = {
         "theta": lab.theta,
         "theta_star": lab.theta_star,

@@ -79,6 +79,12 @@ def _text(d, key, default):
     return v
 
 
+def _only_value(d, key, value, what):
+    """A key that accepts one value, the only one built; nothing is stored."""
+    v = d.get(key, value)
+    _require(v == value, f"unknown {what} {v!r}; only {value!r} is built")
+
+
 def _numbers(d, key, default):
     v = d.get(key, default)
     _require(isinstance(v, (list, tuple)) and all(_is_number(x) for x in v),
@@ -103,7 +109,6 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class NonlinearityConfig:
-    model: str = "sine"
     k: int = 4
     radius: float = 1.0
     lf: float = 0.1
@@ -111,24 +116,15 @@ class NonlinearityConfig:
     theta_f: float = 1.0
     l: float | str = "auto"
     amplitude: float | str = "auto"
-    g_model: str = "cosine"
     g_relative_amplitude: float = 1.0
-    eps_rule: str = "additive"
 
 
 @dataclass(frozen=True)
 class FamilyConfig:
-    spectral_perturbation: str = "multiplicative"
-    extension: str = "identity"
     eps_grid: tuple = DEFAULT_EPS_GRID
 
     def __post_init__(self):
         # checked here, so an --eps-grid override is held to the config rules
-        _require(
-            self.spectral_perturbation == "multiplicative",
-            f"unknown spectral perturbation {self.spectral_perturbation!r}",
-        )
-        _require(self.extension == "identity", f"unknown extension {self.extension!r}")
         _require(len(self.eps_grid) >= 1, "eps_grid must not be empty")
         _require(all(math.isfinite(e) for e in self.eps_grid), "eps_grid entries must be finite")
         _require(all(e >= 0 for e in self.eps_grid), "eps_grid entries must be nonnegative")
@@ -188,8 +184,10 @@ def _nonlinearity_from_dict(d) -> NonlinearityConfig:
     )
     g = d.get("G", {})
     _only_keys(g, {"model", "relative_amplitude"}, "nonlinearity.G")
+    _only_value(d, "model", "sine", "nonlinearity model")
+    _only_value(g, "model", "cosine", "direction model")
+    _only_value(d, "eps_rule", "additive", "perturbation rule")
     cfg = NonlinearityConfig(
-        model=_text(d, "model", "sine"),
         k=_integer(d, "K", 4),
         radius=_number(d, "R", 1.0),
         lf=_number(d, "LF", 0.1),
@@ -197,12 +195,8 @@ def _nonlinearity_from_dict(d) -> NonlinearityConfig:
         theta_f=_number(d, "thetaF", 1.0),
         l=_number_or_auto(d, "L"),
         amplitude=_number_or_auto(d, "amplitude"),
-        g_model=_text(g, "model", "cosine"),
         g_relative_amplitude=_number(g, "relative_amplitude", 1.0),
-        eps_rule=_text(d, "eps_rule", "additive"),
     )
-    _require(cfg.model == "sine", f"unknown nonlinearity model {cfg.model!r}")
-    _require(cfg.g_model == "cosine", f"unknown direction model {cfg.g_model!r}")
     _require(cfg.k >= 1, "K must be at least 1")
     _require(cfg.radius > 0, "R must be positive")
     _require(cfg.lf > 0, "LF must be positive")
@@ -229,11 +223,9 @@ def _solver_from_dict(d) -> SolveSettings:
 
 def _family_from_dict(d) -> FamilyConfig:
     _only_keys(d, {"spectral_perturbation", "extension", "eps_grid"}, "family")
-    return FamilyConfig(
-        spectral_perturbation=_text(d, "spectral_perturbation", "multiplicative"),
-        extension=_text(d, "extension", "identity"),
-        eps_grid=_numbers(d, "eps_grid", DEFAULT_EPS_GRID),
-    )
+    _only_value(d, "spectral_perturbation", "multiplicative", "spectral perturbation")
+    _only_value(d, "extension", "identity", "extension")
+    return FamilyConfig(eps_grid=_numbers(d, "eps_grid", DEFAULT_EPS_GRID))
 
 
 def config_from_dict(d) -> ExperimentConfig:
@@ -284,7 +276,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "out_dir": cfg.out_dir,
         "spectral": spectral,
         "nonlinearity": {
-            "model": nl.model,
             "K": nl.k,
             "R": nl.radius,
             "LF": nl.lf,
@@ -292,8 +283,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "thetaF": nl.theta_f,
             "L": nl.l,
             "amplitude": nl.amplitude,
-            "G": {"model": nl.g_model, "relative_amplitude": nl.g_relative_amplitude},
-            "eps_rule": nl.eps_rule,
+            "G": {"relative_amplitude": nl.g_relative_amplitude},
         },
         "solver": {
             "T_horizon": sol.t_horizon,
@@ -303,11 +293,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "grid_nodes": sol.grid_nodes,
             "box_factor": sol.box_factor,
         },
-        "family": {
-            "spectral_perturbation": fam.spectral_perturbation,
-            "extension": fam.extension,
-            "eps_grid": list(fam.eps_grid),
-        },
+        "family": {"eps_grid": list(fam.eps_grid)},
         "theta": cfg.theta,
         "theta_star": cfg.theta_star,
     }

@@ -78,6 +78,9 @@ from .spectral_core import SpectralProblem, coord_norm_batch, row_norms, weighte
 
 _NODE_CHUNK = 8192
 
+#: Largest slow state or tangent entry a backward march may reach.
+OVERFLOW_GUARD = 1e12
+
 
 # ---------------------------------------------------------------------------
 # Exponential trapezoid weights
@@ -279,7 +282,6 @@ class SolveSettings:
     grid_nodes: int = 201
     box_factor: float = 1.5
     box_half_widths: tuple | None = None
-    overflow_guard: float = 1e12
 
     def __post_init__(self):
         for name in ("t_horizon", "h"):
@@ -361,19 +363,19 @@ _OVERFLOW = ("backward slow flow exceeded the overflow guard; the horizon is "
              "too long for this spectrum")
 
 
-def _check_guard(p, guard):
-    if not np.isfinite(p).all() or np.abs(p).max(initial=0.0) > guard:
+def _check_guard(p):
+    if not np.isfinite(p).all() or np.abs(p).max(initial=0.0) > OVERFLOW_GUARD:
         raise OverflowGuardError(_OVERFLOW)
 
 
-def _check_guard_ahead(state, log_growth, remaining, guard):
+def _check_guard_ahead(state, log_growth, remaining):
     """The overflow guard over the steps that retired rows skip.
 
     Outside the support the slow flow is linear: each RK4 step scales slow
     mode i, and row i of a tangent map, by G_i = 1 + z + z^2/2 + z^3/6 +
     z^4/24 with z = h lambda_i. Compared in log space, so nothing overflows.
     """
-    limit = np.log(min(guard, np.finfo(float).max))
+    limit = np.log(OVERFLOW_GUARD)
     grow = remaining[:, None] * log_growth
     with np.errstate(divide="ignore"):
         for s in state:
@@ -465,7 +467,7 @@ def _take(a, keep):
     return a if a.shape[0] == 1 else a[keep]
 
 
-def _march(blocks, guard, fiber, collect=False):
+def _march(blocks, fiber, collect=False):
     """Backward RK4 march of the slow flow, and with fiber of its tangent
     linearization, with the fused exponential-trapezoid Duhamel integral,
     over a stack of (lane, start points) blocks.
@@ -595,7 +597,7 @@ def _march(blocks, guard, fiber, collect=False):
             for s, hh, a, b, c, d in zip(state, hs, k1, k2, k3, k4)
         ]
         for s in state:
-            _check_guard(s, guard)
+            _check_guard(s)
         f, g_new = rhs(state)
         acc += decay * hs[-1] * (g_prev * w0 + (g_new - g_prev) * w1)
         decay = decay * decay_step
@@ -609,7 +611,7 @@ def _march(blocks, guard, fiber, collect=False):
             continue
         out[live[drop]] = acc[drop]
         _check_guard_ahead([s[drop] for s in state], _take(log_growth, drop),
-                           last[drop] - k, guard)
+                           last[drop] - k)
         keep = ~drop
         live = live[keep]
         if not live.size:
@@ -667,7 +669,7 @@ def _transform(members, settings):
     fiber = bool(members) and members[0][3] is not None
     pieces = []
     for group in _packs(blocks):
-        pieces += _march(group, settings.overflow_guard, fiber)
+        pieces += _march(group, fiber)
     out = []
     for grid, active, first, last in plans:
         # past the member's own width its integral is an exact zero; a
@@ -693,8 +695,7 @@ def integrate_p_backward(problem, F, phi, xi, settings=None):
     settings = settings or SolveSettings()
     lane = _lane(problem, F, phi, None, settings)
     xi = np.asarray(xi, dtype=float)
-    s, traj = _march([(lane, np.atleast_2d(xi))], settings.overflow_guard, fiber=False,
-                     collect=True)
+    s, traj = _march([(lane, np.atleast_2d(xi))], fiber=False, collect=True)
     return (s, traj[0]) if xi.ndim == 1 else (s, traj)
 
 
@@ -703,8 +704,7 @@ def integrate_Theta(problem, F, phi, upsilon, xi, settings=None):
     settings = settings or SolveSettings()
     lane = _lane(problem, F, phi, upsilon, settings)
     xi = np.asarray(xi, dtype=float)
-    s, traj = _march([(lane, np.atleast_2d(xi))], settings.overflow_guard, fiber=True,
-                     collect=True)
+    s, traj = _march([(lane, np.atleast_2d(xi))], fiber=True, collect=True)
     return (s, traj[0]) if xi.ndim == 1 else (s, traj)
 
 
@@ -762,7 +762,6 @@ class ManifoldResult(FixedPointResult):
 @dataclass(eq=False)
 class DerivativeResult(FixedPointResult):
     field: GridField = None
-    holder_bound: float | None = None
 
 
 def _sweep(step, starts, diff_fns, tol, max_iter, what):
@@ -865,8 +864,7 @@ def _solve_fields(members, graphs, theta, settings, step) -> list:
                                       F.support_radius))
     logs = _sweep(step, starts, [_field_diff(problem) for problem, _ in members],
                   settings.tol_fp, settings.max_iter, "derivative transform")
-    return [DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups,
-                             holder_bound=holder_certificate(ups, theta))
+    return [DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups)
             for ups, d, r, its in logs]
 
 

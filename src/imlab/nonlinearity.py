@@ -304,24 +304,21 @@ class CutoffNonlinearity:
         consecutive (<= size, K, N) blocks of the batch u, by the product
         rule through the radial bump; the rows K..N-1 of DF are exactly zero.
 
-        Every gemm (each atom's phase `u @ W.T` over the whole batch, and
-        over the annulus rows for the base values there, as `base.value`
-        forms them) runs once, because OpenBLAS rounds a row differently by
-        call shape; everything element-wise, the base values included, is
-        formed per block. So the blocks equal slices of `jacobian_batch(u)`
-        bit for bit, and a consumer holds one block at a time.
+        Each atom's phase `u @ W.T` is one gemm over the whole batch, because
+        OpenBLAS rounds a row differently by call shape; the base values on
+        the annulus come from that phase, as `NonlinearityStack` takes them,
+        and everything element-wise is formed per block. So the blocks equal
+        slices of `jacobian_batch(u)` bit for bit, a consumer holds one block
+        at a time, and the rows times a tangent V equal the fiber march's
+        `eval_and_jvp(u, V)` bit for bit.
         """
         u = self._points(u)
         k = self.base.rows
-
-        def term_phases(x):  # SumBase order, first + eps * second
-            return [(atom, scale, atom.phase(x)) for atom, scale in self.base.terms()]
-
-        phases = term_phases(u)
+        # SumBase order, first + eps * second
+        phases = [(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()]
         if self.cutoff_radius is not None:
             r = alpha_norm_batch(self.problem, u)
             zeta, live, dzeta = cutoff_and_slope(r, self.cutoff_radius)
-            ring = term_phases(u[live])
             w2 = self.problem.alpha_weights**2
         for lo in range(0, max(u.shape[0], 1), size):
             hi = lo + size
@@ -338,13 +335,13 @@ class CutoffNonlinearity:
             a, b = np.searchsorted(live, [lo, hi])
             if b > a:
                 at = live[a:b]
-                (atom, _, phase), *rest = ring
-                vals = pad_rows(atom.value_at(phase[a:b]), k)
+                (atom, _, phase), *rest = phases
+                vals = pad_rows(atom.value_at(phase[at]), k)
                 for atom, scale, phase in rest:
-                    vals = vals + scale * pad_rows(atom.value_at(phase[a:b]), k)
+                    vals = vals + scale * pad_rows(atom.value_at(phase[at]), k)
                 # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
                 grad = (u[at] * w2) / r[at, None]
-                jac[at - lo] += dzeta[a:b, None, None] * vals[:, :, None] * grad[:, None, :]
+                _add_cutoff_slope(jac, at - lo, dzeta[a:b], vals, grad)
             yield jac
 
     def eval_and_jvp(self, u, V):
@@ -358,6 +355,17 @@ class CutoffNonlinearity:
         if u.shape[-1] != self.problem.n_modes:
             raise DimensionError("wrong coefficient count")
         return u
+
+
+def _add_cutoff_slope(rows, at, dzeta, vals, grad):
+    """Add the cutoff's term of the product rule to the Jacobian rows at:
+    rows[at] += (dzeta * vals)[:, :, None] * grad[:, None, :], with dzeta,
+    the base values vals and grad, the gradient of the alpha-norm, given at
+    the rows at. The products go in (JACOBIAN_BLOCK, k, N) temporaries."""
+    scale = dzeta[:, None] * vals
+    for lo in range(0, at.size, JACOBIAN_BLOCK):
+        hi = lo + JACOBIAN_BLOCK
+        rows[at[lo:hi]] += scale[lo:hi, :, None] * grad[lo:hi, None, :]
 
 
 def per_row(values, counts) -> np.ndarray:
@@ -553,9 +561,9 @@ class NonlinearityStack:
         """F(u) and DF(u) V for the rows taken u and tangents V (n, N, m),
         computing the base value, radius and bump once.
 
-        Only the leading k rows of DF(u) are formed, by the element-wise
-        product rule of `CutoffNonlinearity.jacobian_batch`; the other rows
-        of DF(u) V are exactly zero.
+        Only the leading k rows of DF(u) are formed, by the product rule of
+        `CutoffNonlinearity.jacobian_blocks` (`_add_cutoff_slope`); the other
+        rows of DF(u) V are exactly zero.
         """
         vals, rows = self._base(u, with_rows=True)
         if self.radius is not None:
@@ -565,10 +573,7 @@ class NonlinearityStack:
             if at.size:
                 w2 = self.weights2
                 grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r[at, None]
-                scale = dzeta[:, None] * vals[at]
-                for lo in range(0, at.size, JACOBIAN_BLOCK):  # (block, k, N) temporaries
-                    hi = lo + JACOBIAN_BLOCK
-                    rows[at[lo:hi]] += scale[lo:hi, :, None] * grad[lo:hi, None, :]
+                _add_cutoff_slope(rows, at, dzeta, vals[at], grad)
             vals *= zeta[:, None]
         return pad_rows(vals, self.width), pad_rows(rows @ V, self.width)
 
@@ -725,11 +730,8 @@ class PerturbedNonlinearityPair:
     base0: object
     direction: object
     eps_max: float
-    rule: str = "additive"
 
     def __post_init__(self):
-        if self.rule != "additive":
-            raise ConfigError(f"unknown perturbation rule {self.rule!r}")
         if self.eps_max < 0:
             raise ConfigError("eps_max must be nonnegative")
 

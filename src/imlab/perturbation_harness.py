@@ -392,7 +392,6 @@ class DistanceRow:
     d_c1theta: float
     bound_sup: float
     bound_c1theta: float
-    d_c1_deriv: float = 0.0
     seminorm_star: float = 0.0
     pair_point_sup: float = 0.0
     interpolation_bound: float = 0.0
@@ -542,7 +541,7 @@ def rate_study(lab: Laboratory, eps_grid=None, rng=None) -> DistanceReport:
                 eps=eps, tau=tau, rho=rho, beta=beta, d_sup=dist.sup_part,
                 d_c1=dist.sup_part + dist.deriv_part, holder_diff=dist.seminorm,
                 d_c1theta=dist.value, bound_sup=bound_sup, bound_c1theta=bound_c1theta,
-                d_c1_deriv=dist.deriv_part, seminorm_star=dist.seminorm_star,
+                seminorm_star=dist.seminorm_star,
                 pair_point_sup=dist.pair_point_sup,
                 interpolation_bound=dist.interpolation_bound,
                 iterations_graph=member.manifold.iterations,

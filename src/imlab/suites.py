@@ -56,6 +56,14 @@ class SuiteResult:
         return self.violations == 0
 
 
+def _ratio_result(name, ratio, details) -> SuiteResult:
+    """A suite's result from its measured-to-bound ratios: each one is a
+    sample, and each past 1 + BUDGET a violation."""
+    return SuiteResult(name=name, samples=int(ratio.size),
+                       violations=int((ratio > 1.0 + BUDGET).sum()),
+                       worst_ratio=float(ratio.max()), details=details)
+
+
 def _sample_pairs(lab: Laboratory, graph, count, rng):
     """Seeded start pairs inside the grid box with separated endpoints."""
     m = lab.limit_problem.m
@@ -79,14 +87,7 @@ def suite_distp(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteRe
     sep = coord_norm_batch(problem, xi1 - xi2)
     measured = coord_norm_batch(problem, p1 - p2)
     bound = sep[:, None] * np.exp(rate * (-s))[None, :]
-    ratio = measured / bound
-    return SuiteResult(
-        name="distp",
-        samples=int(ratio.size),
-        violations=int((ratio > 1.0 + BUDGET).sum()),
-        worst_ratio=float(ratio.max()),
-        details={"rate": rate, "horizon": float(-s[-1])},
-    )
+    return _ratio_result("distp", measured / bound, {"rate": rate, "horizon": float(-s[-1])})
 
 
 def _theta_map_norms(problem, mats):
@@ -106,14 +107,7 @@ def suite_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteRe
     )
     measured = _theta_map_norms(problem, theta)
     bound = np.exp(rate * (-s))[None, :]
-    ratio = measured / bound
-    return SuiteResult(
-        name="Jnorm",
-        samples=int(ratio.size),
-        violations=int((ratio > 1.0 + BUDGET).sum()),
-        worst_ratio=float(ratio.max()),
-        details={"rate": rate, "horizon": float(-s[-1])},
-    )
+    return _ratio_result("Jnorm", measured / bound, {"rate": rate, "horizon": float(-s[-1])})
 
 
 def suite_dist_theta_eps(
@@ -149,18 +143,12 @@ def suite_dist_theta_eps(
     else:
         # linear map: the mismatch must vanish outright
         ratio = measured / 1e-12
-    return SuiteResult(
-        name="distThetaEpsilon",
-        samples=int(ratio.size),
-        violations=int((ratio > 1.0 + BUDGET).sum()),
-        worst_ratio=float(ratio.max()),
-        details={
-            "rate": rate,
-            "prefactor": prefactor,
-            "L_theta": l_theta,
-            "M_theta": m_bound,
-        },
-    )
+    return _ratio_result("distThetaEpsilon", ratio, {
+        "rate": rate,
+        "prefactor": prefactor,
+        "L_theta": l_theta,
+        "M_theta": m_bound,
+    })
 
 
 def suite_psi_uniform(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from imlab.cli import main
+from imlab.lyapunov_perron import holder_certificate
 
 TIGHT_GAP = {"spectral": {"eigenvalues": [2.0, 2.4, 18.0, 32.0], "m": 1}}
 LIED_CONSTANTS = {"nonlinearity": {"amplitude": 0.02, "LF": 1e-4}}
@@ -88,6 +89,15 @@ def test_build_default(tmp_path, capsys):
     assert payload["graph_iterations"] >= 2
     assert (out / "manifold.csv").exists()
     assert (out / "derivative.csv").exists()
+
+
+def test_build_certifies_the_solved_limit_field(tmp_path, capsys, lab, limit):
+    out = tmp_path / "out"
+    assert main(["build", "--out", str(out)]) == 0
+    payload = json.loads((out / "certificates.json").read_text())
+    want = holder_certificate(limit.field, lab.theta)
+    assert payload["holder_hat"] == want
+    assert f"M_hat = {want:.12g}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["build", "distance-study"])

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,35 @@ def test_unknown_keys_rejected():
         config_from_dict({"spooky": 1})
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"spectral": {"rule": "i^2", "order": 3}})
+
+
+def test_readme_default_block_loads_to_the_defaults():
+    # the README's config block spells out every key, the five that accept
+    # one value (model, G.model, eps_rule, spectral_perturbation, extension)
+    # included
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Configuration", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    payload = json.loads(block)
+    assert payload["nonlinearity"]["eps_rule"] == "additive"
+    assert payload["family"]["extension"] == "identity"
+    assert config_from_dict(payload) == default_config()
+
+
+@pytest.mark.parametrize("payload", [
+    {"nonlinearity": {"model": "cosine"}},
+    {"nonlinearity": {"G": {"model": "sine"}}},
+    {"nonlinearity": {"eps_rule": "scaling"}},
+    {"family": {"spectral_perturbation": "additive"}},
+    {"family": {"extension": "projection"}},
+], ids=["model", "G.model", "eps_rule", "spectral_perturbation", "extension"])
+def test_one_value_keys_reject_any_other(tmp_path, capsys, payload):
+    with pytest.raises(ConfigError):
+        config_from_dict(payload)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check-gap", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_value_guards():

@@ -251,8 +251,6 @@ def test_pair_guards():
     base = ConstantBase(vector=np.zeros(3))
     with pytest.raises(ConfigError):
         PerturbedNonlinearityPair(base0=base, direction=base, eps_max=-0.1)
-    with pytest.raises(ConfigError):
-        PerturbedNonlinearityPair(base0=base, direction=base, eps_max=0.1, rule="scaling")
     pair = PerturbedNonlinearityPair(base0=base, direction=base, eps_max=0.1)
     problem = make_problem(3)
     consts = dict(C_F=1.0, L_F=1.0, theta_F=1.0, L=1.0)
@@ -333,9 +331,31 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
     k = F.base.rows
     rows = F.jacobian_batch(u) @ V
     assert rows.shape == (3, k, m)
-    scale = max(np.abs(rows).max(initial=0.0), 1e-300)
-    assert np.abs(jvp[:, :k] - rows).max(initial=0.0) <= 1e-14 * scale
+    assert np.array_equal(jvp[:, :k], rows)
     assert np.all(jvp[:, k:] == 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["sine", "sum"])
+def test_eval_and_jvp_matches_the_jacobian_of_a_large_batch(kind, m, alpha, seed):
+    # 500 rows at N = 32, a third of them on the annulus: the march's
+    # Jacobian-vector product and the sampled Jacobians take the base values
+    # there from the same whole-batch phase, so they agree bit for bit; base
+    # values from a second gemm over the annulus rows alone would not
+    problem = SpectralProblem(eigenvalues=2.0 * np.arange(1, 33) ** 2.0, m=m, alpha=alpha)
+    F = _jvp_member(kind, problem, seed)
+    rng = np.random.default_rng(seed + 1)
+    u = rng.normal(size=(500, problem.n_modes))
+    radii = rng.permutation(np.concatenate([rng.uniform(0.0, 0.49, 167),
+                                            rng.uniform(0.51, 0.99, 167),
+                                            rng.uniform(1.01, 2.0, 166)]))
+    u *= (radii / alpha_norm_batch(problem, u))[:, None]
+    V = rng.normal(size=(500, problem.n_modes, m))
+    _, jvp = F.eval_and_jvp(u, V)
+    k = F.base.rows
+    assert np.array_equal(jvp[:, :k], F.jacobian_batch(u) @ V)
 
 
 @pytest.mark.parametrize("count", [1, 2, 57, 133, 400])
