@@ -110,9 +110,7 @@ def cmd_build(args) -> int:
     lab = build_lab(cfg)
     _require_admissible(lab)
     out = _out_dir(args, cfg)
-    sampled = None
-    if not lab.limit_F.analytic_fixture:
-        sampled = lab.certify()
+    sampled = lab.certify()
     member = perturbation_harness.solve_member(lab, 0.0)
     with _writing(out):
         dump_csv(member.graph, out / "manifold.csv")
@@ -126,7 +124,7 @@ def cmd_build(args) -> int:
         "constants": lab.constants,
         "amplitude": lab.amplitude,
         "analytic_fixture": lab.limit_F.analytic_fixture,
-        "certified_samples": {str(k): v for k, v in (sampled or {}).items()},
+        "certified_samples": {str(k): v for k, v in sampled.items()},
         "gap_report": json.loads(lab.gap.to_json()),
         "lipschitz_hat": lip,
         "holder_hat": holder,
@@ -156,8 +154,7 @@ def cmd_distance_study(args) -> int:
     lab = build_lab(cfg)
     _require_admissible(lab)
     out = _out_dir(args, cfg)
-    if not lab.limit_F.analytic_fixture:
-        lab.certify()
+    lab.certify()
     report = perturbation_harness.rate_study(lab)
     with _writing(out):
         report.write_csv(out / "report.csv")
@@ -190,9 +187,8 @@ def cmd_self_test(args) -> int:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
     lab = build_lab(cfg)
     _require_admissible(lab)
-    if not lab.limit_F.analytic_fixture:
-        lab.certify()
-        print("constants certified against fresh samples")
+    lab.certify()
+    print("constants certified against fresh samples")
     results = suites.run_suites(lab, names)
     failed = False
     for name, res in results.items():

@@ -23,15 +23,13 @@ exact zero, so most of a march's row-steps are never computed.
 over that kernel, and the one-member operations (`apply_T`, `apply_D`,
 `solve_manifold`, ...) are one-member calls of the same code. A march
 builds its `NonlinearityStack` once and retires rows from it in place. The
-nonlinearity's phase `u @ W.T` is one stacked product per atom over the
-member blocks of equal row count, each block held at the rows it started
-with, the retired ones scattered in as zero rows, until no row of the
-block is left: numpy runs one gemm per block of such a product, and
-OpenBLAS rounds a gemm row differently depending on how many rows the call
-holds, so a gemm over the whole stack, or over a block's remaining rows,
-would move results in the last bits. Every other step is row-wise, so a
-member solved in a stack equals its solve alone, and a march that retires
-rows equals one that marches every row to the end, bit for bit.
+nonlinearity's phase `u @ W.T` of an atom's rows still taken is formed in
+gemm calls of `nonlinearity.PHASE_CHUNK` rows (`chunked_phase`): OpenBLAS
+rounds a gemm row by the kernel the call picks, which depends on how many
+rows the call holds, so calls of one fixed size give each row the same bits
+whatever rows it is stacked with. Every other step is row-wise, so a member
+solved in a stack equals its solve alone, and a march that retires rows
+equals one that marches every row to the end, bit for bit.
 
 A right-hand side holds a few dozen to a few hundred rows, so each RK4
 stage costs mostly the fixed cost of its numpy calls. The hot path spends
@@ -653,8 +651,8 @@ def _transform(members, settings):
     one stack of node blocks.
 
     Each member's active nodes split into blocks of at most _NODE_CHUNK
-    rows, the same blocks its one-member transform marches, and blocks are
-    packed into marches of at most _NODE_CHUNK rows.
+    rows, and blocks are packed into marches of at most _NODE_CHUNK rows; a
+    row's bits do not depend on the rows it is marched with.
     """
     blocks, plans = [], []
     for problem, F, phi, upsilon in members:
@@ -917,11 +915,11 @@ def solve_stack(members, theta, settings=None) -> list:
 # Regularity certificates
 
 
-def lipschitz_certificate(phi: GridField, rng=None, long_range_pairs=1000) -> float:
+def lipschitz_certificate(phi: GridField, rng=None) -> float:
     """Largest alpha-norm difference quotient of the graph.
 
-    Scans every adjacent node pair along each axis and adds seeded random
-    long-range pairs evaluated through the interpolant.
+    Scans every adjacent node pair along each axis and adds 1000 seeded
+    random long-range pairs evaluated through the interpolant.
     """
     if not phi.is_graph:
         raise DimensionError("lipschitz_certificate takes a graph, not a derivative field")
@@ -936,24 +934,28 @@ def lipschitz_certificate(phi: GridField, rng=None, long_range_pairs=1000) -> fl
         delta = np.diff(vals, axis=d) * wq
         num = np.linalg.norm(delta, axis=-1)
         best = max(best, float(num.max(initial=0.0)) / (spacing * wp[d]))
-    if long_range_pairs:
-        lo = np.array([ax[0] for ax in phi.axes])
-        hi = np.array([ax[-1] for ax in phi.axes])
-        z1 = rng.uniform(lo, hi, size=(long_range_pairs, problem.m))
-        z2 = rng.uniform(lo, hi, size=(long_range_pairs, problem.m))
-        sep = coord_norm_batch(problem, z1 - z2)
-        keep = sep > 1e-9
-        num = np.linalg.norm((phi.eval(z1) - phi.eval(z2)) * wq, axis=1)
-        if np.any(keep):
-            best = max(best, float((num[keep] / sep[keep]).max()))
+    lo = np.array([ax[0] for ax in phi.axes])
+    hi = np.array([ax[-1] for ax in phi.axes])
+    size = (1000, problem.m)
+    z1 = rng.uniform(lo, hi, size=size)
+    z2 = rng.uniform(lo, hi, size=size)
+    sep = coord_norm_batch(problem, z1 - z2)
+    keep = sep > 1e-9
+    num = np.linalg.norm((phi.eval(z1) - phi.eval(z2)) * wq, axis=1)
+    if np.any(keep):
+        best = max(best, float((num[keep] / sep[keep]).max()))
     return best
 
 
-def dyadic_pairs(axes, rng, pairs_per_scale):
+#: Point pairs per dyadic scale in `dyadic_pairs`.
+PAIRS_PER_SCALE = 200
+
+
+def dyadic_pairs(axes, rng):
     """Seeded point pairs (z1, z2) at dyadic separations inside the grid box.
 
     Scales run from the grid spacing, doubling, up to 1.9 times the smallest
-    half width; each scale yields pairs_per_scale pairs with z2 - z1 the
+    half width; each scale yields PAIRS_PER_SCALE pairs with z2 - z1 the
     scale times a random unit direction and both endpoints inside the box.
     Per scale the directions are drawn before the start points; that rng
     order fixes the seeded certificates and reports.
@@ -965,17 +967,16 @@ def dyadic_pairs(axes, rng, pairs_per_scale):
         scales.append(s)
         s *= 2.0
     for ell in scales + [top]:
-        dirs = rng.standard_normal((pairs_per_scale, len(axes)))
+        dirs = rng.standard_normal((PAIRS_PER_SCALE, len(axes)))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         offset = ell * dirs
         lo = -half + np.maximum(-offset, 0.0)
         hi = half - np.maximum(offset, 0.0)
-        z1 = lo + rng.uniform(size=(pairs_per_scale, len(axes))) * (hi - lo)
+        z1 = lo + rng.uniform(size=(PAIRS_PER_SCALE, len(axes))) * (hi - lo)
         yield z1, z1 + offset
 
 
-def holder_certificate(field: GridField, theta: float, rng=None,
-                       pairs_per_scale=200) -> float:
+def holder_certificate(field: GridField, theta: float, rng=None) -> float:
     """Largest Hoelder-theta quotient of the field over the `dyadic_pairs`."""
     if theta < 0:
         raise AdmissibilityError("theta must be nonnegative")
@@ -983,7 +984,7 @@ def holder_certificate(field: GridField, theta: float, rng=None,
         raise DimensionError("holder_certificate takes a derivative field, not a graph")
     rng = np.random.default_rng(0) if rng is None else rng
     best = 0.0
-    for z1, z2 in dyadic_pairs(field.axes, rng, pairs_per_scale):
+    for z1, z2 in dyadic_pairs(field.axes, rng):
         sep = coord_norm_batch(field.problem, z2 - z1)
         num = weighted_map_norms(field.problem, field.eval(z1) - field.eval(z2))
         best = max(best, float((num / sep**theta).max(initial=0.0)))

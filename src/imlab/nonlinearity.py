@@ -7,6 +7,14 @@ seeded dense sampling with a fixed slack factor; certification failures are
 loud and carry a witness. `NonlinearityStack` evaluates the nonlinearities of
 several family members over one stack of rows, as the batched marches need.
 
+OpenBLAS rounds a gemm row by how many rows the call holds. The sampling
+calls (`eval_batch`, `jacobian_batch`, `jacobian_blocks`) form each atom's
+phase `u @ W.T` in one gemm over the whole batch; the marches' stack forms
+it in gemms of `PHASE_CHUNK` rows (`chunked_phase`), so a row's bits do not
+depend on the rows marched with it. The two agree bit for bit below the
+row count where OpenBLAS switches kernels (scipy-openblas 0.3.31 on x86:
+past 300 rows at K = 4, N = 32; past 150 at K = 8).
+
 A base map writes only its first K coefficients, so every Jacobian here is
 its (K, N) block of leading rows; the rows past K are exactly zero and are
 never formed. Certification streams its thousands of sampled Jacobians in
@@ -40,6 +48,9 @@ CERT_SLACK = 1.1
 
 #: Rows per block when certification streams sampled Jacobians.
 JACOBIAN_BLOCK = 128
+
+#: Rows per gemm call when a march forms an atom's phase (`chunked_phase`).
+PHASE_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ class ConstantBase(_Atom):
         return np.empty(u.shape[:-1] + (0,))
 
     def value_at(self, phase):
-        return np.broadcast_to(self.vector[: self.rows], (phase.shape[0], self.rows))
+        return np.tile(self.vector[: self.rows], (phase.shape[0], 1))
 
     def rows_at(self, phase, out=None):
         if out is None:
@@ -290,8 +301,15 @@ class CutoffNonlinearity:
         return self.cutoff_radius
 
     def eval_batch(self, u) -> np.ndarray:
+        """F(u) for a batch of points u (B, N); each atom's phase is one
+        gemm over the whole batch, as in `jacobian_blocks`."""
         u = self._points(u)
-        return NonlinearityStack([(self, u.shape[0])]).eval(u)
+        vals = _term_values([(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()],
+                            self.base.rows)
+        if self.cutoff_radius is not None:
+            r = alpha_norm_batch(self.problem, u)
+            vals = vals * cutoff_value(r, self.cutoff_radius)[:, None]
+        return pad_rows(vals, self.problem.n_modes)
 
     def jacobian_batch(self, u) -> np.ndarray:
         """Leading K = `base.rows` rows of the exact Jacobians, shape
@@ -306,11 +324,13 @@ class CutoffNonlinearity:
 
         Each atom's phase `u @ W.T` is one gemm over the whole batch, because
         OpenBLAS rounds a row differently by call shape; the base values on
-        the annulus come from that phase, as `NonlinearityStack` takes them,
-        and everything element-wise is formed per block. So the blocks equal
-        slices of `jacobian_batch(u)` bit for bit, a consumer holds one block
-        at a time, and the rows times a tangent V equal the fiber march's
-        `eval_and_jvp(u, V)` bit for bit.
+        the annulus come from that phase, as `eval_batch` forms them, and
+        everything element-wise is formed per block. So the blocks equal
+        slices of `jacobian_batch(u)` bit for bit, and a consumer holds one
+        block at a time. The rows times a tangent V equal the fiber march's
+        `eval_and_jvp(u, V)` bit for bit only while the batch is small enough
+        that a whole-batch gemm picks the same kernel as the march's
+        `PHASE_CHUNK`-row calls.
         """
         u = self._points(u)
         k = self.base.rows
@@ -335,10 +355,7 @@ class CutoffNonlinearity:
             a, b = np.searchsorted(live, [lo, hi])
             if b > a:
                 at = live[a:b]
-                (atom, _, phase), *rest = phases
-                vals = pad_rows(atom.value_at(phase[at]), k)
-                for atom, scale, phase in rest:
-                    vals = vals + scale * pad_rows(atom.value_at(phase[at]), k)
+                vals = _term_values(phases, k, at)
                 # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
                 grad = (u[at] * w2) / r[at, None]
                 _add_cutoff_slope(jac, at - lo, dzeta[a:b], vals, grad)
@@ -355,6 +372,16 @@ class CutoffNonlinearity:
         if u.shape[-1] != self.problem.n_modes:
             raise DimensionError("wrong coefficient count")
         return u
+
+
+def _term_values(phases, k, at=slice(None)):
+    """Base values at the rows at over k leading coefficients, from the
+    (atom, scale, phase) of each term, summed in `SumBase` order."""
+    (atom, _, phase), *rest = phases
+    vals = pad_rows(atom.value_at(phase[at]), k)
+    for atom, scale, phase in rest:
+        vals = vals + scale * pad_rows(atom.value_at(phase[at]), k)
+    return vals
 
 
 def _add_cutoff_slope(rows, at, dzeta, vals, grad):
@@ -386,49 +413,39 @@ def _run(idx):
     return idx
 
 
+def chunked_phase(atom, u) -> np.ndarray:
+    """atom's phase `u @ W.T` of the rows u in gemm calls of `PHASE_CHUNK`
+    rows, the last one zero-padded: numpy runs one gemm per chunk of the
+    stacked (chunks, PHASE_CHUNK, N) product, so a row's bits do not depend
+    on the rows it is stacked with, and no call is a one-row gemv."""
+    n = u.shape[0]
+    chunks = -(-n // PHASE_CHUNK)
+    padded = np.zeros((chunks * PHASE_CHUNK, u.shape[1]))
+    padded[:n] = u
+    phase = atom.phase(padded.reshape(chunks, PHASE_CHUNK, u.shape[1]))
+    return phase.reshape(chunks * PHASE_CHUNK, phase.shape[-1])[:n]
+
+
 class _Group:
-    """The blocks of a stack that share a term position, an atom and a row
-    count, whose phases are one stacked product, and the rows they still
-    hold: `held` indexes the group's rows (all of them when None), `dst`
-    gives each held row's place among the rows the stack takes, and `scale`
-    is the term's eps (None for a first term), one per held row when the
-    blocks' members differ in it."""
+    """The rows of a stack that share a term position and an atom: `dst`
+    gives their places among the rows the stack takes, and `scale` is the
+    term's eps (None for a first term), one per row when the rows' members
+    differ in it."""
 
-    def __init__(self, pos, atom, count, starts, scales, n):
-        self.pos, self.atom, self.count, self.n = pos, atom, count, n
-        self.starts = np.asarray(starts)
-        self.held = None
-        self.dst = np.add.outer(self.starts, np.arange(count)).ravel()
-        self.scale = scales[0] if len(set(scales)) == 1 else np.repeat(scales, count)[:, None]
-        self._runs()
-
-    def _runs(self):
-        """The stack rows of the group's blocks, the product's (blocks,
-        count, N) shape, and dst, as slices where they are runs."""
-        self.src = _run(np.add.outer(self.starts, np.arange(self.count)).ravel())
-        self.shape = (self.starts.size, self.count, self.n)
-        self.to = _run(self.dst)
+    def __init__(self, pos, atom, dst, scales, counts):
+        self.pos, self.atom, self.dst = pos, atom, dst
+        self.scale = scales[0] if len(set(scales)) == 1 else np.repeat(scales, counts)[:, None]
+        self.to = _run(dst)
 
     def retire(self, keep, place):
-        """Keep the held rows whose rows taken keep marks, renumbered by
-        place; drop the blocks left without rows from the product. False
-        when no row is left."""
+        """Keep the rows that keep marks, renumbered by place. False when
+        no row is left."""
         kept = keep[self.dst]
         self.dst = place[self.dst[kept]]
         if isinstance(self.scale, np.ndarray):
             self.scale = self.scale[kept]
-        held = np.flatnonzero(kept) if self.held is None else self.held[kept]
-        if not held.size:
-            return False
-        block = held // self.count
-        alive = np.zeros(self.starts.size, dtype=bool)
-        alive[block] = True
-        if not alive.all():
-            self.starts = self.starts[alive]
-            held = (np.cumsum(alive) - 1)[block] * self.count + held % self.count
-        self.held = None if held.size == self.starts.size * self.count else held
-        self._runs()
-        return True
+        self.to = _run(self.dst)
+        return bool(self.dst.size)
 
 
 class NonlinearityStack:
@@ -436,22 +453,17 @@ class NonlinearityStack:
     grouped into blocks of consecutive rows that share a member.
 
     Each base atom (`SineBase`, `CosineBase`, `ConstantBase`) is evaluated
-    over the blocks whose member uses it, and each member's terms combine
-    in `SumBase` order, first + eps * second, with a per-row eps; rows whose
-    member lacks a term skip it. The phase `u @ W.T` is one stacked product
-    per atom and block row count, over a (blocks, count, N) array: numpy
-    runs one gemm per block of such a product, and OpenBLAS rounds a gemm
-    row by how many rows the call holds (a one-row product goes to gemv),
-    so each block sees the call its member sees alone. Every other
-    operation is row-wise, so each block comes out bit for bit as its
-    member's own evaluation.
+    over the rows whose member uses it, and each member's terms combine in
+    `SumBase` order, first + eps * second, with a per-row eps; rows whose
+    member lacks a term skip it. The phase `u @ W.T` of an atom's rows is
+    one `chunked_phase`, whose gemm calls all hold `PHASE_CHUNK` rows, and
+    every other operation is row-wise, so a row's bits do not depend on the
+    rows stacked with it: each block equals its member's own one-block
+    stack, and a march that retires rows equals one that keeps them.
 
     A march builds its stack once and retires rows from it (`retire`):
-    each group keeps the indices of its rows still taken, renumbered in
-    place, and a block left without rows leaves its group's product. The
-    phase is formed over every row of the blocks still held, the retired
-    ones scattered in as zero rows, so each block keeps its starting row
-    count; only the rows taken are carried further.
+    each group renumbers the places of its rows still taken, and a group
+    left without rows goes.
 
     The values are formed over the k leading coefficients, the most any
     member's base map writes, and the Jacobian rows as (rows, k, N) in
@@ -474,30 +486,26 @@ class NonlinearityStack:
             raise DimensionError("stacked nonlinearities must share N and the cutoff radius")
         counts = [count for _, count in blocks]
         bounds = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-        self.size = int(bounds[-1])
-        self.live = None  # stack row of each row taken, once some have retired
         self.weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
         self.weights2 = self.weights**2
         self.k = max(F.base.rows for F, _ in blocks)
         self.width = self.n if width is None else width
         self.work = {}
-        # one group per term position, atom and block row count
+        # one group per term position and atom
         groups = {}
         for (F, count), start in zip(blocks, bounds):
             for pos, (atom, eps) in enumerate(F.base.terms()):
-                _, starts, scales = groups.setdefault((pos, id(atom), count), (atom, [], []))
-                starts.append(start)
+                _, dst, scales, sizes = groups.setdefault((pos, id(atom)), (atom, [], [], []))
+                dst.append(np.arange(start, start + count))
                 scales.append(eps)
-        self.groups = [_Group(pos, atom, count, starts, scales, self.n)
-                       for (pos, _, count), (atom, starts, scales)
+                sizes.append(count)
+        self.groups = [_Group(pos, atom, np.concatenate(dst), scales, sizes)
+                       for (pos, _), (atom, dst, scales, sizes)
                        in sorted(groups.items(), key=lambda kv: kv[0][0])]
 
     def retire(self, keep):
         """Drop the rows taken where the boolean keep is False; the methods
         then take the rows kept, in order."""
-        live = np.arange(self.size) if self.live is None else self.live
-        self.live = live[keep]
-        self.scatter = _run(self.live)
         if len(self.weights) > 1:
             self.weights, self.weights2 = self.weights[keep], self.weights2[keep]
         place = np.cumsum(keep) - 1
@@ -521,18 +529,11 @@ class NonlinearityStack:
         """Base values (n, k) and, with rows, the leading Jacobian rows
         (n, k, N) of the n rows taken, the latter in the "rows" buffer."""
         n = u.shape[0]
-        full = u
-        if self.live is not None:
-            full = np.zeros((self.size, self.n))
-            full[self.scatter] = u
         vals = np.empty((n, self.k))
         rows = self._buffer("rows", n) if with_rows else None
         for g in self.groups:
-            atom, shape, dst = g.atom, g.shape, g.to
-            phase = atom.phase(full[g.src].reshape(shape))
-            phase = phase.reshape(shape[0] * shape[1], phase.shape[-1])
-            if g.held is not None:
-                phase = phase[g.held]
+            atom, dst = g.atom, g.to
+            phase = chunked_phase(atom, u[dst])
             v = pad_rows(atom.value_at(phase), self.k)
             if g.pos == 0:
                 vals[dst] = v

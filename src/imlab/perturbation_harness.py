@@ -207,7 +207,6 @@ def holder_seminorm_of_difference(
     pair,
     thetas,
     rng=None,
-    pairs_per_scale: int = 200,
 ):
     """Hoelder seminorms of the derivative mismatch at several exponents over
     one shared set of `dyadic_pairs`.
@@ -220,7 +219,7 @@ def holder_seminorm_of_difference(
     weights = _mismatch_weights(field0.problem, field_eps.problem)
     seminorms = {float(t): 0.0 for t in thetas}
     point_sup = 0.0
-    for z1, z2 in dyadic_pairs(field0.axes, rng, pairs_per_scale):
+    for z1, z2 in dyadic_pairs(field0.axes, rng):
         d1 = derivative_mismatch(field_eps, field0, pair, z1)
         d2 = derivative_mismatch(field_eps, field0, pair, z2)
         num = weighted_opnorms(d1 - d2, *weights)
@@ -264,8 +263,6 @@ def c1theta_distance(
     theta: float,
     theta_star: float,
     rng=None,
-    refine: int = 2,
-    pairs_per_scale: int = 200,
 ) -> C1ThetaDistance:
     """Full C1,theta distance between corresponding graphs.
 
@@ -275,11 +272,10 @@ def c1theta_distance(
     """
     if not 0.0 < theta < theta_star:
         raise ConfigError("need 0 < theta < theta_star")
-    sup_part = sup_distance(phi_eps, phi0, pair, refine=refine)
-    grid_deriv = c1_distance(field_eps, field0, pair, refine=refine)
+    sup_part = sup_distance(phi_eps, phi0, pair)
+    grid_deriv = c1_distance(field_eps, field0, pair)
     seminorms, pair_sup = holder_seminorm_of_difference(
-        field_eps, field0, pair, (theta, theta_star), rng=rng,
-        pairs_per_scale=pairs_per_scale,
+        field_eps, field0, pair, (theta, theta_star), rng=rng
     )
     deriv_part = max(grid_deriv, pair_sup)
     seminorm = seminorms[theta]
@@ -317,10 +313,10 @@ def theta_comparison(
     member: SolvedMember,
     sizes: dict,
     xi_samples: int = 50,
-    t_final: float | None = None,
     rng=None,
 ) -> ThetaComparison:
-    """Backward growth of the linearization mismatch against its envelope.
+    """Backward growth of the linearization mismatch against its envelope,
+    over the backward horizon 2 / lambda_m.
 
     The envelope combines the perturbation sizes at exponent theta with the
     composite backward rate and the derivative-field mismatch at the slower
@@ -337,8 +333,7 @@ def theta_comparison(
         + 3.0 * theta
     rate_slow = 4.0 * lf * lam_m**a + lam_m
 
-    if t_final is None:
-        t_final = 2.0 / lam_m
+    t_final = 2.0 / lam_m
     h = 0.05 / max(slow_flow_rate(limit.problem, limit.F),
                    slow_flow_rate(member.problem, member.F))
     settings = replace(lab.solve_settings, t_horizon=t_final, h=h)

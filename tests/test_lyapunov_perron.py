@@ -46,7 +46,15 @@ from imlab.lyapunov_perron import (
     solve_manifold,
     weighted_map_norms,
 )
-from imlab.nonlinearity import ConstantBase, CutoffNonlinearity, constant_map, zero_map
+from imlab.nonlinearity import (
+    PHASE_CHUNK,
+    ConstantBase,
+    CosineBase,
+    CutoffNonlinearity,
+    SineBase,
+    constant_map,
+    zero_map,
+)
 from imlab.perturbation_harness import instantiate, solve_member
 from imlab.spectral_core import SpectralProblem, coord_norm_batch
 
@@ -425,12 +433,14 @@ def live_counts(monkeypatch):
     class Recording(lyapunov_perron.NonlinearityStack):
         def __init__(self, blocks, width=None):
             super().__init__(blocks, width)
-            self.edges = np.cumsum([0] + [count for _, count in blocks])
+            self.counts = np.array([count for _, count in blocks])
+            self.block = np.repeat(np.arange(self.counts.size), self.counts)
 
         def retire(self, keep):
             super().retire(keep)
-            held = np.diff(np.searchsorted(self.live, self.edges))
-            seen.extend(held[(held > 0) & (held < np.diff(self.edges))].tolist())
+            self.block = self.block[keep]
+            held = np.bincount(self.block, minlength=self.counts.size)
+            seen.extend(held[(held > 0) & (held < self.counts)].tolist())
 
     monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Recording)
     return seen
@@ -456,6 +466,21 @@ def test_retiring_rows_is_exact_on_the_default_lab(lab, eps, live_counts):
     # the fiber march ends with a block of one row among retired ones: the
     # phase gemm must not turn into a one-row product there
     assert min(live_counts) == 1
+
+
+def test_every_march_phase_gemm_holds_phase_chunk_rows(lab, monkeypatch):
+    # a march forms each atom's phase in gemm calls of PHASE_CHUNK rows, so
+    # a row's bits do not depend on the rows marched with it
+    shapes = []
+    for cls in (SineBase, CosineBase):
+        def phase(self, u, _phase=cls.phase):
+            shapes.append(u.shape)
+            return _phase(self, u)
+        monkeypatch.setattr(cls, "phase", phase)
+    solve_member(lab, 0.1)
+    assert len(shapes) > 1000
+    assert {shape[-2] for shape in shapes} == {PHASE_CHUNK}
+    assert {len(shape) for shape in shapes} == {3}
 
 
 def test_one_stack_per_march_in_the_default_member_solve(lab, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import direction_sup, eval_one, with_constants
 from imlab.errors import CertificationError, ConfigError, DimensionError
 from imlab.nonlinearity import (
     JACOBIAN_BLOCK,
+    PHASE_CHUNK,
     ConstantBase,
     CosineBase,
     CutoffNonlinearity,
@@ -23,11 +24,13 @@ from imlab.nonlinearity import (
     SineBase,
     SumBase,
     certify_constants,
+    chunked_phase,
     constant_map,
     cutoff_and_slope,
     cutoff_derivative,
     cutoff_value,
     holder_quotient_of_derivative,
+    pad_rows,
     rho_eps,
     zero_map,
 )
@@ -339,11 +342,11 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("kind", ["sine", "sum"])
-def test_eval_and_jvp_matches_the_jacobian_of_a_large_batch(kind, m, alpha, seed):
-    # 500 rows at N = 32, a third of them on the annulus: the march's
-    # Jacobian-vector product and the sampled Jacobians take the base values
-    # there from the same whole-batch phase, so they agree bit for bit; base
-    # values from a second gemm over the annulus rows alone would not
+def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, alpha, seed):
+    # 500 rows at N = 32, a third of them on the annulus: the cutoff's slope
+    # term takes the base values there from the whole-batch phase, as
+    # `base.value(u)` forms them; base values from a second gemm over the
+    # annulus rows alone would round differently at this batch size
     problem = SpectralProblem(eigenvalues=2.0 * np.arange(1, 33) ** 2.0, m=m, alpha=alpha)
     F = _jvp_member(kind, problem, seed)
     rng = np.random.default_rng(seed + 1)
@@ -352,17 +355,25 @@ def test_eval_and_jvp_matches_the_jacobian_of_a_large_batch(kind, m, alpha, seed
                                             rng.uniform(0.51, 0.99, 167),
                                             rng.uniform(1.01, 2.0, 166)]))
     u *= (radii / alpha_norm_batch(problem, u))[:, None]
-    V = rng.normal(size=(500, problem.n_modes, m))
-    _, jvp = F.eval_and_jvp(u, V)
     k = F.base.rows
-    assert np.array_equal(jvp[:, :k], F.jacobian_batch(u) @ V)
+    (atom, _), *rest = F.base.terms()
+    want = pad_rows(atom.rows_at(atom.phase(u)), k)
+    for atom, scale in rest:
+        want += scale * pad_rows(atom.rows_at(atom.phase(u)), k)
+    r = alpha_norm_batch(problem, u)
+    zeta, at, dzeta = cutoff_and_slope(r, F.cutoff_radius)
+    want *= zeta[:, None, None]
+    grad = (u[at] * problem.alpha_weights**2) / r[at, None]
+    want[at] += (dzeta[:, None] * F.base.value(u)[at, :k])[:, :, None] * grad[:, None, :]
+    assert at.size > 100
+    assert np.array_equal(F.jacobian_batch(u), want)
 
 
-@pytest.mark.parametrize("count", [1, 2, 57, 133, 400])
+@pytest.mark.parametrize("count", [PHASE_CHUNK, 1, 2, 57, 133, 400])
 def test_stacked_phase_product_equals_per_block_products(count):
-    # NonlinearityStack forms each atom's phase as one stacked product over
-    # its blocks of equal row count, and its bits rest on numpy running one
-    # gemm per block there, as a one-block call does; a numpy that folded
+    # `chunked_phase` forms an atom's phase as one stacked product over
+    # chunks of PHASE_CHUNK rows, and its bits rest on numpy running one
+    # gemm per chunk there, as a one-chunk call does; a numpy that folded
     # the batch into one gemm over all the rows would round most rows
     # differently (1060 of 1064 at 8 blocks of 133 rows)
     n, k = 32, 4
@@ -375,6 +386,27 @@ def test_stacked_phase_product_equals_per_block_products(count):
             assert np.array_equal(stacked[b], U3[b] @ W.T), (blocks, b)
 
 
+@pytest.mark.parametrize("k, n", [(2, 6), (4, 6), (2, 32), (4, 32), (8, 32), (32, 32)])
+def test_chunked_phase_of_any_row_subset_equals_the_whole(k, n):
+    # OpenBLAS switches gemm kernels between a few hundred rows (K = 4,
+    # N = 32: past 300 with scipy-openblas 0.3.31 on x86) and one row
+    # (gemv), so a plain product of 1100 rows rounds most rows unlike
+    # their product alone; in PHASE_CHUNK-row calls a row's bits depend on
+    # no other row. K <= N: a base map writes at most N coefficients.
+    rng = np.random.default_rng(10 * k + n)
+    atom = SineBase(n, rng.uniform(0.5, 1.0, k), rng.normal(size=(k, n)),
+                    rng.uniform(0, 2 * np.pi, k))
+    for rows in (1, 2, 57, PHASE_CHUNK, PHASE_CHUNK + 1, 300, 350, 701, 1100):
+        u = rng.normal(size=(rows, n))
+        whole = chunked_phase(atom, u)
+        assert whole.shape == (rows, k)
+        subsets = [rng.permutation(rows), np.arange(rows)[::-1], [rows - 1],
+                   rng.choice(rows, size=(rows + 1) // 2, replace=False),
+                   np.sort(rng.choice(rows, size=min(rows, 3), replace=False))]
+        for idx in subsets:
+            assert np.array_equal(chunked_phase(atom, u[idx]), whole[idx]), (rows, len(idx))
+
+
 @pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],
                          ids=["distinct_counts", "repeated_counts"])
 def test_stack_blocks_equal_each_member_alone(counts):
@@ -383,8 +415,7 @@ def test_stack_blocks_equal_each_member_alone(counts):
     # the second, has no direction term. OpenBLAS rounds gemm rows
     # differently once a call holds a few hundred rows, so at 1000 rows a
     # single gemm over the stack fails this test; it guards the rule that
-    # each stacked phase product holds only blocks of one row count. In the
-    # second layout one product holds three 133-row blocks, and the
+    # every phase gemm holds PHASE_CHUNK rows. In the second layout the
     # direction's 133-row blocks are not one run of rows.
     n, m = 32, 1
     rng = np.random.default_rng(11)
@@ -408,8 +439,9 @@ def test_stack_blocks_equal_each_member_alone(counts):
     lo = 0
     for F, count in zip(members, counts):
         block = slice(lo, lo + count)
-        want_fv, want_jvp = F.eval_and_jvp(u[block], V[block])
-        assert np.array_equal(vals[block], F.eval_batch(u[block]))
+        alone = NonlinearityStack([(F, count)])
+        want_fv, want_jvp = alone.eval_and_jvp(u[block], V[block])
+        assert np.array_equal(vals[block], alone.eval(u[block]))
         assert np.array_equal(fv[block], want_fv)
         assert np.array_equal(jvp[block], want_jvp)
         lo += count
@@ -417,9 +449,9 @@ def test_stack_blocks_equal_each_member_alone(counts):
     # step the rows it still takes must equal the whole stack's. Below, the
     # first block keeps one row at the end, each in turn (a one-row product
     # alone goes to gemv and rounds some rows differently), the second
-    # retires whole, so it leaves its group's product, and the third drops
-    # rows (in the first layout below the row count where OpenBLAS changes
-    # its gemm rounding); the retired rows enter the phase as zero rows
+    # retires whole, so its groups lose rows, and the third drops rows (in
+    # the first layout below the row count where OpenBLAS changes its gemm
+    # rounding)
     edges = np.cumsum((0,) + counts)
     first, third = (np.arange(edges[i], edges[i + 1]) for i in (0, 2))
     rest = np.arange(edges[3], rows)
@@ -431,9 +463,12 @@ def test_stack_blocks_equal_each_member_alone(counts):
             np.concatenate([[one], third[::14], rest[::2]]),
         ]
         part = NonlinearityStack(list(zip(members, counts)))
+        taken = np.arange(rows)
         for live in steps:
-            part.retire(np.isin(part.live if part.live is not None else np.arange(rows), live))
-            assert np.array_equal(part.live, live)
+            keep = np.isin(taken, live)
+            part.retire(keep)
+            taken = taken[keep]
+            assert np.array_equal(taken, live)
             part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
             assert np.array_equal(part.eval(u[live]), vals[live])
             assert np.array_equal(part_fv, fv[live]) and np.array_equal(part_jvp, jvp[live])
