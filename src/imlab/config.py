@@ -146,6 +146,8 @@ class ExperimentConfig:
         # checked here, not in the parser, so command-line overrides applied
         # with dataclasses.replace are checked too
         _require(self.seed >= 0, f"seed must be nonnegative, got {self.seed}")
+        for key in ("theta", "theta_star"):
+            _number_or_auto(vars(self), key)
         n = len(self.spectral.limit_eigenvalues())
         _require(self.nonlinearity.k <= n,
                  f"K={self.nonlinearity.k} base coefficients exceed N={n} modes")

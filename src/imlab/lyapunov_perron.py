@@ -23,7 +23,7 @@ exact zero, so most of a march's row-steps are never computed.
 over that kernel, and the one-member operations (`apply_T`, `apply_D`,
 `solve_manifold`, ...) are one-member calls of the same code. A march
 builds its `NonlinearityStack` once and retires rows from it in place. The
-nonlinearity's phase `u @ W.T` of an atom's rows still taken is formed in
+phase `u @ W.T` of each base-map term over the rows still taken is formed in
 gemm calls of `nonlinearity.PHASE_CHUNK` rows (`chunked_phase`): OpenBLAS
 rounds a gemm row by the kernel the call picks, which depends on how many
 rows the call holds, so calls of one fixed size give each row the same bits
@@ -71,7 +71,7 @@ from .errors import (
     GapViolationError,
     OverflowGuardError,
 )
-from .nonlinearity import CutoffNonlinearity, NonlinearityStack, per_row
+from .nonlinearity import CutoffNonlinearity, NonlinearityStack, _take, per_row
 from .spectral_core import SpectralProblem, coord_norm_batch, row_norms, weighted_opnorms
 
 _NODE_CHUNK = 8192
@@ -458,11 +458,6 @@ def _stacked_graph_and_field(phi, upsilon, reach):
         raise DimensionError("graph and derivative field must share grid and support")
     return np.concatenate([phi.values[..., :reach, None], upsilon.values[..., :reach, :]],
                           axis=-1)
-
-
-def _take(a, keep):
-    """Rows keep of a per-row array; a single broadcast row stays as is."""
-    return a if a.shape[0] == 1 else a[keep]
 
 
 def _march(blocks, fiber, collect=False):
@@ -894,13 +889,15 @@ def solve_derivative(problem, F, phi, theta, settings=None) -> DerivativeResult:
 
 
 def solve_stack(members, theta, settings=None) -> list:
-    """Graphs and derivative fields of several (problem, F) members.
+    """Graphs and derivative fields of several (problem, F) members, whose
+    base maps share their terms by position, as one family's members do
+    (`NonlinearityStack`).
 
     Each sweep marches the members still iterating as one stack; all graph
     sweeps finish before the derivative sweeps start. Member by member the
-    results equal `solve_manifold` and `solve_derivative` bit for bit, and a
-    failing member raises the error its own solve raises. Returns
-    (ManifoldResult, DerivativeResult) pairs.
+    results equal `solve_manifold` and `solve_derivative` bit for bit, up to
+    the sign of a zero, and a failing member raises the error its own solve
+    raises. Returns (ManifoldResult, DerivativeResult) pairs.
     """
     settings = settings or SolveSettings()
     manifolds = _solve_graphs(members, settings, lambda live, graphs: _transform(

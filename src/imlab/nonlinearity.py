@@ -5,7 +5,9 @@ in the alpha-norm: identically 1 on the inner plateau (radius R/2), smooth
 in the annulus, identically 0 outside radius R. Constants are certified by
 seeded dense sampling with a fixed slack factor; certification failures are
 loud and carry a witness. `NonlinearityStack` evaluates the nonlinearities of
-several family members over one stack of rows, as the batched marches need.
+several family members over one stack of rows, as the batched marches need;
+the members share their base-map terms by position, and every row takes
+every term (the limit's direction with eps = 0.0).
 
 OpenBLAS rounds a gemm row by how many rows the call holds. The sampling
 calls (`eval_batch`, `jacobian_batch`, `jacobian_blocks`) form each atom's
@@ -376,7 +378,8 @@ class CutoffNonlinearity:
 
 def _term_values(phases, k, at=slice(None)):
     """Base values at the rows at over k leading coefficients, from the
-    (atom, scale, phase) of each term, summed in `SumBase` order."""
+    (atom, scale, phase) of each term, summed in `SumBase` order; a scale
+    is a float, or a (rows, 1) column of per-row eps when at takes all."""
     (atom, _, phase), *rest = phases
     vals = pad_rows(atom.value_at(phase[at]), k)
     for atom, scale, phase in rest:
@@ -405,65 +408,46 @@ def per_row(values, counts) -> np.ndarray:
     return np.repeat(np.stack(values), counts, axis=0)
 
 
-def _run(idx):
-    """Increasing indices as a slice when they are one run of consecutive
-    indices, so that indexing with them takes a view; else unchanged."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+def _take(a, keep):
+    """Rows keep of a per-row array; a single broadcast row stays as is."""
+    return a if a.shape[0] == 1 else a[keep]
 
 
-def chunked_phase(atom, u) -> np.ndarray:
-    """atom's phase `u @ W.T` of the rows u in gemm calls of `PHASE_CHUNK`
-    rows, the last one zero-padded: numpy runs one gemm per chunk of the
-    stacked (chunks, PHASE_CHUNK, N) product, so a row's bits do not depend
-    on the rows it is stacked with, and no call is a one-row gemv."""
-    n = u.shape[0]
+def chunked_phase(atoms, u) -> list:
+    """Each atom's phase `u @ W.T` of the rows u, in gemm calls of
+    `PHASE_CHUNK` rows over one copy of u whose last chunk is zero-padded:
+    numpy runs one gemm per chunk of the stacked (chunks, PHASE_CHUNK, N)
+    product, so a row's bits do not depend on the rows it is stacked with,
+    and no call is a one-row gemv."""
+    n, width = u.shape
     chunks = -(-n // PHASE_CHUNK)
-    padded = np.zeros((chunks * PHASE_CHUNK, u.shape[1]))
-    padded[:n] = u
-    phase = atom.phase(padded.reshape(chunks, PHASE_CHUNK, u.shape[1]))
-    return phase.reshape(chunks * PHASE_CHUNK, phase.shape[-1])[:n]
-
-
-class _Group:
-    """The rows of a stack that share a term position and an atom: `dst`
-    gives their places among the rows the stack takes, and `scale` is the
-    term's eps (None for a first term), one per row when the rows' members
-    differ in it."""
-
-    def __init__(self, pos, atom, dst, scales, counts):
-        self.pos, self.atom, self.dst = pos, atom, dst
-        self.scale = scales[0] if len(set(scales)) == 1 else np.repeat(scales, counts)[:, None]
-        self.to = _run(dst)
-
-    def retire(self, keep, place):
-        """Keep the rows that keep marks, renumbered by place. False when
-        no row is left."""
-        kept = keep[self.dst]
-        self.dst = place[self.dst[kept]]
-        if isinstance(self.scale, np.ndarray):
-            self.scale = self.scale[kept]
-        self.to = _run(self.dst)
-        return bool(self.dst.size)
+    padded = np.zeros((chunks, PHASE_CHUNK, width))
+    padded.reshape(-1, width)[:n] = u
+    phases = [atom.phase(padded) for atom in atoms]
+    return [phase.reshape(chunks * PHASE_CHUNK, phase.shape[-1])[:n] for phase in phases]
 
 
 class NonlinearityStack:
     """Cutoff nonlinearities of several members over one stack of rows,
     grouped into blocks of consecutive rows that share a member.
 
-    Each base atom (`SineBase`, `CosineBase`, `ConstantBase`) is evaluated
-    over the rows whose member uses it, and each member's terms combine in
-    `SumBase` order, first + eps * second, with a per-row eps; rows whose
-    member lacks a term skip it. The phase `u @ W.T` of an atom's rows is
-    one `chunked_phase`, whose gemm calls all hold `PHASE_CHUNK` rows, and
-    every other operation is row-wise, so a row's bits do not depend on the
-    rows stacked with it: each block equals its member's own one-block
-    stack, and a march that retires rows equals one that keeps them.
+    The members must share their base-map terms by position, as the members
+    of one family do: base0 first, then the direction. Every row takes every
+    term, combined in `SumBase` order, first + eps * second, with a per-row
+    eps; a member that lacks a term (the limit) takes it with eps = 0.0.
+    That keeps its values but for the sign of a zero: x + 0.0 * y equals x,
+    bit for bit, for every finite y and every x but -0.0, which becomes
+    +0.0. Nothing in the march divides by a value of F and every report
+    number is a norm or a maximum, so the reports keep their bytes.
 
-    A march builds its stack once and retires rows from it (`retire`):
-    each group renumbers the places of its rows still taken, and a group
-    left without rows goes.
+    The terms' phases `u @ W.T` come from one `chunked_phase`, whose gemm
+    calls all hold `PHASE_CHUNK` rows, and every other operation is
+    row-wise, so a row's bits do not depend on the rows stacked with it:
+    each block equals its member's own one-block stack, and a march that
+    retires rows equals one that keeps them.
+
+    A march builds its stack once and retires rows from it (`retire`),
+    which takes the kept rows of the per-row arrays.
 
     The values are formed over the k leading coefficients, the most any
     member's base map writes, and the Jacobian rows as (rows, k, N) in
@@ -485,31 +469,29 @@ class NonlinearityStack:
                for F, _ in blocks):
             raise DimensionError("stacked nonlinearities must share N and the cutoff radius")
         counts = [count for _, count in blocks]
-        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+        terms = [F.base.terms() for F, _ in blocks]
+        longest = max(terms, key=len)
+        if any(atom is not shared for each in terms
+               for (atom, _), (shared, _) in zip(each, longest)):
+            raise DimensionError("stacked nonlinearities must share their base-map terms "
+                                 "by position")
+        # the first term carries no eps, a later one an eps per row, 0.0
+        # where the member lacks the term
+        self.terms = [(atom, None if pos == 0 else per_row(
+            [each[pos][1] if pos < len(each) else 0.0 for each in terms], counts)[:, None])
+            for pos, (atom, _) in enumerate(longest)]
         self.weights = per_row([F.problem.alpha_weights for F, _ in blocks], counts)
         self.weights2 = self.weights**2
         self.k = max(F.base.rows for F, _ in blocks)
         self.width = self.n if width is None else width
         self.work = {}
-        # one group per term position and atom
-        groups = {}
-        for (F, count), start in zip(blocks, bounds):
-            for pos, (atom, eps) in enumerate(F.base.terms()):
-                _, dst, scales, sizes = groups.setdefault((pos, id(atom)), (atom, [], [], []))
-                dst.append(np.arange(start, start + count))
-                scales.append(eps)
-                sizes.append(count)
-        self.groups = [_Group(pos, atom, np.concatenate(dst), scales, sizes)
-                       for (pos, _), (atom, dst, scales, sizes)
-                       in sorted(groups.items(), key=lambda kv: kv[0][0])]
 
     def retire(self, keep):
         """Drop the rows taken where the boolean keep is False; the methods
         then take the rows kept, in order."""
-        if len(self.weights) > 1:
-            self.weights, self.weights2 = self.weights[keep], self.weights2[keep]
-        place = np.cumsum(keep) - 1
-        self.groups = [g for g in self.groups if g.retire(keep, place)]
+        self.weights, self.weights2 = _take(self.weights, keep), _take(self.weights2, keep)
+        self.terms = [(atom, eps if eps is None else _take(eps, keep))
+                      for atom, eps in self.terms]
 
     def _buffer(self, name, count):
         """The first count rows of a reused (rows, k, N) buffer."""
@@ -529,26 +511,17 @@ class NonlinearityStack:
         """Base values (n, k) and, with rows, the leading Jacobian rows
         (n, k, N) of the n rows taken, the latter in the "rows" buffer."""
         n = u.shape[0]
-        vals = np.empty((n, self.k))
-        rows = self._buffer("rows", n) if with_rows else None
-        for g in self.groups:
-            atom, dst = g.atom, g.to
-            phase = chunked_phase(atom, u[dst])
-            v = pad_rows(atom.value_at(phase), self.k)
-            if g.pos == 0:
-                vals[dst] = v
-            else:
-                vals[dst] += g.scale * v
-            if not with_rows:
-                continue
-            direct = g.pos == 0 and isinstance(dst, slice)
-            term = self._atom_rows(atom, phase,
-                                   rows[dst] if direct else self._buffer("term", len(phase)))
-            if g.pos > 0:
-                term *= g.scale if isinstance(g.scale, float) else g.scale[:, :, None]
-                rows[dst] += term
-            elif not direct:
-                rows[dst] = term
+        phases = [term + (phase,) for term, phase
+                  in zip(self.terms, chunked_phase([atom for atom, _ in self.terms], u))]
+        vals = _term_values(phases, self.k)
+        if not with_rows:
+            return vals, None
+        (atom, _, phase), *rest = phases
+        rows = self._atom_rows(atom, phase, self._buffer("rows", n))
+        for atom, eps, phase in rest:
+            term = self._atom_rows(atom, phase, self._buffer("term", n))
+            term *= eps[:, :, None]
+            rows += term
         return vals, rows
 
     def eval(self, u) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -78,7 +78,9 @@ def solve_member(lab: Laboratory, eps: float, settings=None, theta=None) -> Solv
 
 def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> list:
     """Solve several members at once, marching them as one stack; each
-    equals `solve_member` at its eps bit for bit."""
+    equals `solve_member` at its eps bit for bit, up to the sign of a zero.
+    The members of one family share their base-map terms by position, as
+    the stack requires (`NonlinearityStack`)."""
     settings = settings or lab.solve_settings
     theta = lab.theta if theta is None else theta
     triples = [instantiate(lab, eps) for eps in eps_values]
@@ -426,13 +428,10 @@ class DistanceReport:
     def write_csv(self, path):
         lines = [",".join(_CSV_COLUMNS)]
         for row, ps, pc in zip(self.rows, self.passes_sup, self.passes_c1theta):
-            vals = [
-                row.eps, row.tau, row.rho, row.beta, row.d_sup, row.d_c1,
-                row.holder_diff, row.d_c1theta, row.bound_sup, row.bound_c1theta,
-                self.fitted_C_sup, self.fitted_C_c1theta,
-            ]
-            cells = [f"{v:.17g}" for v in vals] + [str(int(ps)), str(int(pc))]
-            lines.append(",".join(cells))
+            cells = {**asdict(row), "fitted_C_sup": self.fitted_C_sup,
+                     "fitted_C_c1theta": self.fitted_C_c1theta,
+                     "pass_sup": int(ps), "pass_c1theta": int(pc)}
+            lines.append(",".join(f"{cells[col]:.17g}" for col in _CSV_COLUMNS))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -453,23 +452,8 @@ class DistanceReport:
             "all_pass": self.all_pass,
             "interpolation_ok": self.interpolation_ok,
             "rows": [
-                {
-                    "eps": r.eps,
-                    "tau": r.tau,
-                    "rho": r.rho,
-                    "beta": r.beta,
-                    "d_sup": r.d_sup,
-                    "d_c1": r.d_c1,
-                    "holder_diff": r.holder_diff,
-                    "d_c1theta": r.d_c1theta,
-                    "bound_sup": r.bound_sup,
-                    "bound_c1theta": r.bound_c1theta,
-                    "seminorm_at_theta_star": r.seminorm_star,
-                    "pair_point_sup": r.pair_point_sup,
-                    "interpolation_bound": r.interpolation_bound,
-                    "iterations_graph": r.iterations_graph,
-                    "iterations_field": r.iterations_field,
-                }
+                {("seminorm_at_theta_star" if key == "seminorm_star" else key): value
+                 for key, value in asdict(r).items()}
                 for r in self.rows
             ],
         }

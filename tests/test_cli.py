@@ -157,6 +157,15 @@ def test_build_rejects_bad_exponents(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--theta", "--theta-star"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_exponent_flags_are_usage_errors(capsys, flag, value):
+    # a non-finite override is malformed input, not a failed window check
+    assert main(["check-gap", flag, value]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "must be a finite number" in err[0]
+
+
 @pytest.mark.parametrize(
     "payload, phrase",
     [

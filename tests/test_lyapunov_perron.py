@@ -485,7 +485,7 @@ def test_every_march_phase_gemm_holds_phase_chunk_rows(lab, monkeypatch):
 
 def test_one_stack_per_march_in_the_default_member_solve(lab, monkeypatch):
     # a march builds its nonlinearity stack once and retires rows from it
-    # in place; a rebuild per retiring step would redo the grouping and the
+    # in place; a rebuild per retiring step would redo the term checks and the
     # per-row tables hundreds of times per solve
     built, retired, marched = [], [], []
     march = lyapunov_perron._march

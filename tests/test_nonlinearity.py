@@ -398,13 +398,13 @@ def test_chunked_phase_of_any_row_subset_equals_the_whole(k, n):
                     rng.uniform(0, 2 * np.pi, k))
     for rows in (1, 2, 57, PHASE_CHUNK, PHASE_CHUNK + 1, 300, 350, 701, 1100):
         u = rng.normal(size=(rows, n))
-        whole = chunked_phase(atom, u)
+        whole, = chunked_phase([atom], u)
         assert whole.shape == (rows, k)
         subsets = [rng.permutation(rows), np.arange(rows)[::-1], [rows - 1],
                    rng.choice(rows, size=(rows + 1) // 2, replace=False),
                    np.sort(rng.choice(rows, size=min(rows, 3), replace=False))]
         for idx in subsets:
-            assert np.array_equal(chunked_phase(atom, u[idx]), whole[idx]), (rows, len(idx))
+            assert np.array_equal(chunked_phase([atom], u[idx])[0], whole[idx]), (rows, len(idx))
 
 
 @pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],
@@ -415,8 +415,8 @@ def test_stack_blocks_equal_each_member_alone(counts):
     # the second, has no direction term. OpenBLAS rounds gemm rows
     # differently once a call holds a few hundred rows, so at 1000 rows a
     # single gemm over the stack fails this test; it guards the rule that
-    # every phase gemm holds PHASE_CHUNK rows. In the second layout the
-    # direction's 133-row blocks are not one run of rows.
+    # every phase gemm holds PHASE_CHUNK rows. The limit's rows take the
+    # direction term with eps = 0.0, which must leave their values alone.
     n, m = 32, 1
     rng = np.random.default_rng(11)
     base0 = SineBase(n, 0.1 * rng.uniform(0.5, 1.0, 4), rng.normal(size=(4, n)),
@@ -449,7 +449,7 @@ def test_stack_blocks_equal_each_member_alone(counts):
     # step the rows it still takes must equal the whole stack's. Below, the
     # first block keeps one row at the end, each in turn (a one-row product
     # alone goes to gemv and rounds some rows differently), the second
-    # retires whole, so its groups lose rows, and the third drops rows (in
+    # retires whole, so its eps rows go, and the third drops rows (in
     # the first layout below the row count where OpenBLAS changes its gemm
     # rounding)
     edges = np.cumsum((0,) + counts)
@@ -472,6 +472,26 @@ def test_stack_blocks_equal_each_member_alone(counts):
             part_fv, part_jvp = part.eval_and_jvp(u[live], V[live])
             assert np.array_equal(part.eval(u[live]), vals[live])
             assert np.array_equal(part_fv, fv[live]) and np.array_equal(part_jvp, jvp[live])
+
+
+def test_stack_rejects_members_that_do_not_share_their_terms():
+    # every stacked row takes every term by position, so members must share
+    # their base-map atoms there, as one family's members do
+    n = 6
+    rng = np.random.default_rng(5)
+    bases = [SineBase(n, rng.uniform(0.5, 1.0, 2), rng.normal(size=(2, n)),
+                      rng.uniform(0, 2 * np.pi, 2)) for _ in range(2)]
+    consts = dict(C_F=1.0, L_F=1.0, theta_F=1.0, L=1.0)
+    members = [CutoffNonlinearity(problem=make_problem(n), base=base, cutoff_radius=1.0, **consts)
+               for base in bases]
+    with pytest.raises(DimensionError):
+        NonlinearityStack([(members[0], 3), (members[1], 4)])
+    direction = CosineBase(n, rng.uniform(0.5, 1.0, 2), rng.normal(size=(2, n)))
+    summed = [CutoffNonlinearity(problem=make_problem(n), base=SumBase(base, direction, 0.1),
+                                 cutoff_radius=1.0, **consts) for base in bases]
+    with pytest.raises(DimensionError):
+        NonlinearityStack([(summed[0], 3), (members[1], 4)])
+    NonlinearityStack([(summed[0], 3), (members[0], 4)])
 
 
 def _radial_batch(problem, radii, seed):
