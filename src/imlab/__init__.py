@@ -85,7 +85,6 @@ from .perturbation_harness import (
 from .spectral_core import (
     ExtensionPair,
     SpectralProblem,
-    alpha_norm,
     alpha_norm_batch,
     certify_kappa,
     identity_pair,

@@ -829,9 +829,9 @@ def _solve_graphs(members, settings, step) -> list:
     starts = []
     for problem, F in members:
         _require_gap(problem, F)
-        axes = grid_axes(problem, settings, F.support_radius)
+        axes = grid_axes(problem, settings, F.cutoff_radius)
         starts.append(GridField.zeros(problem, axes, (problem.n_modes - problem.m,),
-                                      F.support_radius))
+                                      F.cutoff_radius))
     logs = _sweep(step, starts, [_graph_diff(problem) for problem, _ in members],
                   settings.tol_fp, settings.max_iter, "graph transform")
     return [ManifoldResult(diffs=d, ratios=r, iterations=its, graph=phi)
@@ -854,7 +854,7 @@ def _solve_fields(members, graphs, theta, settings, step) -> list:
                 f"theta {theta:.4g} is not below the admissibility window {t0:.4g}"
             )
         starts.append(GridField.zeros(problem, phi.axes, phi.trailing + (problem.m,),
-                                      F.support_radius))
+                                      F.cutoff_radius))
     logs = _sweep(step, starts, [_field_diff(problem) for problem, _ in members],
                   settings.tol_fp, settings.max_iter, "derivative transform")
     return [DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups)
@@ -973,19 +973,38 @@ def dyadic_pairs(axes, rng):
         yield z1, z1 + offset
 
 
+def dyadic_scan(problem, axes, values, norms, thetas, rng=None):
+    """Hoelder seminorms of a field over the `dyadic_pairs` of axes, one per
+    exponent in thetas, keyed by the exponent as a float, and the sup of the
+    field's norms over the pairs' endpoints.
+
+    values(z) is the field at slow points z; norms(d) the norms of a stack
+    of its values or value differences. The one pair set serves every
+    exponent, so interpolation inequalities between the seminorms hold
+    structurally rather than statistically.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    seminorms = {float(t): 0.0 for t in thetas}
+    point_sup = 0.0
+    for z1, z2 in dyadic_pairs(axes, rng):
+        d1, d2 = values(z1), values(z2)
+        num = norms(d1 - d2)
+        point_sup = max(point_sup, float(norms(d1).max()), float(norms(d2).max()))
+        sep = coord_norm_batch(problem, z2 - z1)
+        for t in seminorms:
+            seminorms[t] = max(seminorms[t], float((num / sep**t).max()))
+    return seminorms, point_sup
+
+
 def holder_certificate(field: GridField, theta: float, rng=None) -> float:
     """Largest Hoelder-theta quotient of the field over the `dyadic_pairs`."""
     if theta < 0:
         raise AdmissibilityError("theta must be nonnegative")
     if field.is_graph:
         raise DimensionError("holder_certificate takes a derivative field, not a graph")
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = 0.0
-    for z1, z2 in dyadic_pairs(field.axes, rng):
-        sep = coord_norm_batch(field.problem, z2 - z1)
-        num = weighted_map_norms(field.problem, field.eval(z1) - field.eval(z2))
-        best = max(best, float((num / sep**theta).max(initial=0.0)))
-    return best
+    seminorms, _ = dyadic_scan(field.problem, field.axes, field.eval,
+                               lambda d: weighted_map_norms(field.problem, d), (theta,), rng)
+    return seminorms[float(theta)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,37 +4,34 @@ The prepared nonlinearity is a smooth base map multiplied by a radial bump
 in the alpha-norm: identically 1 on the inner plateau (radius R/2), smooth
 in the annulus, identically 0 outside radius R. Constants are certified by
 seeded dense sampling with a fixed slack factor; certification failures are
-loud and carry a witness. `NonlinearityStack` evaluates the nonlinearities of
-several family members over one stack of rows, as the batched marches need;
-the members share their base-map terms by position, and every row takes
-every term (the limit's direction with eps = 0.0).
+loud and carry a witness.
 
-OpenBLAS rounds a gemm row by how many rows the call holds. The sampling
-calls (`eval_batch`, `jacobian_batch`, `jacobian_blocks`) form each atom's
-phase `u @ W.T` in one gemm over the whole batch; the marches' stack forms
-it in gemms of `PHASE_CHUNK` rows (`chunked_phase`), so a row's bits do not
-depend on the rows marched with it. The two agree bit for bit below the
-row count where OpenBLAS switches kernels (scipy-openblas 0.3.31 on x86:
-past 300 rows at K = 4, N = 32; past 150 at K = 8).
+One evaluator, `NonlinearityStack`, forms F and DF for the whole package:
+the values of several family members over one stack of rows, their
+Jacobian rows by the product rule through the bump, and Jacobian-vector
+products. A base map writes only its first K coefficients, so every
+Jacobian here is its (K, N) block of leading rows; the rows past K are
+exactly zero and are never formed. The members share their base-map terms
+by position, and every row takes every term (the limit's direction with
+eps = 0.0).
 
-A base map writes only its first K coefficients, so every Jacobian here is
-its (K, N) block of leading rows; the rows past K are exactly zero and are
-never formed. Certification streams its thousands of sampled Jacobians in
-fixed blocks of `JACOBIAN_BLOCK` points (`CutoffNonlinearity.jacobian_blocks`):
-the gemms run once over the whole sample batch, so the blocks carry the same
-bits as one whole-batch evaluation, and only one block is held at a time.
+The evaluator takes each term's phase `u @ W.T` as an argument, because
+OpenBLAS rounds a gemm row by how many rows the call holds, and the two
+callers need the phase in different call shapes:
 
-The other per-sample temporaries are held one block at a time too: the
-samples are drawn, normalized and scaled in one preallocated array, the
-perturbed pair points are formed in their noise array, the norms go row
-block by row block (`alpha_norm_batch`), and the base values and norm
-gradient on the annulus, the pair differences and the Hoelder quotients are
-formed per Jacobian block. Each is the same element-wise operation on the
-same operands, so the sampled constants keep their bits. A march builds
-one `NonlinearityStack` and retires rows from it; the stack forms values
-over the K leading coefficients and Jacobian rows in buffers it reuses
-across RK4 stages. The cutoff's value and slope come from one pass over
-the radii (`cutoff_and_slope`).
+- a march forms it in gemms of `PHASE_CHUNK` rows (`chunked_phase`, the
+  default), so a row's bits do not depend on the rows marched with it;
+- the sampling calls of `CutoffNonlinearity` (`eval_batch`,
+  `jacobian_batch`, `jacobian_blocks`) form it in one gemm over the whole
+  sample batch, which fixes the bits of the certified constants, the
+  amplitude and every report. Certification streams its thousands of
+  sampled Jacobians in blocks of `JACOBIAN_BLOCK` points from slices of
+  that phase, so the blocks carry the bits of one whole-batch evaluation
+  and only one block is held at a time.
+
+The two shapes agree bit for bit below the row count where OpenBLAS
+switches kernels (scipy-openblas 0.3.31 on x86: past 300 rows at K = 4,
+N = 32; past 150 at K = 8). Everything else the evaluator does is row-wise.
 """
 from __future__ import annotations
 
@@ -104,15 +101,6 @@ def cutoff_and_slope(r, radius: float):
     return zeta, ring[nonzero], dzeta[nonzero]
 
 
-def cutoff_derivative(r, radius: float):
-    """Derivative of the bump with respect to r; zero off the annulus."""
-    r = np.asarray(r, dtype=float)
-    _, at, dzeta = cutoff_and_slope(r.reshape(-1), radius)
-    out = np.zeros(r.size)
-    out[at] = dzeta
-    return out.reshape(r.shape)
-
-
 # ---------------------------------------------------------------------------
 # Base maps: smooth maps with exact derivatives on the coefficient space
 
@@ -142,10 +130,6 @@ class _Atom(_BaseMap):
     leading Jacobian rows (`rows_at`, shape (B, rows, N), optionally written
     into out) both follow from one phase array per point, so a batch needs
     the phase `u @ W.T` only once."""
-
-    def value(self, u):
-        phase = self.phase(np.atleast_2d(np.asarray(u, dtype=float)))
-        return pad_rows(self.value_at(phase), self.n)
 
 
 class SineBase(_Atom):
@@ -251,9 +235,6 @@ class SumBase(_BaseMap):
         self.n = first.n
         self.rows = max(first.rows, second.rows)
 
-    def value(self, u):
-        return self.first.value(u) + self.second_scale * self.second.value(u)
-
     def terms(self) -> list:
         return self.first.terms() + [(self.second, self.second_scale)]
 
@@ -270,12 +251,12 @@ class CutoffNonlinearity:
     closed-form fixtures and is flagged so reports can record that
     certification was skipped.
 
+    The sampling calls evaluate F through a one-member `NonlinearityStack`,
+    with each term's phase formed in one gemm over the whole batch.
     Derivatives are the leading K = `base.rows` rows of DF, the only rows
-    that can be nonzero. `jacobian_blocks` streams them for certification,
+    that can be nonzero: `jacobian_blocks` streams them for certification,
     the Hoelder quotients and the slope normalization, `jacobian_batch`
-    returns them at once for the derivative mismatch; the fiber march
-    applies the same rows to its tangent through
-    `NonlinearityStack.eval_and_jvp` (`eval_and_jvp` is its one-member call).
+    returns them at once for the derivative mismatch.
     """
 
     problem: SpectralProblem
@@ -298,20 +279,11 @@ class CutoffNonlinearity:
     def analytic_fixture(self) -> bool:
         return self.cutoff_radius is None
 
-    @property
-    def support_radius(self) -> float | None:
-        return self.cutoff_radius
-
     def eval_batch(self, u) -> np.ndarray:
-        """F(u) for a batch of points u (B, N); each atom's phase is one
-        gemm over the whole batch, as in `jacobian_blocks`."""
+        """F(u) for a batch of points u (B, N)."""
         u = self._points(u)
-        vals = _term_values([(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()],
-                            self.base.rows)
-        if self.cutoff_radius is not None:
-            r = alpha_norm_batch(self.problem, u)
-            vals = vals * cutoff_value(r, self.cutoff_radius)[:, None]
-        return pad_rows(vals, self.problem.n_modes)
+        stack, phases = self._batch(u)
+        return stack.eval(u, phases)
 
     def jacobian_batch(self, u) -> np.ndarray:
         """Leading K = `base.rows` rows of the exact Jacobians, shape
@@ -321,53 +293,18 @@ class CutoffNonlinearity:
 
     def jacobian_blocks(self, u, size: int = JACOBIAN_BLOCK):
         """Yield the leading K = `base.rows` rows of the exact Jacobians in
-        consecutive (<= size, K, N) blocks of the batch u, by the product
-        rule through the radial bump; the rows K..N-1 of DF are exactly zero.
+        consecutive (<= size, K, N) blocks of the batch u.
 
-        Each atom's phase `u @ W.T` is one gemm over the whole batch, because
-        OpenBLAS rounds a row differently by call shape; the base values on
-        the annulus come from that phase, as `eval_batch` forms them, and
-        everything element-wise is formed per block. So the blocks equal
-        slices of `jacobian_batch(u)` bit for bit, and a consumer holds one
-        block at a time. The rows times a tangent V equal the fiber march's
-        `eval_and_jvp(u, V)` bit for bit only while the batch is small enough
-        that a whole-batch gemm picks the same kernel as the march's
-        `PHASE_CHUNK`-row calls.
+        Each block is formed from its slice of the whole-batch phases, and
+        the rest is row-wise, so the blocks equal slices of
+        `jacobian_batch(u)` bit for bit, and a consumer holds one block at a
+        time. Each block is a copy, since the stack reuses its row buffer.
         """
         u = self._points(u)
-        k = self.base.rows
-        # SumBase order, first + eps * second
-        phases = [(atom, scale, atom.phase(u)) for atom, scale in self.base.terms()]
-        if self.cutoff_radius is not None:
-            r = alpha_norm_batch(self.problem, u)
-            zeta, live, dzeta = cutoff_and_slope(r, self.cutoff_radius)
-            w2 = self.problem.alpha_weights**2
+        stack, phases = self._batch(u)
         for lo in range(0, max(u.shape[0], 1), size):
             hi = lo + size
-            (atom, _, phase), *rest = phases
-            jac = pad_rows(atom.rows_at(phase[lo:hi]), k)
-            for atom, scale, phase in rest:
-                term = pad_rows(atom.rows_at(phase[lo:hi]), k)
-                term *= scale
-                jac += term
-            if self.cutoff_radius is None:
-                yield jac
-                continue
-            jac *= zeta[lo:hi, None, None]
-            a, b = np.searchsorted(live, [lo, hi])
-            if b > a:
-                at = live[a:b]
-                vals = _term_values(phases, k, at)
-                # gradient of the alpha-norm: lambda^(2 alpha) u / r, zero on plateau
-                grad = (u[at] * w2) / r[at, None]
-                _add_cutoff_slope(jac, at - lo, dzeta[a:b], vals, grad)
-            yield jac
-
-    def eval_and_jvp(self, u, V):
-        """F(u) and DF(u) V for a batch of points u (B, N) and tangents V
-        (B, N, m); see `NonlinearityStack.eval_and_jvp`."""
-        u = self._points(u)
-        return NonlinearityStack([(self, u.shape[0])]).eval_and_jvp(u, V)
+            yield stack.jacobian_rows(u[lo:hi], [p[lo:hi] for p in phases])[1].copy()
 
     def _points(self, u) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -375,27 +312,11 @@ class CutoffNonlinearity:
             raise DimensionError("wrong coefficient count")
         return u
 
-
-def _term_values(phases, k, at=slice(None)):
-    """Base values at the rows at over k leading coefficients, from the
-    (atom, scale, phase) of each term, summed in `SumBase` order; a scale
-    is a float, or a (rows, 1) column of per-row eps when at takes all."""
-    (atom, _, phase), *rest = phases
-    vals = pad_rows(atom.value_at(phase[at]), k)
-    for atom, scale, phase in rest:
-        vals = vals + scale * pad_rows(atom.value_at(phase[at]), k)
-    return vals
-
-
-def _add_cutoff_slope(rows, at, dzeta, vals, grad):
-    """Add the cutoff's term of the product rule to the Jacobian rows at:
-    rows[at] += (dzeta * vals)[:, :, None] * grad[:, None, :], with dzeta,
-    the base values vals and grad, the gradient of the alpha-norm, given at
-    the rows at. The products go in (JACOBIAN_BLOCK, k, N) temporaries."""
-    scale = dzeta[:, None] * vals
-    for lo in range(0, at.size, JACOBIAN_BLOCK):
-        hi = lo + JACOBIAN_BLOCK
-        rows[at[lo:hi]] += scale[lo:hi, :, None] * grad[lo:hi, None, :]
+    def _batch(self, u):
+        """A one-member stack over the points u and each term's phase
+        `u @ W.T`, formed in one gemm over the whole batch."""
+        stack = NonlinearityStack([(self, u.shape[0])])
+        return stack, [atom.phase(u) for atom, _ in stack.terms]
 
 
 def per_row(values, counts) -> np.ndarray:
@@ -440,11 +361,12 @@ class NonlinearityStack:
     +0.0. Nothing in the march divides by a value of F and every report
     number is a norm or a maximum, so the reports keep their bytes.
 
-    The terms' phases `u @ W.T` come from one `chunked_phase`, whose gemm
-    calls all hold `PHASE_CHUNK` rows, and every other operation is
-    row-wise, so a row's bits do not depend on the rows stacked with it:
+    By default the terms' phases `u @ W.T` come from one `chunked_phase`,
+    whose gemm calls all hold `PHASE_CHUNK` rows, and every other operation
+    is row-wise, so a row's bits do not depend on the rows stacked with it:
     each block equals its member's own one-block stack, and a march that
-    retires rows equals one that keeps them.
+    retires rows equals one that keeps them. The sampling calls of
+    `CutoffNonlinearity` pass phases formed in one whole-batch gemm instead.
 
     A march builds its stack once and retires rows from it (`retire`),
     which takes the kept rows of the per-row arrays.
@@ -507,39 +429,44 @@ class NonlinearityStack:
             out[:, atom.rows :] = 0.0
         return out
 
-    def _base(self, u, with_rows):
+    def _base(self, u, with_rows, phases=None):
         """Base values (n, k) and, with rows, the leading Jacobian rows
-        (n, k, N) of the n rows taken, the latter in the "rows" buffer."""
+        (n, k, N) of the n rows taken, the latter in the "rows" buffer.
+        phases: each term's phase at u; by default from `chunked_phase`."""
         n = u.shape[0]
-        phases = [term + (phase,) for term, phase
-                  in zip(self.terms, chunked_phase([atom for atom, _ in self.terms], u))]
-        vals = _term_values(phases, self.k)
+        if phases is None:
+            phases = chunked_phase([atom for atom, _ in self.terms], u)
+        (first, _), *rest = self.terms
+        vals = pad_rows(first.value_at(phases[0]), self.k)
+        for (atom, eps), phase in zip(rest, phases[1:]):
+            vals = vals + eps * pad_rows(atom.value_at(phase), self.k)
         if not with_rows:
             return vals, None
-        (atom, _, phase), *rest = phases
-        rows = self._atom_rows(atom, phase, self._buffer("rows", n))
-        for atom, eps, phase in rest:
+        rows = self._atom_rows(first, phases[0], self._buffer("rows", n))
+        for (atom, eps), phase in zip(rest, phases[1:]):
             term = self._atom_rows(atom, phase, self._buffer("term", n))
             term *= eps[:, :, None]
             rows += term
         return vals, rows
 
-    def eval(self, u) -> np.ndarray:
-        """F(u) for the rows taken u."""
-        vals, _ = self._base(u, with_rows=False)
+    def eval(self, u, phases=None) -> np.ndarray:
+        """F(u) for the rows taken u; phases as in `_base`."""
+        vals, _ = self._base(u, with_rows=False, phases=phases)
         if self.radius is not None:
             vals *= cutoff_value(row_norms(u * self.weights), self.radius)[:, None]
         return pad_rows(vals, self.width)
 
-    def eval_and_jvp(self, u, V):
-        """F(u) and DF(u) V for the rows taken u and tangents V (n, N, m),
-        computing the base value, radius and bump once.
+    def jacobian_rows(self, u, phases=None):
+        """F(u)'s k leading values (n, k) and DF(u)'s k leading rows
+        (n, k, N) for the rows taken u, the latter in the reused "rows"
+        buffer; phases as in `_base`. The base value, radius and bump are
+        formed once; the rows of DF(u) past k are exactly zero.
 
-        Only the leading k rows of DF(u) are formed, by the product rule of
-        `CutoffNonlinearity.jacobian_blocks` (`_add_cutoff_slope`); the other
-        rows of DF(u) V are exactly zero.
+        The product rule through the bump adds dzeta * value * grad on the
+        annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r,
+        in (JACOBIAN_BLOCK, k, N) temporaries.
         """
-        vals, rows = self._base(u, with_rows=True)
+        vals, rows = self._base(u, with_rows=True, phases=phases)
         if self.radius is not None:
             r = row_norms(u * self.weights)
             zeta, at, dzeta = cutoff_and_slope(r, self.radius)
@@ -547,8 +474,17 @@ class NonlinearityStack:
             if at.size:
                 w2 = self.weights2
                 grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r[at, None]
-                _add_cutoff_slope(rows, at, dzeta, vals[at], grad)
+                slope = dzeta[:, None] * vals[at]
+                for lo in range(0, at.size, JACOBIAN_BLOCK):
+                    hi = lo + JACOBIAN_BLOCK
+                    rows[at[lo:hi]] += slope[lo:hi, :, None] * grad[lo:hi, None, :]
             vals *= zeta[:, None]
+        return vals, rows
+
+    def eval_and_jvp(self, u, V):
+        """F(u) and DF(u) V for the rows taken u and tangents V (n, N, m):
+        `jacobian_rows` applied to V."""
+        vals, rows = self.jacobian_rows(u)
         return pad_rows(vals, self.width), pad_rows(rows @ V, self.width)
 
 

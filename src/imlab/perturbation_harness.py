@@ -20,7 +20,7 @@ from .errors import ConfigError, DimensionError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
-    dyadic_pairs,
+    dyadic_scan,
     integrate_Theta,
     mesh,
     slow_flow_rate,
@@ -31,7 +31,6 @@ from .lyapunov_perron import (
 from .nonlinearity import pad_rows, rho_eps
 from .spectral_core import (
     alpha_norm_batch,
-    coord_norm_batch,
     norm_equivalence_delta,
     resolvent_deficiency,
     weighted_opnorms,
@@ -211,29 +210,15 @@ def holder_seminorm_of_difference(
     rng=None,
 ):
     """Hoelder seminorms of the derivative mismatch at several exponents over
-    one shared set of `dyadic_pairs`.
+    one shared set of `dyadic_pairs` (`dyadic_scan`).
 
     Returns (seminorms keyed by exponent, sup of mismatch norms over all
-    sampled points). Sharing the point set keeps interpolation inequalities
-    between the returned values structural rather than statistical.
+    sampled points).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     weights = _mismatch_weights(field0.problem, field_eps.problem)
-    seminorms = {float(t): 0.0 for t in thetas}
-    point_sup = 0.0
-    for z1, z2 in dyadic_pairs(field0.axes, rng):
-        d1 = derivative_mismatch(field_eps, field0, pair, z1)
-        d2 = derivative_mismatch(field_eps, field0, pair, z2)
-        num = weighted_opnorms(d1 - d2, *weights)
-        point_sup = max(
-            point_sup,
-            float(weighted_opnorms(d1, *weights).max()),
-            float(weighted_opnorms(d2, *weights).max()),
-        )
-        sep = coord_norm_batch(field0.problem, z2 - z1)
-        for t in seminorms:
-            seminorms[t] = max(seminorms[t], float((num / sep**t).max()))
-    return seminorms, point_sup
+    return dyadic_scan(field0.problem, field0.axes,
+                       lambda z: derivative_mismatch(field_eps, field0, pair, z),
+                       lambda d: weighted_opnorms(d, *weights), thetas, rng)
 
 
 @dataclass(eq=False)

@@ -88,12 +88,6 @@ def spectrum_from_rule(rule: str, n: int, scale: float = 1.0) -> np.ndarray:
     raise ConfigError(f"unknown spectrum rule {rule!r}")
 
 
-def alpha_norm(problem: SpectralProblem, v) -> float:
-    """Fractional-power norm (sum v_i^2 lambda_i^(2 alpha))^(1/2)."""
-    v = problem.check_vector(v)
-    return float(np.linalg.norm(v * problem.alpha_weights))
-
-
 def alpha_norm_batch(problem: SpectralProblem, v) -> np.ndarray:
     """Alpha-norms over the last axis, `NORM_BLOCK` rows at a time: each
     row's sum is its own, so the blocks change no bit, and the weighted

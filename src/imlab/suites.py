@@ -180,11 +180,11 @@ def suite_psi_uniform(
     # descending leg reaches zero at the support radius so the evaluation
     # mask introduces no jump
     cap = np.minimum(1.0, m_bound * radial**theta)
-    if F.support_radius is not None:
-        fall = m_bound * np.maximum(F.support_radius - radial, 0.0) ** theta
+    if F.cutoff_radius is not None:
+        fall = m_bound * np.maximum(F.cutoff_radius - radial, 0.0) ** theta
         cap = np.minimum(cap, fall)
     values = (cap[:, None, None] * d0).reshape(graph.values.shape[:-1] + (nq, m))
-    ups = GridField(problem, graph.axes, values, F.support_radius)
+    ups = GridField(problem, graph.axes, values, F.cutoff_radius)
     cert_in = holder_certificate(ups, theta, rng=rng)
 
     out = apply_D(problem, F, graph, ups, lab.solve_settings)

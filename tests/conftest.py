@@ -14,6 +14,7 @@ import pytest
 
 from imlab.config import build_lab, default_config
 from imlab.errors import ConfigError
+from imlab.nonlinearity import cutoff_and_slope, pad_rows
 from imlab.perturbation_harness import solve_member
 from imlab.spectral_core import ExtensionPair, certify_kappa
 
@@ -31,6 +32,35 @@ def limit(lab):
 def eval_one(F, u):
     """F at a single point u (N,)."""
     return F.eval_batch(np.asarray(u, dtype=float)[None, :])[0]
+
+
+def alpha_norm(problem, v):
+    """Fractional-power norm (sum v_i^2 lambda_i^(2 alpha))^(1/2) of one
+    vector, by `np.linalg.norm`."""
+    v = problem.check_vector(v)
+    return float(np.linalg.norm(v * problem.alpha_weights))
+
+
+def cutoff_derivative(r, radius):
+    """Derivative of the bump with respect to r, at radii of any shape;
+    zero off the annulus."""
+    r = np.asarray(r, dtype=float)
+    _, at, dzeta = cutoff_and_slope(r.reshape(-1), radius)
+    out = np.zeros(r.size)
+    out[at] = dzeta
+    return out.reshape(r.shape)
+
+
+def base_value(base, u):
+    """A base map's values at the points u, zero-extended to all N
+    coefficients: each term's values from its own phase `u @ W.T`, one
+    product over all the points, summed in `SumBase` order."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    (atom, _), *rest = base.terms()
+    vals = pad_rows(atom.value_at(atom.phase(u)), base.n)
+    for atom, scale in rest:
+        vals = vals + scale * pad_rows(atom.value_at(atom.phase(u)), base.n)
+    return vals
 
 
 def with_constants(F, C_F, L_F, theta_F, L):

@@ -151,6 +151,35 @@ def test_normalized_amplitude_passes_certification(lab):
     assert F.L_F == pytest.approx(0.1, rel=1e-12)
 
 
+# The default lab's sampled numbers, recorded while the sampling calls still
+# ran their own value and product-rule code. The amplitude, C_F and L rest on
+# one whole-batch phase gemm per term, and no output reference covers them
+# on the default seed; they must hold to 1e-12 relative, the output rule.
+SAMPLED_DEFAULTS = {
+    "amplitude": 0.01709312393614689,
+    "constants": {"C_F": 0.024995850517172274, "L_F": 0.1, "theta_F": 1.0,
+                  "L": 0.4323050377263945},
+    "certify": {
+        0.0: {"C_F": 0.022436902541654886, "L_F": 0.0911867725903875,
+              "L": 0.33962674930867526},
+        0.1: {"C_F": 0.020582262940822896, "L_F": 0.08206252591751789,
+              "L": 0.28055410143368426},
+    },
+}
+
+
+def test_sampled_constants_keep_their_recorded_values(lab):
+    def close(want):
+        return pytest.approx(want, rel=1e-12, abs=0.0)
+
+    assert lab.amplitude == close(SAMPLED_DEFAULTS["amplitude"])
+    assert lab.constants == close(SAMPLED_DEFAULTS["constants"])
+    sampled = lab.certify()
+    assert sampled.keys() == SAMPLED_DEFAULTS["certify"].keys()
+    for eps, want in SAMPLED_DEFAULTS["certify"].items():
+        assert sampled[eps] == close(want), eps
+
+
 def test_build_and_certify_stay_small():
     # the Jacobian samples stream in blocks of (K, N) rows, not whole dense
     # N x N stacks, which took the two peaks to 124 and 158 MB on the default

@@ -51,6 +51,7 @@ from imlab.nonlinearity import (
     ConstantBase,
     CosineBase,
     CutoffNonlinearity,
+    NonlinearityStack,
     SineBase,
     constant_map,
     zero_map,
@@ -294,7 +295,7 @@ def test_interpolation_reproduces_nodes():
 
 def test_support_mask(lab, limit):
     graph = limit.graph
-    radius = lab.limit_F.support_radius
+    radius = lab.limit_F.cutoff_radius
     nodes = graph.nodes()
     outside = coord_norm_batch(graph.problem, nodes) >= radius
     assert outside.any()
@@ -398,7 +399,7 @@ def reference_march(problem, F, phi, upsilon, settings):
         V = np.zeros((pv.shape[0], n, m))
         V[:, :m] = np.eye(m)
         V[:, m:] = upsilon.eval(pv)
-        fv, dfj = F.eval_and_jvp(u, V)
+        fv, dfj = NonlinearityStack([(F, len(u))]).eval_and_jvp(u, V)
         return [fv[:, :m] - pv * lam_p, dfj[:, :m] @ tv - lam_p[:, None] * tv], dfj[:, m:] @ tv
 
     p = nodes[active]
@@ -447,11 +448,11 @@ def live_counts(monkeypatch):
 
 
 def assert_transforms_match_reference(problem, F, settings):
-    axes = grid_axes(problem, settings, F.support_radius)
+    axes = grid_axes(problem, settings, F.cutoff_radius)
     fast = problem.n_modes - problem.m
-    phi = apply_T(problem, F, GridField.zeros(problem, axes, (fast,), F.support_radius), settings)
+    phi = apply_T(problem, F, GridField.zeros(problem, axes, (fast,), F.cutoff_radius), settings)
     ups = apply_D(problem, F, phi,
-                  GridField.zeros(problem, axes, (fast, problem.m), F.support_radius), settings)
+                  GridField.zeros(problem, axes, (fast, problem.m), F.cutoff_radius), settings)
     assert np.any(phi.values != 0.0) and np.any(ups.values != 0.0)
     assert np.array_equal(apply_T(problem, F, phi, settings).values,
                           reference_march(problem, F, phi, None, settings))
@@ -541,10 +542,10 @@ def test_transforms_on_dense_inputs_match_reference(payload):
     for eps in (0.0, 0.1):
         problem, F, _ = instantiate(lab, eps)
         settings = lab.solve_settings
-        axes = grid_axes(problem, settings, F.support_radius)
+        axes = grid_axes(problem, settings, F.cutoff_radius)
         fast, m = problem.n_modes - problem.m, problem.m
-        phi = dense_grid(problem, axes, (fast,), F.support_radius, rng)
-        ups = dense_grid(problem, axes, (fast, m), F.support_radius, rng)
+        phi = dense_grid(problem, axes, (fast,), F.cutoff_radius, rng)
+        ups = dense_grid(problem, axes, (fast, m), F.cutoff_radius, rng)
         assert np.array_equal(apply_T(problem, F, phi, settings).values,
                               reference_march(problem, F, phi, None, settings))
         assert np.array_equal(apply_D(problem, F, phi, ups, settings).values,

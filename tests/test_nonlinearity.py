@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direction_sup, eval_one, with_constants
+from conftest import (
+    alpha_norm,
+    base_value,
+    cutoff_derivative,
+    direction_sup,
+    eval_one,
+    with_constants,
+)
 from imlab.errors import CertificationError, ConfigError, DimensionError
 from imlab.nonlinearity import (
     JACOBIAN_BLOCK,
@@ -27,14 +34,13 @@ from imlab.nonlinearity import (
     chunked_phase,
     constant_map,
     cutoff_and_slope,
-    cutoff_derivative,
     cutoff_value,
     holder_quotient_of_derivative,
     pad_rows,
     rho_eps,
     zero_map,
 )
-from imlab.spectral_core import SpectralProblem, alpha_norm, alpha_norm_batch, identity_pair
+from imlab.spectral_core import SpectralProblem, alpha_norm_batch, identity_pair
 
 
 def make_problem(n=5, alpha=0.0):
@@ -131,16 +137,16 @@ def test_base_maps_value_and_scale():
     amps = np.array([0.2, 0.3])
     w = np.ones((2, n))
     sine = SineBase(n_modes=n, amplitudes=amps, weights=w, phases=np.zeros(2))
-    assert np.allclose(sine.value(np.zeros(n)), 0.0)
+    assert np.allclose(base_value(sine, np.zeros(n)), 0.0)
     cos = CosineBase(n_modes=n, amplitudes=amps, weights=w)
-    v0 = cos.value(np.zeros(n))[0]
+    v0 = base_value(cos, np.zeros(n))[0]
     assert np.allclose(v0[:2], amps) and np.allclose(v0[2:], 0.0)
-    assert np.allclose(cos.scaled(2.0).value(np.zeros(n)), 2.0 * v0)
+    assert np.allclose(base_value(cos.scaled(2.0), np.zeros(n)), 2.0 * v0)
     const = ConstantBase(vector=np.arange(float(n)))
     assert np.allclose(const.rows_at(const.phase(np.ones((1, n)))), 0.0)
     both = SumBase(sine, cos, second_scale=0.5)
     u = np.full((1, n), 0.1)
-    assert np.allclose(both.value(u), sine.value(u) + 0.5 * cos.value(u))
+    assert np.allclose(base_value(both, u), base_value(sine, u) + 0.5 * base_value(cos, u))
     F = CutoffNonlinearity(problem=make_problem(n), base=both, cutoff_radius=None)
     assert np.allclose(F.jacobian_batch(u), sine.rows_at(sine.phase(u))
                        + 0.5 * cos.rows_at(cos.phase(u)))
@@ -181,7 +187,7 @@ def test_eval_vanishes_outside_support():
 def test_constant_and_zero_fixtures():
     problem = make_problem(2)
     F = constant_map(problem, [0.0, 1.0])
-    assert F.analytic_fixture and F.support_radius is None
+    assert F.analytic_fixture and F.cutoff_radius is None
     assert F.C_F == 1.0
     assert np.allclose(eval_one(F, np.array([5.0, -3.0])), [0.0, 1.0])
     assert np.all(F.jacobian_batch(np.zeros((1, 2))) == 0.0)
@@ -329,7 +335,7 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
     u = rng.normal(size=(3, problem.n_modes))
     u *= (np.array(radii) / np.array([alpha_norm(problem, x) for x in u]))[:, None]
     V = rng.normal(size=(3, problem.n_modes, m))
-    fv, jvp = F.eval_and_jvp(u, V)
+    fv, jvp = NonlinearityStack([(F, len(u))]).eval_and_jvp(u, V)
     assert np.array_equal(fv, F.eval_batch(u))
     k = F.base.rows
     rows = F.jacobian_batch(u) @ V
@@ -345,7 +351,7 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
 def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, alpha, seed):
     # 500 rows at N = 32, a third of them on the annulus: the cutoff's slope
     # term takes the base values there from the whole-batch phase, as
-    # `base.value(u)` forms them; base values from a second gemm over the
+    # `base_value` forms them; base values from a second gemm over the
     # annulus rows alone would round differently at this batch size
     problem = SpectralProblem(eigenvalues=2.0 * np.arange(1, 33) ** 2.0, m=m, alpha=alpha)
     F = _jvp_member(kind, problem, seed)
@@ -364,9 +370,12 @@ def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, al
     zeta, at, dzeta = cutoff_and_slope(r, F.cutoff_radius)
     want *= zeta[:, None, None]
     grad = (u[at] * problem.alpha_weights**2) / r[at, None]
-    want[at] += (dzeta[:, None] * F.base.value(u)[at, :k])[:, :, None] * grad[:, None, :]
+    values = base_value(F.base, u)
+    want[at] += (dzeta[:, None] * values[at, :k])[:, :, None] * grad[:, None, :]
     assert at.size > 100
     assert np.array_equal(F.jacobian_batch(u), want)
+    # the values too take the whole-batch phase, not `chunked_phase`
+    assert np.array_equal(F.eval_batch(u), values * cutoff_value(r, F.cutoff_radius)[:, None])
 
 
 @pytest.mark.parametrize("count", [PHASE_CHUNK, 1, 2, 57, 133, 400])

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mode_mixing_pair
+from conftest import alpha_norm, mode_mixing_pair
 from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
     ExtensionPair,
     SpectralProblem,
-    alpha_norm,
     alpha_norm_batch,
     certify_kappa,
     coord_norm_batch,
