@@ -31,6 +31,7 @@ from .spectral_core import (
     ExtensionPair,
     SpectralProblem,
     identity_pair,
+    near_max_opnorms,
     spectrum_from_rule,
     weighted_opnorms,
 )
@@ -371,6 +372,12 @@ def _unit_bases(cfg: ExperimentConfig, rng):
     return base, direction
 
 
+#: Relative margin below the largest K-row slope within which `_sampled_slope`
+#: re-checks a sample's zero-extended N x N Jacobian; it must stay narrower
+#: than `spectral_core.SCREEN_MARGIN`.
+HELD_MARGIN = 1e-9
+
+
 def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     F = PerturbedNonlinearityPair(base, direction, eps).member(problem, eps, radius, {})
     pts = _ball_samples(problem, radius, count, rng)
@@ -379,20 +386,24 @@ def _sampled_slope(problem, base, direction, eps, radius, rng, count=1500):
     # largest norm of the zero-extended N x N Jacobians, whose top singular
     # value can differ from the (K, N) block's in the last bit. Both are
     # backward-stable SVDs of the same matrix, so they agree to a few ulps:
-    # a sample whose K-row norm is more than 1e-9 relative below the largest
-    # cannot hold the N x N maximum. Only the samples within that margin are
-    # zero-extended, and the maximum comes out bit for bit as before. The
-    # Jacobians stream in blocks and the candidates are pruned as the
-    # running maximum rises: a sample within the margin of the final maximum
-    # is within it of every running one, so exactly those are held at the end.
+    # a sample whose K-row norm is more than HELD_MARGIN relative below the
+    # largest cannot hold the N x N maximum. Only the samples within that
+    # margin are zero-extended, and the maximum comes out bit for bit as
+    # before. The Jacobians stream in blocks and the candidates are pruned
+    # as the running maximum rises: a sample within the margin of the final
+    # maximum is within it of every running one, so exactly those are held
+    # at the end. Each block is screened against the running maximum
+    # (`near_max_opnorms`); the screen's margin is wider than HELD_MARGIN,
+    # so every sample it drops lies outside the held margin too.
     top = -np.inf
     norms_held, held = np.empty(0), np.empty((0, F.base.rows, problem.n_modes))
     for jac in F.jacobian_blocks(pts):
-        norms = weighted_opnorms(jac, col_weights=w)
-        top = max(top, norms.max())
-        keep, fresh = norms_held >= (1.0 - 1e-9) * top, norms >= (1.0 - 1e-9) * top
+        near, norms = near_max_opnorms(jac, col_weights=w, floor=top)
+        top = max(top, norms.max(initial=-np.inf))
+        keep = norms_held >= (1.0 - HELD_MARGIN) * top
+        fresh = norms >= (1.0 - HELD_MARGIN) * top
         norms_held = np.concatenate([norms_held[keep], norms[fresh]])
-        held = np.concatenate([held[keep], jac[fresh]])
+        held = np.concatenate([held[keep], jac[near[fresh]]])
     return float(weighted_opnorms(pad_rows(held, problem.n_modes), col_weights=w).max())
 
 

@@ -72,7 +72,13 @@ from .errors import (
     OverflowGuardError,
 )
 from .nonlinearity import CutoffNonlinearity, NonlinearityStack, _take, per_row
-from .spectral_core import SpectralProblem, coord_norm_batch, row_norms, weighted_opnorms
+from .spectral_core import (
+    SpectralProblem,
+    coord_norm_batch,
+    near_max_opnorms,
+    row_norms,
+    weighted_opnorms,
+)
 
 _NODE_CHUNK = 8192
 
@@ -258,11 +264,17 @@ class GridField:
         return GridField(self.problem, self.axes, values, self.support_radius)
 
 
+def _map_weights(problem: SpectralProblem) -> tuple:
+    """`weighted_opnorms` row and column weights of fast-block maps:
+    weighted coordinate norm to alpha-norm."""
+    w = problem.alpha_weights
+    return w[problem.m :], w[: problem.m]
+
+
 def weighted_map_norms(problem: SpectralProblem, mats) -> np.ndarray:
     """Operator norms of fast-block maps, weighted coordinate norm to
     alpha-norm; exact largest singular values, batched."""
-    w = problem.alpha_weights
-    return weighted_opnorms(mats, row_weights=w[problem.m :], col_weights=w[: problem.m])
+    return weighted_opnorms(mats, *_map_weights(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +824,11 @@ def _graph_diff(problem):
 
 
 def _field_diff(problem):
+    weights = _map_weights(problem)
+
     def diff(a, b):
         delta = a.node_values() - b.node_values()
-        return weighted_map_norms(problem, delta).max(initial=0.0)
+        return near_max_opnorms(delta, *weights)[1].max(initial=0.0)
 
     return diff
 
@@ -973,26 +987,31 @@ def dyadic_pairs(axes, rng):
         yield z1, z1 + offset
 
 
-def dyadic_scan(problem, axes, values, norms, thetas, rng=None):
+def dyadic_scan(problem, axes, values, weights, thetas, rng=None):
     """Hoelder seminorms of a field over the `dyadic_pairs` of axes, one per
     exponent in thetas, keyed by the exponent as a float, and the sup of the
     field's norms over the pairs' endpoints.
 
-    values(z) is the field at slow points z; norms(d) the norms of a stack
-    of its values or value differences. The one pair set serves every
-    exponent, so interpolation inequalities between the seminorms hold
-    structurally rather than statistically.
+    values(z) is the field at slow points z, a stack of maps whose norms
+    are `weighted_opnorms` with the (row, column) weights. Only maxima are
+    read, so each stack goes through `near_max_opnorms` with the maximum
+    so far as floor. The one pair set serves every exponent, so
+    interpolation inequalities between the seminorms hold structurally
+    rather than statistically.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     seminorms = {float(t): 0.0 for t in thetas}
     point_sup = 0.0
     for z1, z2 in dyadic_pairs(axes, rng):
         d1, d2 = values(z1), values(z2)
-        num = norms(d1 - d2)
-        point_sup = max(point_sup, float(norms(d1).max()), float(norms(d2).max()))
+        for d in (d1, d2):
+            norms = near_max_opnorms(d, *weights, floor=point_sup)[1]
+            point_sup = float(norms.max(initial=point_sup))
+        delta = d1 - d2
         sep = coord_norm_batch(problem, z2 - z1)
-        for t in seminorms:
-            seminorms[t] = max(seminorms[t], float((num / sep**t).max()))
+        for t, best in seminorms.items():
+            quot = near_max_opnorms(delta, *weights, den=sep**t, floor=best)[1]
+            seminorms[t] = float(quot.max(initial=best))
     return seminorms, point_sup
 
 
@@ -1003,7 +1022,7 @@ def holder_certificate(field: GridField, theta: float, rng=None) -> float:
     if field.is_graph:
         raise DimensionError("holder_certificate takes a derivative field, not a graph")
     seminorms, _ = dyadic_scan(field.problem, field.axes, field.eval,
-                               lambda d: weighted_map_norms(field.problem, d), (theta,), rng)
+                               _map_weights(field.problem), (theta,), rng)
     return seminorms[float(theta)]
 
 

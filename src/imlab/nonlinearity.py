@@ -26,8 +26,10 @@ callers need the phase in different call shapes:
   sample batch, which fixes the bits of the certified constants, the
   amplitude and every report. Certification streams its thousands of
   sampled Jacobians in blocks of `JACOBIAN_BLOCK` points from slices of
-  that phase, so the blocks carry the bits of one whole-batch evaluation
-  and only one block is held at a time.
+  that phase and of the batch's radius and bump, so the blocks carry the
+  bits of one whole-batch evaluation and only one block is held at a time.
+  It reads only the largest norm of each sampled set and the sample that
+  holds it, so the blocks go through `spectral_core.near_max_opnorms`.
 
 The two shapes agree bit for bit below the row count where OpenBLAS
 switches kernels (scipy-openblas 0.3.31 on x86: past 300 rows at K = 4,
@@ -40,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ConfigError, DimensionError
-from .spectral_core import SpectralProblem, alpha_norm_batch, row_norms, weighted_opnorms
+from .spectral_core import (
+    NORM_BLOCK,
+    SpectralProblem,
+    alpha_norm_batch,
+    near_max_opnorms,
+    row_norms,
+)
 
 #: Slack applied on top of sampled maxima when certifying constants.
 CERT_SLACK = 1.1
@@ -295,16 +303,19 @@ class CutoffNonlinearity:
         """Yield the leading K = `base.rows` rows of the exact Jacobians in
         consecutive (<= size, K, N) blocks of the batch u.
 
-        Each block is formed from its slice of the whole-batch phases, and
-        the rest is row-wise, so the blocks equal slices of
-        `jacobian_batch(u)` bit for bit, and a consumer holds one block at a
-        time. Each block is a copy, since the stack reuses its row buffer.
+        Each block is formed from its slice of the whole-batch phases and of
+        the whole-batch radius and bump, and the rest is row-wise, so the
+        blocks equal slices of `jacobian_batch(u)` bit for bit, and a
+        consumer holds one block at a time. Each block is a copy, since the
+        stack reuses its row buffer.
         """
         u = self._points(u)
         stack, phases = self._batch(u)
+        cut = stack.cutoff(u)
         for lo in range(0, max(u.shape[0], 1), size):
             hi = lo + size
-            yield stack.jacobian_rows(u[lo:hi], [p[lo:hi] for p in phases])[1].copy()
+            block_cut = None if cut is None else _cut_rows(cut, lo, hi)
+            yield stack.jacobian_rows(u[lo:hi], [p[lo:hi] for p in phases], block_cut)[1].copy()
 
     def _points(self, u) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -334,18 +345,38 @@ def _take(a, keep):
     return a if a.shape[0] == 1 else a[keep]
 
 
-def chunked_phase(atoms, u) -> list:
+def _cut_rows(cut, lo, hi):
+    """The rows lo:hi of a `NonlinearityStack.cutoff` result, with the
+    annulus indices counted from lo."""
+    zeta, at, dzeta, r_at = cut
+    a, b = np.searchsorted(at, (lo, hi))
+    return zeta[lo:hi], at[a:b] - lo, dzeta[a:b], r_at[a:b]
+
+
+def chunked_phase(atoms, u, work=None) -> list:
     """Each atom's phase `u @ W.T` of the rows u, in gemm calls of
-    `PHASE_CHUNK` rows over one copy of u whose last chunk is zero-padded:
-    numpy runs one gemm per chunk of the stacked (chunks, PHASE_CHUNK, N)
-    product, so a row's bits do not depend on the rows it is stacked with,
-    and no call is a one-row gemv."""
+    `PHASE_CHUNK` rows: numpy runs one gemm per chunk of a stacked
+    (chunks, PHASE_CHUNK, N) product, so a row's bits do not depend on the
+    rows it is stacked with, and no call is a one-row gemv. The whole
+    chunks are a view of u; the last, partial chunk is copied into a
+    zero-padded (1, PHASE_CHUNK, N) buffer, kept across calls in the dict
+    work when one is given, with only its padding zeroed again."""
     n, width = u.shape
-    chunks = -(-n // PHASE_CHUNK)
-    padded = np.zeros((chunks, PHASE_CHUNK, width))
-    padded.reshape(-1, width)[:n] = u
-    phases = [atom.phase(padded) for atom in atoms]
-    return [phase.reshape(chunks * PHASE_CHUNK, phase.shape[-1])[:n] for phase in phases]
+    full = n - n % PHASE_CHUNK
+    parts = [u[:full].reshape(-1, PHASE_CHUNK, width)] if full else []
+    if full < n:
+        work = {} if work is None else work
+        tail = work.get("tail")
+        if tail is None:
+            tail = work["tail"] = np.empty((1, PHASE_CHUNK, width))
+        tail[0, : n - full] = u[full:]
+        tail[0, n - full :] = 0.0
+        parts.append(tail)
+    phases = []
+    for atom in atoms:
+        flat = [p.reshape(p.shape[0] * PHASE_CHUNK, p.shape[-1]) for p in map(atom.phase, parts)]
+        phases.append(flat[0][:n] if len(flat) == 1 else np.concatenate(flat)[:n])
+    return phases
 
 
 class NonlinearityStack:
@@ -435,7 +466,7 @@ class NonlinearityStack:
         phases: each term's phase at u; by default from `chunked_phase`."""
         n = u.shape[0]
         if phases is None:
-            phases = chunked_phase([atom for atom, _ in self.terms], u)
+            phases = chunked_phase([atom for atom, _ in self.terms], u, self.work)
         (first, _), *rest = self.terms
         vals = pad_rows(first.value_at(phases[0]), self.k)
         for (atom, eps), phase in zip(rest, phases[1:]):
@@ -449,18 +480,42 @@ class NonlinearityStack:
             rows += term
         return vals, rows
 
+    def _radius(self, u) -> np.ndarray:
+        """Alpha-norms of the rows taken u, `NORM_BLOCK` rows at a time:
+        each row's sum is its own, so the blocks change no bit, and the
+        weighted and squared temporaries stay one block in size."""
+        if u.shape[0] <= NORM_BLOCK:
+            return row_norms(u * self.weights)
+        w = self.weights
+        r = np.empty(u.shape[0])
+        for lo in range(0, u.shape[0], NORM_BLOCK):
+            hi = lo + NORM_BLOCK
+            r[lo:hi] = row_norms(u[lo:hi] * (w if len(w) == 1 else w[lo:hi]))
+        return r
+
+    def cutoff(self, u):
+        """The bump and annulus slope of the rows taken u, as `cutoff_and_slope`
+        gives them (zeta, at, dzeta), and the radius on the annulus rows at;
+        None without a cutoff."""
+        if self.radius is None:
+            return None
+        r = self._radius(u)
+        zeta, at, dzeta = cutoff_and_slope(r, self.radius)
+        return zeta, at, dzeta, r[at]
+
     def eval(self, u, phases=None) -> np.ndarray:
         """F(u) for the rows taken u; phases as in `_base`."""
         vals, _ = self._base(u, with_rows=False, phases=phases)
         if self.radius is not None:
-            vals *= cutoff_value(row_norms(u * self.weights), self.radius)[:, None]
+            vals *= cutoff_value(self._radius(u), self.radius)[:, None]
         return pad_rows(vals, self.width)
 
-    def jacobian_rows(self, u, phases=None):
+    def jacobian_rows(self, u, phases=None, cut=None):
         """F(u)'s k leading values (n, k) and DF(u)'s k leading rows
         (n, k, N) for the rows taken u, the latter in the reused "rows"
-        buffer; phases as in `_base`. The base value, radius and bump are
-        formed once; the rows of DF(u) past k are exactly zero.
+        buffer; phases as in `_base`, cut the rows' `cutoff` when the
+        caller has formed it. The base value, radius and bump are formed
+        once; the rows of DF(u) past k are exactly zero.
 
         The product rule through the bump adds dzeta * value * grad on the
         annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r,
@@ -468,12 +523,11 @@ class NonlinearityStack:
         """
         vals, rows = self._base(u, with_rows=True, phases=phases)
         if self.radius is not None:
-            r = row_norms(u * self.weights)
-            zeta, at, dzeta = cutoff_and_slope(r, self.radius)
+            zeta, at, dzeta, r_at = self.cutoff(u) if cut is None else cut
             rows *= zeta[:, None, None]
             if at.size:
                 w2 = self.weights2
-                grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r[at, None]
+                grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r_at[:, None]
                 slope = dzeta[:, None] * vals[at]
                 for lo in range(0, at.size, JACOBIAN_BLOCK):
                     hi = lo + JACOBIAN_BLOCK
@@ -539,19 +593,36 @@ def _ball_samples(problem: SpectralProblem, radius: float, count: int, rng):
     return out
 
 
-def _holder_quotients(F: CutoffNonlinearity, a, b, theta) -> np.ndarray:
-    """|DF(a) - DF(b)| / |a - b|^theta over aligned point pairs, from the
-    alpha-weighted to the plain norm, one block of pairs at a time."""
-    w = F.problem.alpha_weights
-    out = np.empty(a.shape[0])
-    lo = 0
-    for ja, jb in zip(F.jacobian_blocks(a), F.jacobian_blocks(b)):
-        hi = lo + ja.shape[0]
-        ja -= jb
-        den = alpha_norm_batch(F.problem, a[lo:hi] - b[lo:hi]) ** theta
-        out[lo:hi] = weighted_opnorms(ja, col_weights=w) / (den + 1e-300)
-        lo = hi
-    return out
+def _max_opnorm(blocks, w):
+    """The largest norm, from the alpha-weighted (weights w) to the plain
+    norm, of a stream of (mats, den) blocks of consecutive rows, each norm
+    divided by its entry of den (None: by nothing), and the first row that
+    holds it, the one np.argmax over the whole stream picks. Each block is
+    screened (`near_max_opnorms`) against the maximum so far, and only a
+    strictly larger value moves the row."""
+    best, at, lo = -np.inf, 0, 0
+    for mats, den in blocks:
+        keep, values = near_max_opnorms(mats, col_weights=w, den=den, floor=best)
+        if values.size and values.max() > best:
+            best, at = float(values.max()), lo + int(keep[values.argmax()])
+        lo += mats.shape[0]
+    return best, at
+
+
+def _holder_quotients(F: CutoffNonlinearity, a, b, theta):
+    """The largest |DF(a) - DF(b)| / |a - b|^theta over aligned point pairs,
+    from the alpha-weighted to the plain norm, and the first pair that holds
+    it, one block of pairs at a time."""
+
+    def blocks():
+        lo = 0
+        for ja, jb in zip(F.jacobian_blocks(a), F.jacobian_blocks(b)):
+            hi = lo + ja.shape[0]
+            ja -= jb
+            yield ja, alpha_norm_batch(F.problem, a[lo:hi] - b[lo:hi]) ** theta + 1e-300
+            lo = hi
+
+    return _max_opnorm(blocks(), F.problem.alpha_weights)
 
 
 def certify_constants(
@@ -563,10 +634,14 @@ def certify_constants(
     """Sample sup norms and difference quotients; fail loudly on violations.
 
     The Jacobian samples stream through `jacobian_blocks`, so only one block
-    of rows (or of pair differences) is held at a time; the norms are exact
-    per matrix, so the per-block norms concatenate to the whole batch's.
-    Returns the sampled estimates (before slack). Raises CertificationError
-    with a witness when a sample exceeds a configured constant.
+    of rows (or of pair differences) is held at a time. Only the largest
+    slope and quotient are read, so each block goes through
+    `near_max_opnorms` with the maximum of the blocks before it as floor:
+    the exact SVD runs only on the matrices whose upper bounds can reach
+    it, and the maxima and their witnesses are those of a full scan, bit
+    for bit. Returns the sampled estimates (before slack). Raises
+    CertificationError with a witness when a sample exceeds a configured
+    constant.
     """
     if F.analytic_fixture:
         raise ConfigError("analytic fixtures skip certification by design")
@@ -584,28 +659,26 @@ def certify_constants(
         )
 
     # derivatives and their differences: alpha-weighted norm to plain norm
-    slopes = np.concatenate([weighted_opnorms(jac, col_weights=F.problem.alpha_weights)
-                             for jac in F.jacobian_blocks(pts)])
-    l_hat = float(slopes.max())
+    l_hat, i_worst = _max_opnorm(((jac, None) for jac in F.jacobian_blocks(pts)),
+                                 F.problem.alpha_weights)
     if l_hat > F.L_F:
         raise CertificationError(
             f"sampled sup |DF| = {l_hat:.6g} exceeds configured L_F = {F.L_F:.6g}",
-            witness=pts[int(slopes.argmax())],
+            witness=pts[i_worst],
         )
-    del pts, values, slopes  # not read past here; the pair stage sets the peak
+    del pts, values  # not read past here; the pair stage sets the peak
 
     # Hoelder quotient of the derivative at exponent theta_F over point pairs.
     a = _ball_samples(F.problem, radius, pair_count // 2, rng)
     b = rng.standard_normal(a.shape)  # a + noise * scale, formed in place
     b *= 0.05 * radius
     b += a
-    quot = _holder_quotients(F, a, b, F.theta_F)
-    h_hat = float(quot.max())
+    h_hat, i_worst = _holder_quotients(F, a, b, F.theta_F)
     if h_hat > F.L:
         raise CertificationError(
             f"sampled derivative Hoelder quotient {h_hat:.6g} exceeds "
             f"configured L = {F.L:.6g}",
-            witness=(a[int(quot.argmax())], b[int(quot.argmax())]),
+            witness=(a[i_worst], b[i_worst]),
         )
     return {"C_F": c_hat, "L_F": l_hat, "L": h_hat}
 
@@ -621,7 +694,7 @@ def holder_quotient_of_derivative(
     b = rng.standard_normal(a.shape)  # a + noise * scale, formed in place
     b *= scales[:, None] * 0.3 * radius
     b += a
-    return CERT_SLACK * float(_holder_quotients(F, a, b, theta).max())
+    return CERT_SLACK * _holder_quotients(F, a, b, theta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .lyapunov_perron import (
 from .nonlinearity import pad_rows, rho_eps
 from .spectral_core import (
     alpha_norm_batch,
+    near_max_opnorms,
     norm_equivalence_delta,
     resolvent_deficiency,
     weighted_opnorms,
@@ -129,7 +130,7 @@ def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
     lifted = u0 @ e_mat.T
     mism = pad_rows(F_eps.jacobian_batch(lifted), k) @ e_mat \
         - e_mat[:k, :k] @ pad_rows(F_0.jacobian_batch(u0), k)
-    return float(weighted_opnorms(mism, col_weights=lab.limit_problem.alpha_weights).max())
+    return float(near_max_opnorms(mism, col_weights=lab.limit_problem.alpha_weights)[1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def c1_distance(field_eps, field0, pair, refine: int = 2) -> float:
     z = _refined_grid(field0, refine)
     delta = derivative_mismatch(field_eps, field0, pair, z)
     weights = _mismatch_weights(field0.problem, field_eps.problem)
-    return float(weighted_opnorms(delta, *weights).max())
+    return float(near_max_opnorms(delta, *weights)[1].max())
 
 
 def holder_seminorm_of_difference(
@@ -215,10 +216,9 @@ def holder_seminorm_of_difference(
     Returns (seminorms keyed by exponent, sup of mismatch norms over all
     sampled points).
     """
-    weights = _mismatch_weights(field0.problem, field_eps.problem)
     return dyadic_scan(field0.problem, field0.axes,
                        lambda z: derivative_mismatch(field_eps, field0, pair, z),
-                       lambda d: weighted_opnorms(d, *weights), thetas, rng)
+                       _mismatch_weights(field0.problem, field_eps.problem), thetas, rng)
 
 
 @dataclass(eq=False)

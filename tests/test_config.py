@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imlab import config, nonlinearity, spectral_core
 from imlab.cli import main
 from imlab.config import (
+    HELD_MARGIN,
     ExperimentConfig,
     _sampled_slope,
     _unit_bases,
@@ -31,7 +33,7 @@ from imlab.nonlinearity import (
     pad_rows,
 )
 from imlab.perturbation_harness import solve_members
-from imlab.spectral_core import SpectralProblem, weighted_opnorms
+from imlab.spectral_core import SCREEN_MARGIN, SpectralProblem, weighted_opnorms
 
 
 def test_defaults():
@@ -196,6 +198,36 @@ def test_build_and_certify_stay_small():
     finally:
         tracemalloc.stop()
     assert build_peak < 8e6 and certify_peak < 6e6, (build_peak, certify_peak)
+
+
+def test_build_and_certify_take_few_svds(monkeypatch):
+    # build and certification read only maxima of their sampled Jacobians'
+    # norms, so the Frobenius screen leaves the exact SVD to a few of them;
+    # a full sweep took every one of the default config's 25,078 matrices
+    offered, factored = [0], [0]
+    svd, screen = np.linalg.svd, spectral_core.near_max_opnorms
+
+    def counted_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        factored[0] += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    def counted_screen(mats, *args, **kwargs):
+        offered[0] += len(mats)
+        return screen(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for module in (config, nonlinearity):
+        monkeypatch.setattr(module, "near_max_opnorms", counted_screen)
+    build_lab(default_config()).certify()
+    assert offered[0] > 20_000, offered
+    assert factored[0] <= offered[0] // 10, (factored, offered)
+
+
+def test_sampled_slope_margin_is_inside_the_screen():
+    # `_sampled_slope` holds the samples within HELD_MARGIN of its maximum;
+    # the screen must keep every one of them
+    assert 0.0 < HELD_MARGIN < SCREEN_MARGIN
 
 
 def test_family_solve_stays_small(lab):

@@ -30,6 +30,8 @@ from imlab.nonlinearity import (
     PerturbedNonlinearityPair,
     SineBase,
     SumBase,
+    _ball_samples,
+    _max_opnorm,
     certify_constants,
     chunked_phase,
     constant_map,
@@ -40,7 +42,12 @@ from imlab.nonlinearity import (
     rho_eps,
     zero_map,
 )
-from imlab.spectral_core import SpectralProblem, alpha_norm_batch, identity_pair
+from imlab.spectral_core import (
+    SpectralProblem,
+    alpha_norm_batch,
+    identity_pair,
+    weighted_opnorms,
+)
 
 
 def make_problem(n=5, alpha=0.0):
@@ -236,6 +243,48 @@ def test_certification_rejects_lies_with_witness(lie, phrase):
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize("lowered", ["L_F", "L"])
+def test_certification_witness_is_the_full_scan_argmax(lab, lowered):
+    # certification screens its samples by their Frobenius norms; a lowered
+    # constant must still fail at the sample a full SVD scan picks first
+    F = lab.limit_F
+    loose = dict(C_F=10.0, L_F=10.0, theta_F=F.theta_F, L=1e6)
+    sampled = certify_constants(with_constants(F, **loose))
+    with pytest.raises(CertificationError) as err:
+        certify_constants(with_constants(F, **dict(loose, **{lowered: 0.99 * sampled[lowered]})))
+    rng = np.random.default_rng(0)  # certify_constants' draws, in its order
+    w, radius = F.problem.alpha_weights, F.cutoff_radius
+    pts = _ball_samples(F.problem, radius, 2000, rng)
+    if lowered == "L_F":
+        slopes = weighted_opnorms(F.jacobian_batch(pts), col_weights=w)
+        assert sampled["L_F"] == slopes.max()
+        assert np.array_equal(err.value.witness, pts[slopes.argmax()])
+        return
+    a = _ball_samples(F.problem, radius, 5000, rng)
+    b = a + rng.standard_normal(a.shape) * (0.05 * radius)
+    den = alpha_norm_batch(F.problem, a - b) ** F.theta_F + 1e-300
+    quot = weighted_opnorms(F.jacobian_batch(a) - F.jacobian_batch(b), col_weights=w) / den
+    assert sampled["L"] == quot.max()
+    worst = quot.argmax()
+    assert np.array_equal(err.value.witness[0], a[worst])
+    assert np.array_equal(err.value.witness[1], b[worst])
+
+
+def test_max_opnorm_over_blocks_keeps_the_first_tie():
+    # the largest norm sits in the second and the fourth block and twice in
+    # the fourth; the row found is the one np.argmax finds in the whole
+    rng = np.random.default_rng(8)
+    mats = rng.normal(size=(40, 3, 5))
+    mats[[13, 31, 35]] = 4.0 * mats[0]
+    w = rng.uniform(0.5, 2.0, 5)
+    den = rng.uniform(0.5, 2.0, 40)
+    den[[13, 31, 35]] = 1.0
+    blocks = [(mats[lo:lo + 10], den[lo:lo + 10]) for lo in range(0, 40, 10)]
+    full = weighted_opnorms(mats, col_weights=w) / den
+    assert _max_opnorm(blocks, w) == (full.max(), full.argmax()) == (full[13], 13)
+    assert _max_opnorm([], w) == (-np.inf, 0)
+
+
 def test_holder_quotient_of_linear_map_is_zero():
     problem = make_problem(3)
     F = CutoffNonlinearity(
@@ -405,6 +454,9 @@ def test_chunked_phase_of_any_row_subset_equals_the_whole(k, n):
     rng = np.random.default_rng(10 * k + n)
     atom = SineBase(n, rng.uniform(0.5, 1.0, k), rng.normal(size=(k, n)),
                     rng.uniform(0, 2 * np.pi, k))
+    # a padded buffer kept across calls (`work`), grown and shrunk by the
+    # row counts, must give the bits of a fresh one
+    work = {}
     for rows in (1, 2, 57, PHASE_CHUNK, PHASE_CHUNK + 1, 300, 350, 701, 1100):
         u = rng.normal(size=(rows, n))
         whole, = chunked_phase([atom], u)
@@ -414,6 +466,8 @@ def test_chunked_phase_of_any_row_subset_equals_the_whole(k, n):
                    np.sort(rng.choice(rows, size=min(rows, 3), replace=False))]
         for idx in subsets:
             assert np.array_equal(chunked_phase([atom], u[idx])[0], whole[idx]), (rows, len(idx))
+            assert np.array_equal(chunked_phase([atom], u[idx], work)[0], whole[idx]), \
+                (rows, len(idx))
 
 
 @pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],

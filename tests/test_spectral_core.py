@@ -17,10 +17,12 @@ from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
     ExtensionPair,
     SpectralProblem,
+    _gram_bounds,
     alpha_norm_batch,
     certify_kappa,
     coord_norm_batch,
     identity_pair,
+    near_max_opnorms,
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,
@@ -131,6 +133,73 @@ def test_weighted_opnorms_of_leading_rows_match_zero_extension(n, k, seed):
         want = weighted_opnorms(dense, row_w, col_w)
         assert got.shape == want.shape == (7,)
         assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def _outcome(f):
+    """f()'s result, or the type of the LinAlgError it raises."""
+    try:
+        return f()
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+def _stack(kind, count, k, n, rng):
+    """A (count, k, n) stack: plain normal, rank one (Frobenius norm equal
+    to the operator norm), a few matrices repeated (exact ties), or zeros."""
+    if kind == "rank1":
+        return rng.normal(size=(count, k, 1)) * rng.normal(size=(count, 1, n))
+    if kind == "ties":
+        few = rng.normal(size=(3, k, n))
+        return few[rng.integers(0, 3, size=count)]
+    if kind == "zeros":
+        return np.zeros((count, k, n))
+    return rng.normal(size=(count, k, n)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1, 1))
+
+
+@given(kind=st.sampled_from(["normal", "rank1", "ties", "zeros"]),
+       count=st.integers(0, 40), k=st.integers(0, 6), n=st.integers(0, 6),
+       weighted=st.booleans(), divided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_near_max_opnorms_keeps_the_max_and_first_argmax(kind, count, k, n, weighted,
+                                                          divided, seed):
+    rng = np.random.default_rng(seed)
+    mats = _stack(kind, count, k, n, rng)
+    weights = (rng.uniform(0.5, 2.0, k), rng.uniform(0.1, 30.0, n)) if weighted else ()
+    den = rng.uniform(0.1, 10.0, count) if divided else None
+    full = weighted_opnorms(mats, *weights)
+    bounds = _gram_bounds(mats * weights[0][:, None] / weights[1] if weighted else mats)
+    assert np.all(bounds >= full * (1.0 - 1e-12))
+    if den is not None:
+        full = full / den
+    keep, values = near_max_opnorms(mats, *weights, den=den)
+    assert np.all(np.diff(keep) > 0)
+    assert np.array_equal(values, full[keep])
+    if not count:
+        assert keep.size == 0
+        return
+    assert values.max() == full.max()
+    assert keep[values.argmax()] == full.argmax()
+    # a floor at the maximum keeps it; one above every Frobenius norm keeps
+    # nothing
+    keep, values = near_max_opnorms(mats, *weights, den=den, floor=full.max())
+    assert keep[values.argmax()] == full.argmax() and values.max() == full.max()
+    fro = np.sqrt(np.sum((mats * weights[0][:, None] / weights[1] if weighted else mats) ** 2,
+                         axis=(1, 2)))
+    if den is not None:
+        fro = fro / den
+    assert near_max_opnorms(mats, *weights, den=den, floor=2.0 * fro.max() + 1.0)[0].size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_near_max_opnorms_of_a_non_finite_entry_acts_as_the_full_path(bad):
+    mats = np.random.default_rng(5).normal(size=(9, 3, 4))
+    mats[4, 1, 2] = bad
+    full = _outcome(lambda: weighted_opnorms(mats))
+    got = _outcome(lambda: near_max_opnorms(mats)[1])
+    if isinstance(full, type):
+        assert got is full
+    else:
+        assert np.array_equal(got, full, equal_nan=True)
 
 
 def test_extension_pair_validation():
