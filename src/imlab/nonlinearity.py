@@ -16,24 +16,34 @@ by position, and every row takes every term (the limit's direction with
 eps = 0.0).
 
 The evaluator takes each term's phase `u @ W.T` as an argument, because
-OpenBLAS rounds a gemm row by how many rows the call holds, and the two
-callers need the phase in different call shapes:
+OpenBLAS rounds a gemm row by how many rows the call holds. One routine,
+`chunked_phase`, forms the phase for both callers: it runs one stacked
+product over zero-padded chunks of a fixed row count, so every gemm call
+holds exactly that many rows. Only the row count differs:
 
-- a march forms it in gemms of `PHASE_CHUNK` rows (`chunked_phase`, the
-  default), so a row's bits do not depend on the rows marched with it;
+- a march uses `PHASE_CHUNK` rows (the default), so a row's bits do not
+  depend on the rows marched with it;
 - the sampling calls of `CutoffNonlinearity` (`eval_batch`,
-  `jacobian_batch`, `jacobian_blocks`) form it in one gemm over the whole
-  sample batch, which fixes the bits of the certified constants, the
-  amplitude and every report. Certification streams its thousands of
-  sampled Jacobians in blocks of `JACOBIAN_BLOCK` points from slices of
-  that phase and of the batch's radius and bump, so the blocks carry the
-  bits of one whole-batch evaluation and only one block is held at a time.
-  It reads only the largest norm of each sampled set and the sample that
-  holds it, so the blocks go through `spectral_core.near_max_opnorms`.
+  `jacobian_batch`, `jacobian_blocks`) use budget chunks
+  (`budget_product`), the most multiples of `PHASE_CHUNK` whose gemm stays
+  within `GEMM_BUDGET` multiply-adds (1024 rows at N = 32, K = 4), and a
+  batch that fits in one takes one plain gemm. On scipy-openblas 0.3.31
+  such chunks give the bits of one gemm over the whole batch, which fix
+  the certified constants, the amplitude and every report. Certification
+  streams its thousands of sampled Jacobians in blocks of `JACOBIAN_BLOCK`
+  points from slices of that phase and of the batch's radius and bump, so
+  the blocks carry the bits of one whole-batch evaluation and only one
+  block is held at a time. It reads only the largest norm of each sampled
+  set and the sample that holds it, so the blocks go through
+  `spectral_core.near_max_opnorms`.
 
-The two shapes agree bit for bit below the row count where OpenBLAS
-switches kernels (scipy-openblas 0.3.31 on x86: past 300 rows at K = 4,
-N = 32; past 150 at K = 8). Everything else the evaluator does is row-wise.
+The budget exists because OpenBLAS hands a gemm of more than 2 * 2**18
+multiply-adds to a second thread on a 2-core host, which does little of the
+work and then spins for CPU time that buys no wall time; the lifts by an
+extension E (`lift`) take the same chunks for the same reason. The two row
+counts agree bit for bit with each other only below the row count where
+OpenBLAS switches kernels (past 300 rows at K = 4, N = 32; past 150 at
+K = 8). Everything else the evaluator does is row-wise.
 """
 from __future__ import annotations
 
@@ -58,6 +68,10 @@ JACOBIAN_BLOCK = 128
 
 #: Rows per gemm call when a march forms an atom's phase (`chunked_phase`).
 PHASE_CHUNK = 128
+
+#: Most multiply-adds in one gemm call of the sampling phases and the lifts,
+#: a quarter of the 2 * 2**18 past which OpenBLAS threads a gemm.
+GEMM_BUDGET = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +339,12 @@ class CutoffNonlinearity:
 
     def _batch(self, u):
         """A one-member stack over the points u and each term's phase
-        `u @ W.T`, formed in one gemm over the whole batch."""
+        `u @ W.T`, formed with the bits of one gemm over the whole batch
+        in calls of at most `GEMM_BUDGET` multiply-adds (`budget_product`;
+        an empty product gives the width of the phase, 0 for a constant)."""
         stack = NonlinearityStack([(self, u.shape[0])])
-        return stack, [atom.phase(u) for atom, _ in stack.terms]
+        return stack, [budget_product(atom.phase, u, atom.phase(u[:0]).shape[1])
+                       for atom, _ in stack.terms]
 
 
 def per_row(values, counts) -> np.ndarray:
@@ -353,30 +370,53 @@ def _cut_rows(cut, lo, hi):
     return zeta[lo:hi], at[a:b] - lo, dzeta[a:b], r_at[a:b]
 
 
-def chunked_phase(atoms, u, work=None) -> list:
-    """Each atom's phase `u @ W.T` of the rows u, in gemm calls of
-    `PHASE_CHUNK` rows: numpy runs one gemm per chunk of a stacked
-    (chunks, PHASE_CHUNK, N) product, so a row's bits do not depend on the
-    rows it is stacked with, and no call is a one-row gemv. The whole
-    chunks are a view of u; the last, partial chunk is copied into a
-    zero-padded (1, PHASE_CHUNK, N) buffer, kept across calls in the dict
+def chunked_phase(products, u, work=None, rows=PHASE_CHUNK) -> list:
+    """Each row-wise product of the rows u, such as an atom's phase
+    `atom.phase`, in gemm calls of `rows` rows: numpy runs one gemm per
+    chunk of a stacked (chunks, rows, N) product, so a row's bits do not
+    depend on the rows it is stacked with, and no call is a one-row gemv.
+    The whole chunks are a view of u; the last, partial chunk is copied
+    into a zero-padded (1, rows, N) buffer, kept across calls in the dict
     work when one is given, with only its padding zeroed again."""
     n, width = u.shape
-    full = n - n % PHASE_CHUNK
-    parts = [u[:full].reshape(-1, PHASE_CHUNK, width)] if full else []
+    full = n - n % rows
+    parts = [u[:full].reshape(-1, rows, width)] if full else []
     if full < n:
         work = {} if work is None else work
         tail = work.get("tail")
         if tail is None:
-            tail = work["tail"] = np.empty((1, PHASE_CHUNK, width))
+            tail = work["tail"] = np.empty((1, rows, width))
         tail[0, : n - full] = u[full:]
         tail[0, n - full :] = 0.0
         parts.append(tail)
-    phases = []
-    for atom in atoms:
-        flat = [p.reshape(p.shape[0] * PHASE_CHUNK, p.shape[-1]) for p in map(atom.phase, parts)]
-        phases.append(flat[0][:n] if len(flat) == 1 else np.concatenate(flat)[:n])
-    return phases
+    results = []
+    for product in products:
+        flat = [p.reshape(p.shape[0] * rows, p.shape[-1]) for p in map(product, parts)]
+        results.append(flat[0][:n] if len(flat) == 1 else np.concatenate(flat)[:n])
+    return results
+
+
+def budget_product(product, u, columns: int) -> np.ndarray:
+    """product(u) of a row-wise product of the rows u (n, N) into columns
+    columns, in `chunked_phase` calls of budget chunks: the most multiples
+    of `PHASE_CHUNK` rows within `GEMM_BUDGET` multiply-adds, and never
+    fewer than `PHASE_CHUNK` rows. So no gemm call is threaded. On
+    scipy-openblas 0.3.31 the chunks give the bits of one gemm over all n
+    rows, which is what a batch that fits in one chunk takes. A one-column
+    product stays one call: numpy sends it to gemv, whose last rows round
+    unlike its blocked ones, so chunks would move them."""
+    madds = u.shape[1] * columns
+    rows = max(PHASE_CHUNK, GEMM_BUDGET // max(madds, 1) // PHASE_CHUNK * PHASE_CHUNK)
+    if u.shape[0] <= rows or columns == 1:
+        return product(u)
+    return chunked_phase([product], u, rows=rows)[0]
+
+
+def lift(u, E) -> np.ndarray:
+    """u @ E.T, the rows u (n, N) lifted by an extension E (N', N), in
+    `budget_product` calls."""
+    E = np.asarray(E, dtype=float)
+    return budget_product(lambda part: part @ E.T, u, E.shape[0])
 
 
 class NonlinearityStack:
@@ -466,7 +506,7 @@ class NonlinearityStack:
         phases: each term's phase at u; by default from `chunked_phase`."""
         n = u.shape[0]
         if phases is None:
-            phases = chunked_phase([atom for atom, _ in self.terms], u, self.work)
+            phases = chunked_phase([atom.phase for atom, _ in self.terms], u, self.work)
         (first, _), *rest = self.terms
         vals = pad_rows(first.value_at(phases[0]), self.k)
         for (atom, eps), phase in zip(rest, phases[1:]):
@@ -745,6 +785,5 @@ def rho_eps(
     rng = np.random.default_rng(0) if rng is None else rng
     radius = F_limit.cutoff_radius or 1.0
     pts = _ball_samples(F_limit.problem, radius, sample_count, rng)
-    lifted = pts @ np.asarray(pair_E, dtype=float).T
-    diff = F_eps.eval_batch(lifted) - F_limit.eval_batch(pts) @ np.asarray(pair_E).T
+    diff = F_eps.eval_batch(lift(pts, pair_E)) - lift(F_limit.eval_batch(pts), pair_E)
     return float(np.linalg.norm(diff, axis=1).max())

@@ -28,7 +28,7 @@ from .lyapunov_perron import (
     solve_manifold,
     solve_stack,
 )
-from .nonlinearity import pad_rows, rho_eps
+from .nonlinearity import lift, pad_rows, rho_eps
 from .spectral_core import (
     alpha_norm_batch,
     near_max_opnorms,
@@ -127,8 +127,7 @@ def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
         )
     z = _refined_grid(graph, 2)
     u0 = _lift_full(graph, z)
-    lifted = u0 @ e_mat.T
-    mism = pad_rows(F_eps.jacobian_batch(lifted), k) @ e_mat \
+    mism = pad_rows(F_eps.jacobian_batch(lift(u0, e_mat)), k) @ e_mat \
         - e_mat[:k, :k] @ pad_rows(F_0.jacobian_batch(u0), k)
     return float(near_max_opnorms(mism, col_weights=lab.limit_problem.alpha_weights)[1].max())
 
@@ -162,7 +161,7 @@ def sup_distance(phi_eps, phi0, pair, refine: int = 2) -> float:
     the slow blocks cancel exactly and only the fast graphs are compared.
     """
     z = _refined_grid(phi0, refine)
-    lifted = _lift_full(phi0, z) @ np.asarray(pair.E, dtype=float).T
+    lifted = lift(_lift_full(phi0, z), pair.E)
     w = lifted[:, : phi0.problem.m]
     point_eps = np.concatenate([w, phi_eps.eval(w)], axis=1)
     return float(alpha_norm_batch(phi_eps.problem, lifted - point_eps).max())
@@ -332,7 +331,7 @@ def theta_comparison(
 
     s0, th0 = integrate_Theta(limit.problem, limit.F, graph, limit.field, z, settings)
     e_mat = np.asarray(member.pair.E, dtype=float)
-    w = (_lift_full(graph, z) @ e_mat.T)[:, :m]
+    w = lift(_lift_full(graph, z), e_mat)[:, :m]
     se, the = integrate_Theta(
         member.problem, member.F, member.graph, member.field, w, settings
     )

@@ -8,7 +8,7 @@ regions by construction, so those are asserted without tolerance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -459,15 +459,59 @@ def test_chunked_phase_of_any_row_subset_equals_the_whole(k, n):
     work = {}
     for rows in (1, 2, 57, PHASE_CHUNK, PHASE_CHUNK + 1, 300, 350, 701, 1100):
         u = rng.normal(size=(rows, n))
-        whole, = chunked_phase([atom], u)
+        whole, = chunked_phase([atom.phase], u)
         assert whole.shape == (rows, k)
         subsets = [rng.permutation(rows), np.arange(rows)[::-1], [rows - 1],
                    rng.choice(rows, size=(rows + 1) // 2, replace=False),
                    np.sort(rng.choice(rows, size=min(rows, 3), replace=False))]
         for idx in subsets:
-            assert np.array_equal(chunked_phase([atom], u[idx])[0], whole[idx]), (rows, len(idx))
-            assert np.array_equal(chunked_phase([atom], u[idx], work)[0], whole[idx]), \
+            assert np.array_equal(chunked_phase([atom.phase], u[idx])[0], whole[idx]), \
                 (rows, len(idx))
+            assert np.array_equal(chunked_phase([atom.phase], u[idx], work)[0], whole[idx]), \
+                (rows, len(idx))
+
+
+def _sampled_member(case, lab):
+    """A member of each phase shape the sampling calls meet: the default
+    family's eps_max member (K = 4 sine plus cosine), families of K = 8 and
+    K = 32 atoms at N = 32 with two slow modes, and the 0-column phases of
+    the closed-form fixtures."""
+    if case == "default":
+        return lab.nonlinearity_at(lab.family.eps_max)
+    problem = SpectralProblem(eigenvalues=2.0 * np.arange(1, 33) ** 2.0, m=2, alpha=0.25)
+    if case == "constant":
+        return constant_map(problem, np.linspace(0.0, 1.0, 32))
+    if case == "zero":
+        return zero_map(problem)
+    k = int(case[1:])
+    rng = np.random.default_rng(k)
+    sine = SineBase(32, rng.uniform(0.5, 1.0, k), rng.normal(size=(k, 32)),
+                    rng.uniform(0, 2 * np.pi, k))
+    direction = CosineBase(32, rng.uniform(0.5, 1.0, k), rng.normal(size=(k, 32)))
+    family = PerturbedNonlinearityPair(base0=sine, direction=direction, eps_max=0.1)
+    return family.member(problem, 0.1, 1.0, {})
+
+
+@example(case="default", rows=5009, seed=0)
+@example(case="default", rows=PHASE_CHUNK * 8 + 1, seed=0)
+@example(case="K32", rows=2009, seed=0)
+@given(case=st.sampled_from(["default", "K8", "K32", "constant", "zero"]),
+       rows=st.integers(1, 6000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_phase_equals_one_whole_batch_gemm(lab, case, rows, seed):
+    # the sampling calls form each phase in zero-padded budget chunks, so
+    # no gemm is threaded; on scipy-openblas 0.3.31
+    # those chunks give the bits of one gemm over the whole batch, which
+    # fix the certified constants and every report
+    F = _sampled_member(case, lab)
+    u = np.random.default_rng(seed).normal(size=(rows, F.problem.n_modes))
+    _, phases = F._batch(u)
+    terms = F.base.terms()
+    assert len(phases) == len(terms)
+    for (atom, _), phase in zip(terms, phases):
+        whole = atom.phase(u)
+        assert phase.shape == whole.shape
+        assert np.array_equal(phase, whole), (case, rows)
 
 
 @pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import direction_sup, mode_mixing_pair
-from imlab import lyapunov_perron
-from imlab.config import build_lab, config_from_dict
+from imlab import lyapunov_perron, nonlinearity, perturbation_harness
+from imlab.config import build_lab, config_from_dict, default_config
 from imlab.errors import ConfigError, ConvergenceError, DimensionError
-from imlab.lyapunov_perron import GridField
-from imlab.nonlinearity import pad_rows
+from imlab.lyapunov_perron import GridField, grid_axes
+from imlab.nonlinearity import GEMM_BUDGET, CosineBase, SineBase, pad_rows
 from imlab.perturbation_harness import (
     _lift_full,
     _refined_grid,
@@ -70,6 +70,54 @@ def test_rho_linear_in_eps(lab):
     rho = rho_of(lab, 0.05)
     assert rho == pytest.approx(0.05 * direction_sup(lab.family), rel=1e-13)
     assert rho_of(lab, 0.0) == 0.0
+
+
+def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
+    # OpenBLAS (scipy-openblas 0.3.31) hands a gemm of more than 2 * 2**18
+    # multiply-adds to a second thread, which spins for CPU time that buys
+    # no wall time; every phase and every lift by E stays within the budget
+    # in build, certification, rho, beta and the sup distance
+    assert 4 * GEMM_BUDGET <= 2 * 2**18
+    calls, lifts = [], []
+
+    def record(u, out):
+        # a stacked (chunks, rows, N) product runs one gemm per chunk
+        calls.append(u.shape[-2] * u.shape[-1] * out.shape[-1])
+        return out
+
+    for cls in (SineBase, CosineBase):
+        monkeypatch.setattr(cls, "phase",
+                            lambda self, u, phase=cls.phase: record(u, phase(self, u)))
+    budget_product, lift = nonlinearity.budget_product, nonlinearity.lift
+    monkeypatch.setattr(nonlinearity, "budget_product", lambda product, u, columns: budget_product(
+        lambda part: record(part, product(part)), u, columns))
+
+    def counted_lift(u, E):
+        # the rows lifted, and whether the products ran through the budget
+        before = len(calls)
+        out = lift(u, E)
+        lifts.append((u.shape[0], len(calls) > before))
+        return out
+
+    monkeypatch.setattr(nonlinearity, "lift", counted_lift)
+    monkeypatch.setattr(perturbation_harness, "lift", counted_lift)
+
+    lab = build_lab(default_config())
+    lab.certify()
+    assert rho_of(lab, 0.1) > 0.0
+    assert lifts == [(2009, True)] * 2
+    assert calls and max(calls) <= GEMM_BUDGET, max(calls)
+
+    # the m = 2 lab's refined grid holds 81 x 81 = 6561 points
+    lab = build_lab(config_from_dict({"spectral": {"m": 2}, "solver": {"grid_nodes": 41}}))
+    problem = lab.limit_problem
+    axes = grid_axes(problem, lab.solve_settings, lab.config.nonlinearity.radius)
+    phi0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m,))
+    phi_eps = GridField.zeros(lab.problem_at(0.1), axes, phi0.trailing)
+    assert beta_eps(lab, 0.1, phi0) > 0.0
+    assert sup_distance(phi_eps, phi0, lab.extension_at(0.1)) == 0.0
+    assert lifts[2:] == [(81 * 81, True)] * 2
+    assert calls and max(calls) <= GEMM_BUDGET, max(calls)
 
 
 def test_beta_linear_in_eps(lab, limit):
