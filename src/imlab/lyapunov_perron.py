@@ -52,10 +52,17 @@ min(max(K, m), N) - m fast modes, and the transforms zero-fill the rest of
 their node tables. On the input side the march interpolates only the
 leading fast modes that hold a value in some member's graph or field (its
 `reach`), computed once per transform from the grid values; the rest of
-its state and tangent buffers stays +0.0. The nonlinearity still sees all
-N modes: its phase gemm and its cutoff norm run over full rows, whose call
-shape and summation order set the bits, and an input field may be dense in
-every fast mode (the PsiUniform suite's is).
+its state and tangent buffers stays +0.0. The fiber march forms the
+Jacobian rows only over those m + reach leading columns (4 of N = 32 on the
+default config): past them every Jacobian entry meets a zero tangent row.
+The rest of the nonlinearity sees all N modes. Its phase gemm and its
+cutoff norm run over full rows, whose call shape and summation order set
+the bits. The Jacobian-vector product runs at full width too, over the rows
+zero-padded to N columns: every product it adds past m + reach is an exact
+zero, so it keeps its bits up to the sign of a zero, where a product
+narrowed to the leading columns would take another BLAS kernel and round
+differently. An input field may be dense in every fast mode (the
+PsiUniform suite's is); its march takes all N columns.
 """
 from __future__ import annotations
 
@@ -494,8 +501,10 @@ def _march(blocks, fiber, collect=False):
 
     The samples fill only the leading `_Lane.reach` fast columns of the
     (rows, N) state and tangent buffers, which stay zero past them; the
-    nonlinearity takes full rows. Either count may be 0 (a zero map, the
-    zero graph of a first sweep), so shapes are spelled out, not inferred.
+    nonlinearity takes full rows, and the fiber march's Jacobian rows are
+    formed over the m + reach leading columns. Either count may be 0 (a
+    zero map, the zero graph of a first sweep), so shapes are spelled out,
+    not inferred.
     """
     lanes = [lane for lane, _ in blocks]
     counts = [len(points) for _, points in blocks]
@@ -541,15 +550,18 @@ def _march(blocks, fiber, collect=False):
     retiring = not collect and bool(np.isfinite(exit_radius).any())
     F = NonlinearityStack([(lane.F, c) for lane, c in zip(lanes, counts)], width=m + q)
 
-    def sample(pv):
+    def sample(pv, norms=None):
+        """The grids at the slow points pv, zero at or past the support;
+        norms: their weighted slow radii, when the caller has them."""
         out = _interp_multilinear(frame, values, pv, which)
         if supported:
-            out[row_norms(pv * w_slow) >= radius] = 0.0
+            out[(row_norms(pv * w_slow) if norms is None else norms) >= radius] = 0.0
         return out
 
     p = np.concatenate([points for _, points in blocks]).astype(float)
     rows = p.shape[0]
-    # the nonlinearity sees every mode; the columns past m + reach stay zero
+    # the phase and the cutoff norm see every mode; the columns past
+    # m + reach stay zero, so the Jacobian rows are formed over those only
     u = np.zeros((rows, n_modes))
     fast = slice(m, m + reach)
     if fiber:
@@ -558,25 +570,25 @@ def _march(blocks, fiber, collect=False):
         tangent[:, :m, :] = np.eye(m)
         state = [p, np.broadcast_to(np.eye(m), (rows, m, m)).copy()]
 
-        def rhs(st):
+        def rhs(st, norms=None):
             pv, tv = st
             n = pv.shape[0]
-            sampled = sample(pv)
+            sampled = sample(pv, norms)
             u[:n, :m] = pv
             u[:n, fast] = sampled[..., 0]
             tangent[:n, fast, :] = sampled[..., 1:]
-            fv, dfj = F.eval_and_jvp(u[:n], tangent[:n])
+            fv, dfj = F.eval_and_jvp(u[:n], tangent[:n], columns=m + reach)
             fp = fv[:, :m] - pv * lam_p
             ft = dfj[:, :m, :] @ tv - lam_p[:, :, None] * tv
             return [fp, ft], dfj[:, m : m + q, :] @ tv
     else:
         state = [p]
 
-        def rhs(st):
+        def rhs(st, norms=None):
             pv = st[0]
             n = pv.shape[0]
             u[:n, :m] = pv
-            u[:n, fast] = sample(pv)
+            u[:n, fast] = sample(pv, norms)
             fv = F.eval(u[:n])
             return [fv[:, :m] - pv * lam_p], fv[:, m : m + q]
 
@@ -606,7 +618,9 @@ def _march(blocks, fiber, collect=False):
         ]
         for s in state:
             _check_guard(s)
-        f, g_new = rhs(state)
+        # the new slow radii: the samples' support mask and the exit test
+        norms = row_norms(state[0] * w_slow) if supported else None
+        f, g_new = rhs(state, norms)
         acc += decay * hs[-1] * (g_prev * w0 + (g_new - g_prev) * w1)
         decay = decay * decay_step
         g_prev = g_new
@@ -614,7 +628,7 @@ def _march(blocks, fiber, collect=False):
             traj.append(state[-1].copy())
         drop = last <= k
         if retiring:
-            drop = drop | (row_norms(state[0] * w_slow) >= exit_radius)
+            drop = drop | (norms >= exit_radius)
         if not drop.any():
             continue
         out[live[drop]] = acc[drop]

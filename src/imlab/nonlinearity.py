@@ -11,7 +11,10 @@ the values of several family members over one stack of rows, their
 Jacobian rows by the product rule through the bump, and Jacobian-vector
 products. A base map writes only its first K coefficients, so every
 Jacobian here is its (K, N) block of leading rows; the rows past K are
-exactly zero and are never formed. The members share their base-map terms
+exactly zero and are never formed. A caller whose points and tangents
+vanish past some leading columns, as the fiber march's do, asks for those
+columns of the rows only (`NonlinearityStack` says why the Jacobian-vector
+product still runs at full width). The members share their base-map terms
 by position, and every row takes every term (the limit's direction with
 eps = 0.0).
 
@@ -149,9 +152,15 @@ class _BaseMap:
 
 class _Atom(_BaseMap):
     """A base map whose leading values (`value_at`, shape (B, rows)) and
-    leading Jacobian rows (`rows_at`, shape (B, rows, N), optionally written
-    into out) both follow from one phase array per point, so a batch needs
-    the phase `u @ W.T` only once."""
+    leading Jacobian rows (`rows_at`, shape (B, rows, N), or written into
+    out over its leading out.shape[-1] columns) both follow from one phase
+    array per point, so a batch needs the phase `u @ W.T` only once."""
+
+
+def _leading(weights, out):
+    """The columns of a (rows, N) weight matrix that out holds: all N
+    without out."""
+    return weights if out is None else weights[:, : out.shape[-1]]
 
 
 class SineBase(_Atom):
@@ -177,7 +186,7 @@ class SineBase(_Atom):
 
     def rows_at(self, phase, out=None):
         c = self.amplitudes * np.cos(phase)
-        return np.multiply(c[:, :, None], self.weights[None, :, :], out=out)
+        return np.multiply(c[:, :, None], _leading(self.weights, out)[None], out=out)
 
     def scaled(self, factor: float) -> "SineBase":
         return SineBase(self.n, self.amplitudes * factor, self.weights, self.phases)
@@ -208,7 +217,7 @@ class CosineBase(_Atom):
 
     def rows_at(self, phase, out=None):
         c = -self.amplitudes * np.sin(phase)
-        return np.multiply(c[:, :, None], self.weights[None, :, :], out=out)
+        return np.multiply(c[:, :, None], _leading(self.weights, out)[None], out=out)
 
     def scaled(self, factor: float) -> "CosineBase":
         return CosineBase(self.n, self.amplitudes * factor, self.weights)
@@ -443,11 +452,24 @@ class NonlinearityStack:
     which takes the kept rows of the per-row arrays.
 
     The values are formed over the k leading coefficients, the most any
-    member's base map writes, and the Jacobian rows as (rows, k, N) in
+    member's base map writes, and the Jacobian rows as (rows, k, columns) in
     buffers reused across calls, so a march's RK4 stages allocate no fresh
     stacks: the products and sums are the same element-wise operations, in
     the same order, as when each term's rows are formed anew. The methods
     zero-extend their results to `width` leading coefficients.
+
+    `jacobian_rows` and `eval_and_jvp` take a per-call column count: the
+    Jacobian rows are formed over the leading columns only, by the same
+    element-wise products as the full rows' leading part. The fiber march
+    passes the m + reach columns its state and tangent can fill; past them
+    both are +0.0. `eval_and_jvp` still contracts at full width: it copies
+    the rows into a zero-tailed (rows, k, N) buffer and multiplies by all N
+    rows of the tangent. Every product it adds past the columns is an exact
+    zero, in the same kernel order, so the result keeps its bits up to the
+    sign of an exact zero. A narrowed (rows, k, c) @ (rows, c, m) product
+    would not: OpenBLAS picks its kernel by the shapes, and at N = 32,
+    K = 4 such a product moves bits for m = 1 whenever c is not a multiple
+    of 4, and for m = 2 whenever c < 16.
     """
 
     def __init__(self, blocks, width=None):
@@ -486,11 +508,13 @@ class NonlinearityStack:
         self.terms = [(atom, eps if eps is None else _take(eps, keep))
                       for atom, eps in self.terms]
 
-    def _buffer(self, name, count):
-        """The first count rows of a reused (rows, k, N) buffer."""
-        buf = self.work.get(name)
+    def _buffer(self, key, count, columns):
+        """The first count rows of a reused (rows, k, columns) buffer, one
+        per key. A buffer starts as zeros, so a part that no call under its
+        key writes stays +0.0."""
+        buf = self.work.get(key)
         if buf is None or buf.shape[0] < count:
-            buf = self.work[name] = np.empty((count, self.k, self.n))
+            buf = self.work[key] = np.zeros((count, self.k, columns))
         return buf[:count]
 
     def _atom_rows(self, atom, phase, out):
@@ -500,10 +524,11 @@ class NonlinearityStack:
             out[:, atom.rows :] = 0.0
         return out
 
-    def _base(self, u, with_rows, phases=None):
-        """Base values (n, k) and, with rows, the leading Jacobian rows
-        (n, k, N) of the n rows taken, the latter in the "rows" buffer.
-        phases: each term's phase at u; by default from `chunked_phase`."""
+    def _base(self, u, phases=None, columns=None):
+        """Base values (n, k) of the n rows taken and, with a column count,
+        their leading Jacobian rows over that many leading columns
+        (n, k, columns) in the "rows" buffer. phases: each term's phase at
+        u; by default from `chunked_phase`, over full rows."""
         n = u.shape[0]
         if phases is None:
             phases = chunked_phase([atom.phase for atom, _ in self.terms], u, self.work)
@@ -511,11 +536,11 @@ class NonlinearityStack:
         vals = pad_rows(first.value_at(phases[0]), self.k)
         for (atom, eps), phase in zip(rest, phases[1:]):
             vals = vals + eps * pad_rows(atom.value_at(phase), self.k)
-        if not with_rows:
+        if columns is None:
             return vals, None
-        rows = self._atom_rows(first, phases[0], self._buffer("rows", n))
+        rows = self._atom_rows(first, phases[0], self._buffer(("rows", columns), n, columns))
         for (atom, eps), phase in zip(rest, phases[1:]):
-            term = self._atom_rows(atom, phase, self._buffer("term", n))
+            term = self._atom_rows(atom, phase, self._buffer(("term", columns), n, columns))
             term *= eps[:, :, None]
             rows += term
         return vals, rows
@@ -545,29 +570,31 @@ class NonlinearityStack:
 
     def eval(self, u, phases=None) -> np.ndarray:
         """F(u) for the rows taken u; phases as in `_base`."""
-        vals, _ = self._base(u, with_rows=False, phases=phases)
+        vals, _ = self._base(u, phases)
         if self.radius is not None:
             vals *= cutoff_value(self._radius(u), self.radius)[:, None]
         return pad_rows(vals, self.width)
 
-    def jacobian_rows(self, u, phases=None, cut=None):
-        """F(u)'s k leading values (n, k) and DF(u)'s k leading rows
-        (n, k, N) for the rows taken u, the latter in the reused "rows"
-        buffer; phases as in `_base`, cut the rows' `cutoff` when the
-        caller has formed it. The base value, radius and bump are formed
-        once; the rows of DF(u) past k are exactly zero.
+    def jacobian_rows(self, u, phases=None, cut=None, columns=None):
+        """F(u)'s k leading values (n, k) and DF(u)'s k leading rows over
+        the leading columns (n, k, columns; all N by default) for the rows
+        taken u, the latter in the reused "rows" buffer; phases as in
+        `_base`, cut the rows' `cutoff` when the caller has formed it. The
+        base value, radius and bump are formed once, from full rows; the
+        rows of DF(u) past k are exactly zero.
 
         The product rule through the bump adds dzeta * value * grad on the
-        annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r,
-        in (JACOBIAN_BLOCK, k, N) temporaries.
+        annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r
+        over the same columns, in (JACOBIAN_BLOCK, k, columns) temporaries.
         """
-        vals, rows = self._base(u, with_rows=True, phases=phases)
+        columns = self.n if columns is None else columns
+        vals, rows = self._base(u, phases, columns)
         if self.radius is not None:
             zeta, at, dzeta, r_at = self.cutoff(u) if cut is None else cut
             rows *= zeta[:, None, None]
             if at.size:
-                w2 = self.weights2
-                grad = (u[at] * (w2 if len(w2) == 1 else w2[at])) / r_at[:, None]
+                w2 = self.weights2[:, :columns]
+                grad = (u[at, :columns] * (w2 if len(w2) == 1 else w2[at])) / r_at[:, None]
                 slope = dzeta[:, None] * vals[at]
                 for lo in range(0, at.size, JACOBIAN_BLOCK):
                     hi = lo + JACOBIAN_BLOCK
@@ -575,10 +602,20 @@ class NonlinearityStack:
             vals *= zeta[:, None]
         return vals, rows
 
-    def eval_and_jvp(self, u, V):
+    def eval_and_jvp(self, u, V, columns=None):
         """F(u) and DF(u) V for the rows taken u and tangents V (n, N, m):
-        `jacobian_rows` applied to V."""
-        vals, rows = self.jacobian_rows(u)
+        `jacobian_rows` applied to V. With columns, only DF(u)'s leading
+        columns are applied, which is DF(u) V when V is +0.0 past them (and
+        its bits, up to the sign of an exact zero, when u is too): the rows
+        are formed there only, copied into a zero-tailed (n, k, N) buffer
+        and contracted with all of V."""
+        vals, rows = self.jacobian_rows(u, columns=columns)
+        c = rows.shape[-1]
+        if c < self.n:
+            # one buffer per column count, so its tail past c is never written
+            padded = self._buffer(("padded", c), u.shape[0], self.n)
+            padded[:, :, :c] = rows
+            rows = padded
         return pad_rows(vals, self.width), pad_rows(rows @ V, self.width)
 
 

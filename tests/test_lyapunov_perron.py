@@ -58,6 +58,7 @@ from imlab.nonlinearity import (
 )
 from imlab.perturbation_harness import instantiate, solve_member
 from imlab.spectral_core import SpectralProblem, coord_norm_batch
+from imlab.suites import suite_psi_uniform
 
 
 # trailing value shapes of two_mode grids: graph, derivative field
@@ -509,6 +510,34 @@ def test_one_stack_per_march_in_the_default_member_solve(lab, monkeypatch):
     solve_member(lab, 0.1)
     assert marched and built == marched
     assert len(retired) > len(marched) and min(retired) > 0
+
+
+def test_fiber_marches_form_jacobian_rows_over_m_plus_reach_columns(lab, limit, monkeypatch):
+    # the fiber march's state and tangent vanish past m + reach columns, so
+    # it forms the Jacobian rows over those only; a field dense in every
+    # fast mode (the PsiUniform suite's) takes all N
+    calls, expected = [], []
+    march = lyapunov_perron._march
+
+    class Recording(lyapunov_perron.NonlinearityStack):
+        def eval_and_jvp(self, u, V, columns=None):
+            calls.append((columns, expected[-1]))
+            return super().eval_and_jvp(u, V, columns)
+
+    def recording_march(blocks, fiber, collect=False):
+        m = blocks[0][0].problem.m
+        expected.append(m + max(lane.reach for lane, _ in blocks) if fiber else None)
+        return march(blocks, fiber, collect)
+
+    monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Recording)
+    monkeypatch.setattr(lyapunov_perron, "_march", recording_march)
+    solve_member(lab, 0.1)
+    assert len(calls) > 1000
+    assert all(columns == want for columns, want in calls)
+    assert {columns for columns, _ in calls} == {4}
+    calls.clear()
+    suite_psi_uniform(lab, limit, lab.rng("suites"))
+    assert calls and {columns for columns, _ in calls} == {lab.limit_problem.n_modes}
 
 
 @pytest.mark.parametrize("payload", [

@@ -601,6 +601,73 @@ def test_stack_rejects_members_that_do_not_share_their_terms():
     NonlinearityStack([(summed[0], 3), (members[0], 4)])
 
 
+def _leading_columns_case(k0, k1, m, c, seed, n=32):
+    """A stacked limit and eps member pair of a K = k0 sine family with a
+    k1-row cosine direction, and rows u (one plateau, two annulus and one
+    outside row per member) and tangents V (rows, N, m) that vanish past
+    their leading c columns."""
+    rng = np.random.default_rng(seed)
+    base0 = SineBase(n, 0.1 * rng.uniform(0.5, 1.0, k0), rng.normal(size=(k0, n)),
+                     rng.uniform(0, 2 * np.pi, k0))
+    direction = CosineBase(n, 0.1 * rng.uniform(0.5, 1.0, k1), rng.normal(size=(k1, n)))
+    family = PerturbedNonlinearityPair(base0=base0, direction=direction, eps_max=0.1)
+    problem = SpectralProblem(2.0 * np.arange(1, n + 1) ** 2.0, m, 0.25)
+    members = [family.member(problem, eps, 1.0, {}) for eps in (0.0, 0.05)]
+    radii = np.tile([0.3, 0.6, 0.95, 1.4], 2)
+    u = np.zeros((radii.size, n))
+    u[:, :c] = rng.normal(size=(radii.size, c))
+    u *= (radii / alpha_norm_batch(problem, u))[:, None]
+    V = np.zeros((radii.size, n, m))
+    V[:, :c] = rng.normal(size=(radii.size, c, m))
+    return [(F, 4) for F in members], u, V
+
+
+@given(k0=st.integers(1, 8), k1=st.integers(1, 8), m=st.sampled_from([1, 2]),
+       c=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_jvp_over_leading_columns_equals_the_full_width(k0, k1, m, c, seed):
+    # where u and V vanish past c, the rows formed over the leading c
+    # columns and contracted zero-padded at full width give the full
+    # evaluation's bits (np.array_equal lets an exact zero change its sign)
+    c = max(c, m + 1)
+    blocks, u, V = _leading_columns_case(k0, k1, m, c, seed)
+    stack = NonlinearityStack(blocks)
+    _, at, _, _ = stack.cutoff(u)
+    assert at.size == 4  # two annulus rows per member
+    fv, jvp = stack.eval_and_jvp(u, V, columns=c)
+    want_fv, want_jvp = NonlinearityStack(blocks).eval_and_jvp(u, V)
+    assert np.array_equal(fv, want_fv)
+    assert np.array_equal(jvp, want_jvp), (k0, k1, m, c)
+
+
+def test_one_stack_across_column_counts_equals_fresh_stacks():
+    # a stack keeps one zero-tailed buffer per column count: a call with
+    # fewer columns than the last must not apply the last call's tail. With
+    # u and V dense past c, columns=c applies DF(u)'s leading c columns only,
+    # so a stale tail would show; the bits are compared, signs of zeros too
+    blocks, u, V = _leading_columns_case(4, 4, 1, 32, 5)
+    stack = NonlinearityStack(blocks)
+    keep = np.array([True, False, True, True, False, True, True, False])
+
+    def fresh(retired):
+        other = NonlinearityStack(blocks)
+        if retired:
+            other.retire(keep)
+        return other
+
+    for retired in (False, True):  # the buffers then serve fewer rows
+        if retired:
+            stack.retire(keep)
+            u, V = u[keep], V[keep]
+        for c in (32, 4, 2, 4, 32, 2):
+            fv, jvp = stack.eval_and_jvp(u, V, columns=c)
+            want_fv, want_jvp = fresh(retired).eval_and_jvp(u, V, columns=c)
+            assert fv.tobytes() == want_fv.tobytes(), (c, retired)
+            assert jvp.tobytes() == want_jvp.tobytes(), (c, retired)
+            rows = fresh(retired).jacobian_rows(u)[1]
+            assert np.allclose(jvp[:, :4], rows[:, :, :c] @ V[:, :c], rtol=1e-13, atol=1e-15)
+
+
 def _radial_batch(problem, radii, seed):
     """Random directions scaled to the given alpha-norm radii."""
     u = np.random.default_rng(seed).normal(size=(len(radii), problem.n_modes))
