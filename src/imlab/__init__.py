@@ -83,11 +83,9 @@ from .perturbation_harness import (
     theta_comparison,
 )
 from .spectral_core import (
-    ExtensionPair,
     SpectralProblem,
     alpha_norm_batch,
-    certify_kappa,
-    identity_pair,
+    kappa,
     norm_equivalence_delta,
     resolvent_deficiency,
     spectrum_from_rule,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gap_analysis
+from . import gap_analysis, spectral_core
 from .errors import AdmissibilityError, ConfigError
 from .lyapunov_perron import SolveSettings
 from .nonlinearity import (
@@ -28,9 +28,7 @@ from .nonlinearity import (
     pad_rows,
 )
 from .spectral_core import (
-    ExtensionPair,
     SpectralProblem,
-    identity_pair,
     near_max_opnorms,
     spectrum_from_rule,
     weighted_opnorms,
@@ -330,9 +328,6 @@ class Laboratory:
         lam = self.limit_problem.eigenvalues * (1.0 + eps)
         return SpectralProblem(lam, self.limit_problem.m, self.limit_problem.alpha)
 
-    def extension_at(self, eps: float) -> ExtensionPair:
-        return identity_pair(self.limit_problem, self.problem_at(eps))
-
     def nonlinearity_at(self, eps: float) -> CutoffNonlinearity:
         return self.family.member(
             self.problem_at(eps), eps, self.config.nonlinearity.radius, self.constants
@@ -464,7 +459,7 @@ def build_lab(cfg: ExperimentConfig) -> Laboratory:
 
     constants = {"C_F": cf, "L_F": nl.lf, "theta_F": nl.theta_f, "L": l_cfg}
 
-    kappa = identity_pair(limit, probe_problems[eps_max]).kappa
+    kappa = spectral_core.kappa(limit, probe_problems[eps_max])
 
     t_tilde = gap_analysis.theta_tilde(
         nl.theta_f,

@@ -42,8 +42,7 @@ holds exactly that many rows. Only the row count differs:
 
 The budget exists because OpenBLAS hands a gemm of more than 2 * 2**18
 multiply-adds to a second thread on a 2-core host, which does little of the
-work and then spins for CPU time that buys no wall time; the lifts by an
-extension E (`lift`) take the same chunks for the same reason. The two row
+work and then spins for CPU time that buys no wall time. The two row
 counts agree bit for bit with each other only below the row count where
 OpenBLAS switches kernels (past 300 rows at K = 4, N = 32; past 150 at
 K = 8). Everything else the evaluator does is row-wise.
@@ -72,8 +71,8 @@ JACOBIAN_BLOCK = 128
 #: Rows per gemm call when a march forms an atom's phase (`chunked_phase`).
 PHASE_CHUNK = 128
 
-#: Most multiply-adds in one gemm call of the sampling phases and the lifts,
-#: a quarter of the 2 * 2**18 past which OpenBLAS threads a gemm.
+#: Most multiply-adds in one gemm call of the sampling phases, a quarter of
+#: the 2 * 2**18 past which OpenBLAS threads a gemm.
 GEMM_BUDGET = 2**17
 
 
@@ -152,15 +151,9 @@ class _BaseMap:
 
 class _Atom(_BaseMap):
     """A base map whose leading values (`value_at`, shape (B, rows)) and
-    leading Jacobian rows (`rows_at`, shape (B, rows, N), or written into
-    out over its leading out.shape[-1] columns) both follow from one phase
-    array per point, so a batch needs the phase `u @ W.T` only once."""
-
-
-def _leading(weights, out):
-    """The columns of a (rows, N) weight matrix that out holds: all N
-    without out."""
-    return weights if out is None else weights[:, : out.shape[-1]]
+    leading Jacobian rows (`rows_at`, written into out (B, rows, c) over
+    the leading c columns) both follow from one phase array per point, so
+    a batch needs the phase `u @ W.T` only once."""
 
 
 class SineBase(_Atom):
@@ -184,9 +177,9 @@ class SineBase(_Atom):
     def value_at(self, phase):
         return self.amplitudes * np.sin(phase)
 
-    def rows_at(self, phase, out=None):
+    def rows_at(self, phase, out):
         c = self.amplitudes * np.cos(phase)
-        return np.multiply(c[:, :, None], _leading(self.weights, out)[None], out=out)
+        return np.multiply(c[:, :, None], self.weights[None, :, : out.shape[-1]], out=out)
 
     def scaled(self, factor: float) -> "SineBase":
         return SineBase(self.n, self.amplitudes * factor, self.weights, self.phases)
@@ -215,9 +208,9 @@ class CosineBase(_Atom):
     def value_at(self, phase):
         return self.amplitudes * np.cos(phase)
 
-    def rows_at(self, phase, out=None):
+    def rows_at(self, phase, out):
         c = -self.amplitudes * np.sin(phase)
-        return np.multiply(c[:, :, None], _leading(self.weights, out)[None], out=out)
+        return np.multiply(c[:, :, None], self.weights[None, :, : out.shape[-1]], out=out)
 
     def scaled(self, factor: float) -> "CosineBase":
         return CosineBase(self.n, self.amplitudes * factor, self.weights)
@@ -242,9 +235,7 @@ class ConstantBase(_Atom):
     def value_at(self, phase):
         return np.tile(self.vector[: self.rows], (phase.shape[0], 1))
 
-    def rows_at(self, phase, out=None):
-        if out is None:
-            return np.zeros((phase.shape[0], self.rows, self.n))
+    def rows_at(self, phase, out):
         out[...] = 0.0
         return out
 
@@ -419,13 +410,6 @@ def budget_product(product, u, columns: int) -> np.ndarray:
     if u.shape[0] <= rows or columns == 1:
         return product(u)
     return chunked_phase([product], u, rows=rows)[0]
-
-
-def lift(u, E) -> np.ndarray:
-    """u @ E.T, the rows u (n, N) lifted by an extension E (N', N), in
-    `budget_product` calls."""
-    E = np.asarray(E, dtype=float)
-    return budget_product(lambda part: part @ E.T, u, E.shape[0])
 
 
 class NonlinearityStack:
@@ -809,18 +793,18 @@ class PerturbedNonlinearityPair:
 def rho_eps(
     F_eps: CutoffNonlinearity,
     F_limit: CutoffNonlinearity,
-    pair_E: np.ndarray,
     sample_count: int = 2000,
     rng=None,
 ) -> float:
-    """Sampled sup of |F_eps(E u) - E F_limit(u)| over the support ball.
+    """Sampled sup of |F_eps(u) - F_limit(u)| over the support ball; the
+    two maps act on one coefficient space.
 
     The sample ladder covers plateau, annulus, and exterior shells and
-    always includes the origin, so additive families with identity extension
-    and zero-phase cosine directions are measured exactly.
+    always includes the origin, so additive families with zero-phase
+    cosine directions are measured exactly.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     radius = F_limit.cutoff_radius or 1.0
     pts = _ball_samples(F_limit.problem, radius, sample_count, rng)
-    diff = F_eps.eval_batch(lift(pts, pair_E)) - lift(F_limit.eval_batch(pts), pair_E)
+    diff = F_eps.eval_batch(pts) - F_limit.eval_batch(pts)
     return float(np.linalg.norm(diff, axis=1).max())

@@ -1,11 +1,12 @@
 """Distances between the limit manifold and perturbed manifolds.
 
-Every comparison maps limit objects into the perturbed space through the
-extension operator and measures in the perturbed norms. Point distances use
-the slow-coordinate correspondence induced by the extension, computed exactly
-node by node; derivative distances use the graph-independent correspondence
-through the slow-slow block of the extension. Identity extensions reduce both
-to plain slow-coordinate matching without a special case.
+Every family member keeps the limit's N modes with its spectrum scaled by
+1 + eps, so the limit and a member live in one coefficient space: the
+extension between them is the identity (config `family.extension`
+"identity"). Every comparison measures in the perturbed norms at the same
+coefficients. Point distances match the two graphs at the same slow
+coordinates, node by node; derivative distances compare the two fields at
+the same slow coordinates.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import Laboratory
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
@@ -28,7 +29,7 @@ from .lyapunov_perron import (
     solve_manifold,
     solve_stack,
 )
-from .nonlinearity import lift, pad_rows, rho_eps
+from .nonlinearity import pad_rows, rho_eps
 from .spectral_core import (
     alpha_norm_batch,
     near_max_opnorms,
@@ -41,8 +42,8 @@ _PASS_SLACK = 1.0 + 1e-9
 
 
 def instantiate(lab: Laboratory, eps: float):
-    """Concrete triple for one family member: problem, map, extension."""
-    return lab.problem_at(eps), lab.nonlinearity_at(eps), lab.extension_at(eps)
+    """The problem and the nonlinearity of one family member."""
+    return lab.problem_at(eps), lab.nonlinearity_at(eps)
 
 
 @dataclass(eq=False)
@@ -52,7 +53,6 @@ class SolvedMember:
     eps: float
     problem: object
     F: object
-    pair: object
     manifold: ManifoldResult
     derivative: DerivativeResult
 
@@ -66,14 +66,12 @@ class SolvedMember:
 
 
 def solve_member(lab: Laboratory, eps: float, settings=None, theta=None) -> SolvedMember:
-    problem, F, pair = instantiate(lab, eps)
+    problem, F = instantiate(lab, eps)
     settings = settings or lab.solve_settings
     theta = lab.theta if theta is None else theta
     man = solve_manifold(problem, F, settings)
     der = solve_derivative(problem, F, man.graph, theta, settings)
-    return SolvedMember(
-        eps=eps, problem=problem, F=F, pair=pair, manifold=man, derivative=der
-    )
+    return SolvedMember(eps=eps, problem=problem, F=F, manifold=man, derivative=der)
 
 
 def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> list:
@@ -83,11 +81,11 @@ def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> lis
     the stack requires (`NonlinearityStack`)."""
     settings = settings or lab.solve_settings
     theta = lab.theta if theta is None else theta
-    triples = [instantiate(lab, eps) for eps in eps_values]
-    solved = solve_stack([(problem, F) for problem, F, _ in triples], theta, settings)
+    built = [instantiate(lab, eps) for eps in eps_values]
+    solved = solve_stack(built, theta, settings)
     return [
-        SolvedMember(eps=eps, problem=problem, F=F, pair=pair, manifold=man, derivative=der)
-        for eps, (problem, F, pair), (man, der) in zip(eps_values, triples, solved)
+        SolvedMember(eps=eps, problem=problem, F=F, manifold=man, derivative=der)
+        for eps, (problem, F), (man, der) in zip(eps_values, built, solved)
     ]
 
 
@@ -97,38 +95,26 @@ def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> lis
 
 def tau_eps(lab: Laboratory, eps: float) -> float:
     """Resolvent deficiency of the member against the limit problem."""
-    problem, _, pair = instantiate(lab, eps)
-    return resolvent_deficiency(lab.limit_problem, problem, pair)
+    return resolvent_deficiency(lab.limit_problem, lab.problem_at(eps))
 
 
 def rho_of(lab: Laboratory, eps: float, rng=None) -> float:
-    problem, F_eps, pair = instantiate(lab, eps)
     rng = lab.rng("study") if rng is None else rng
-    return rho_eps(F_eps, lab.limit_F, pair.E, rng=rng)
+    return rho_eps(lab.nonlinearity_at(eps), lab.limit_F, rng=rng)
 
 
 def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
     """Sup over the solved limit manifold of the derivative mismatch
-    DF_eps(E u) E - E DF_0(u), measured alpha-weighted to plain.
+    DF_eps(u) - DF_0(u), measured alpha-weighted to plain.
 
     Both Jacobians are their K leading rows, so the mismatch is its K
-    leading rows DF_eps(E u) E - E[:K, :K] DF_0(u); that is exact while E
-    maps nothing from the first K coordinates past them, E[K:, :K] == 0.
+    leading rows; the rows past K are exact zeros of both.
     """
     graph = getattr(manifold0, "graph", manifold0)
-    problem, F_eps, pair = instantiate(lab, eps)
-    F_0 = lab.limit_F
+    F_eps, F_0 = lab.nonlinearity_at(eps), lab.limit_F
     k = max(F_eps.base.rows, F_0.base.rows)
-    e_mat = np.asarray(pair.E, dtype=float)
-    if np.any(e_mat[k:, :k]):
-        raise DimensionError(
-            f"the extension maps the first {k} coordinates past them; "
-            "the K-row derivative mismatch needs E[K:, :K] == 0"
-        )
-    z = _refined_grid(graph, 2)
-    u0 = _lift_full(graph, z)
-    mism = pad_rows(F_eps.jacobian_batch(lift(u0, e_mat)), k) @ e_mat \
-        - e_mat[:k, :k] @ pad_rows(F_0.jacobian_batch(u0), k)
+    u0 = _lift_full(graph, _refined_grid(graph, 2))
+    mism = pad_rows(F_eps.jacobian_batch(u0), k) - pad_rows(F_0.jacobian_batch(u0), k)
     return float(near_max_opnorms(mism, col_weights=lab.limit_problem.alpha_weights)[1].max())
 
 
@@ -153,34 +139,31 @@ def _lift_full(graph, z) -> np.ndarray:
 # Distance estimators
 
 
-def sup_distance(phi_eps, phi0, pair, refine: int = 2) -> float:
+def sup_distance(phi_eps, phi0, refine: int = 2) -> float:
     """Largest perturbed-space alpha-norm gap between corresponding graph
     points, over the limit grid refined by the given factor.
 
-    The perturbed point sits at the slow part of the lifted limit point, so
-    the slow blocks cancel exactly and only the fast graphs are compared.
+    The perturbed point sits at the limit point's slow coordinates, so the
+    slow blocks cancel exactly and only the fast graphs are compared.
     """
     z = _refined_grid(phi0, refine)
-    lifted = lift(_lift_full(phi0, z), pair.E)
-    w = lifted[:, : phi0.problem.m]
-    point_eps = np.concatenate([w, phi_eps.eval(w)], axis=1)
-    return float(alpha_norm_batch(phi_eps.problem, lifted - point_eps).max())
+    point0 = _lift_full(phi0, z)
+    point_eps = np.concatenate([z, phi_eps.eval(z)], axis=1)
+    return float(alpha_norm_batch(phi_eps.problem, point0 - point_eps).max())
 
 
-def derivative_mismatch(field_eps, field0, pair, z) -> np.ndarray:
-    """E DPsi_0(z) - DPsi_eps(B z) B at each slow sample, shape (B, N_eps, m).
+def derivative_mismatch(field_eps, field0, z) -> np.ndarray:
+    """DPsi_0(z) - DPsi_eps(z) at each slow sample, shape (B, N, m).
 
-    B is the slow-slow block of the extension, so the correspondence needs no
-    graph evaluation. Both graph derivatives enter as maps from the slow space
-    into the full space, identity over the slow block suppressed; the
-    extension of the suppressed identity cancels only when E is the identity,
-    so the slow-fast coupling of E is kept explicitly.
+    Both graph derivatives enter as maps from the slow space into the full
+    space, whose slow rows, the identity, cancel; they stay in the result
+    as exact zeros.
     """
     m = field0.problem.m
-    e_mat = np.asarray(pair.E, dtype=float)
-    b_mat = e_mat[:m, :m]
-    delta = np.asarray(e_mat[None, :, m:] @ field0.eval(z))
-    delta[:, m:, :] -= field_eps.eval(z @ b_mat.T) @ b_mat[None]
+    fast = field0.eval(z)
+    delta = np.zeros((fast.shape[0], field0.problem.n_modes, m))
+    delta[:, m:, :] = fast
+    delta[:, m:, :] -= field_eps.eval(z)
     return delta
 
 
@@ -190,25 +173,19 @@ def _mismatch_weights(problem0, problem_eps):
     return problem_eps.alpha_weights, problem0.alpha_weights[: problem0.m]
 
 
-def c1_distance(field_eps, field0, pair, refine: int = 2) -> float:
+def c1_distance(field_eps, field0, refine: int = 2) -> float:
     """Sup of the derivative mismatch norm over the refined limit grid.
 
     This is the derivative part only; the full C1 distance adds the sup
     distance of the graphs.
     """
     z = _refined_grid(field0, refine)
-    delta = derivative_mismatch(field_eps, field0, pair, z)
+    delta = derivative_mismatch(field_eps, field0, z)
     weights = _mismatch_weights(field0.problem, field_eps.problem)
     return float(near_max_opnorms(delta, *weights)[1].max())
 
 
-def holder_seminorm_of_difference(
-    field_eps,
-    field0,
-    pair,
-    thetas,
-    rng=None,
-):
+def holder_seminorm_of_difference(field_eps, field0, thetas, rng=None):
     """Hoelder seminorms of the derivative mismatch at several exponents over
     one shared set of `dyadic_pairs` (`dyadic_scan`).
 
@@ -216,7 +193,7 @@ def holder_seminorm_of_difference(
     sampled points).
     """
     return dyadic_scan(field0.problem, field0.axes,
-                       lambda z: derivative_mismatch(field_eps, field0, pair, z),
+                       lambda z: derivative_mismatch(field_eps, field0, z),
                        _mismatch_weights(field0.problem, field_eps.problem), thetas, rng)
 
 
@@ -245,7 +222,6 @@ def c1theta_distance(
     phi0,
     field_eps,
     field0,
-    pair,
     theta: float,
     theta_star: float,
     rng=None,
@@ -258,10 +234,10 @@ def c1theta_distance(
     """
     if not 0.0 < theta < theta_star:
         raise ConfigError("need 0 < theta < theta_star")
-    sup_part = sup_distance(phi_eps, phi0, pair)
-    grid_deriv = c1_distance(field_eps, field0, pair)
+    sup_part = sup_distance(phi_eps, phi0)
+    grid_deriv = c1_distance(field_eps, field0)
     seminorms, pair_sup = holder_seminorm_of_difference(
-        field_eps, field0, pair, (theta, theta_star), rng=rng
+        field_eps, field0, (theta, theta_star), rng=rng
     )
     deriv_part = max(grid_deriv, pair_sup)
     seminorm = seminorms[theta]
@@ -330,17 +306,13 @@ def theta_comparison(
     z = rng.uniform(-0.5 * half, 0.5 * half, size=(xi_samples, m))
 
     s0, th0 = integrate_Theta(limit.problem, limit.F, graph, limit.field, z, settings)
-    e_mat = np.asarray(member.pair.E, dtype=float)
-    w = lift(_lift_full(graph, z), e_mat)[:, :m]
     se, the = integrate_Theta(
-        member.problem, member.F, member.graph, member.field, w, settings
+        member.problem, member.F, member.graph, member.field, z, settings
     )
     if s0.shape != se.shape or not np.allclose(s0, se):
         raise ConfigError("mismatched trajectory grids in theta comparison")
 
-    # coordinate iso between slow blocks; identity extensions give B = I
-    b_mat = e_mat[:m, :m]
-    mism = b_mat[None, None] @ th0 - the @ b_mat[None, None]
+    mism = th0 - the
     measured = weighted_opnorms(mism, row_weights=member.problem.alpha_weights[:m],
                                 col_weights=lab.limit_problem.alpha_weights[:m])
 
@@ -488,12 +460,11 @@ def rate_study(lab: Laboratory, eps_grid=None, rng=None) -> DistanceReport:
     floor = 10.0 * lab.solve_settings.tol_fp
     for eps in eps_grid:
         member = solved[eps]
-        pair = lab.extension_at(eps)
         tau = tau_eps(lab, eps)
         rho = rho_of(lab, eps, rng=rng)
         beta = beta_eps(lab, eps, limit.graph)
         dist = c1theta_distance(
-            member.graph, limit.graph, member.field, limit.field, pair,
+            member.graph, limit.graph, member.field, limit.field,
             theta, theta_star, rng=rng,
         )
         tl = _tau_log(tau)

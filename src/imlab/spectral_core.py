@@ -1,4 +1,4 @@
-"""Diagonal spectral model problems: norms, extension pairs, perturbation sizes.
+"""Diagonal spectral model problems: norms, perturbation sizes.
 
 A model problem is a positive diagonal operator given by its eigenvalue
 sequence, a slow-mode count m, and a fractional power alpha. Vectors are
@@ -208,71 +208,23 @@ def near_max_opnorms(mats, row_weights=None, col_weights=None, den=None, floor=-
     return keep, values if den is None else values / den[keep]
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionPair:
-    """Extension E and restriction M between two coefficient spaces.
-
-    M @ E must equal the identity on the smaller (limit) space exactly.
-    kappa is a certified common bound for the operator norms of E and M in
-    the plain and alpha-weighted norms of the two problems.
-    """
-
-    E: np.ndarray
-    M: np.ndarray
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        E = _readonly(self.E)
-        M = _readonly(self.M)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "M", M)
-        if E.ndim != 2 or M.ndim != 2 or E.shape != M.T.shape:
-            raise ConfigError("E and M must be transpose-compatible matrices")
-        n0 = E.shape[1]
-        if not np.allclose(M @ E, np.eye(n0), rtol=0.0, atol=1e-12):
-            raise ConfigError("M @ E must be the identity on the limit space")
-        if self.kappa < 1.0:
-            raise ConfigError("kappa must be at least 1")
+def resolvent_deficiency(limit: SpectralProblem, perturbed: SpectralProblem) -> float:
+    """Exact operator norm of inv(A_eps) - inv(A_0) from the plain limit
+    norm into the alpha-weighted perturbed norm. Both operators are
+    diagonal in the shared eigenbasis, so the norm is the largest weighted
+    diagonal gap |w_eps,i (1/lambda_eps,i - 1/lambda_0,i)|, never sampled."""
+    if perturbed.n_modes != limit.n_modes:
+        raise DimensionError("the two problems have different mode counts")
+    gap = 1.0 / perturbed.eigenvalues - 1.0 / limit.eigenvalues
+    return float(np.abs(gap * perturbed.alpha_weights).max())
 
 
-def certify_kappa(E, M, limit: SpectralProblem, perturbed: SpectralProblem) -> float:
-    """Exact common operator-norm bound for E and M, plain and weighted."""
-    w0 = limit.alpha_weights
-    we = perturbed.alpha_weights
-    norms = (
-        weighted_opnorms(E),
-        weighted_opnorms(M),
-        weighted_opnorms(E, row_weights=we, col_weights=w0),
-        weighted_opnorms(M, row_weights=w0, col_weights=we),
-    )
-    return max(1.0, float(max(norms)))
-
-
-def identity_pair(limit: SpectralProblem, perturbed: SpectralProblem) -> ExtensionPair:
-    """Identity extension/restriction; kappa certified for the given spectra."""
-    n0, ne = limit.n_modes, perturbed.n_modes
-    if ne < n0:
-        raise ConfigError("perturbed problem cannot have fewer modes than the limit")
-    E = np.zeros((ne, n0))
-    E[:n0, :n0] = np.eye(n0)
-    M = E.T.copy()
-    kappa = certify_kappa(E, M, limit, perturbed)
-    return ExtensionPair(E=E, M=M, kappa=kappa)
-
-
-def resolvent_deficiency(
-    limit: SpectralProblem, perturbed: SpectralProblem, pair: ExtensionPair
-) -> float:
-    """Exact operator norm of inv(A_eps) E - E inv(A_0).
-
-    Measured from the plain limit norm into the alpha-weighted perturbed
-    norm; the largest singular value of the weighted matrix, never sampled.
-    """
-    E = pair.E
-    if E.shape != (perturbed.n_modes, limit.n_modes):
-        raise DimensionError("extension shape does not match the two problems")
-    diff = E / perturbed.eigenvalues[:, None] - E / limit.eigenvalues[None, :]
-    return float(weighted_opnorms(diff, row_weights=perturbed.alpha_weights))
+def kappa(limit: SpectralProblem, perturbed: SpectralProblem) -> float:
+    """Exact common bound, at least 1, of the norms of the identity between
+    the two problems' coefficient spaces, plain and alpha-weighted both
+    ways: the extreme ratios of their alpha weights."""
+    w0, we = limit.alpha_weights, perturbed.alpha_weights
+    return max(1.0, float((we / w0).max()), float((w0 / we).max()))
 
 
 def norm_equivalence_delta(limit: SpectralProblem, perturbed: SpectralProblem) -> float:

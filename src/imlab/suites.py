@@ -214,7 +214,7 @@ def suite_jdistance(lab: Laboratory, limit: SolvedMember, rng) -> SuiteResult:
     tau = tau_eps(lab, eps)
     rho = rho_of(lab, eps, rng=rng)
     beta = beta_eps(lab, eps, limit.graph)
-    d_deriv = c1_distance(member.field, limit.field, member.pair)
+    d_deriv = c1_distance(member.field, limit.field)
     sizes = {
         "beta": beta, "rho": rho, "tau_log": _tau_log(tau), "d_c1_deriv": d_deriv,
     }

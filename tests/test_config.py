@@ -271,13 +271,20 @@ def test_understated_constants_fail_certification():
         lab.certify()
 
 
+@pytest.mark.xfail(strict=True, raises=CertificationError,
+                   reason="sampled constants are not bounds: certify's fresh samples beat "
+                          "the build's sampled L on K = 1 at seed 3 (ROADMAP item 1)")
+def test_k1_seed3_lab_certifies():
+    lab = build_lab(config_from_dict({"seed": 3, "nonlinearity": {"K": 1}}))
+    lab.certify()
+
+
 def test_family_members(lab):
     p0 = lab.problem_at(0.0)
     assert np.array_equal(p0.eigenvalues, lab.limit_problem.eigenvalues)
     p1 = lab.problem_at(0.1)
     assert np.allclose(p1.eigenvalues, lab.limit_problem.eigenvalues * 1.1, rtol=1e-15)
-    pair = lab.extension_at(0.1)
-    assert pair.kappa == 1.0 and np.array_equal(pair.E, np.eye(32))
+    assert p1.n_modes == p0.n_modes  # every member shares the limit's modes
     F0 = lab.nonlinearity_at(0.0)
     Fe = lab.nonlinearity_at(0.05)
     u = np.zeros((1, 32))

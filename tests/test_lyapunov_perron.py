@@ -463,7 +463,7 @@ def assert_transforms_match_reference(problem, F, settings):
 
 @pytest.mark.parametrize("eps", [0.0, 0.1, 1e-4])
 def test_retiring_rows_is_exact_on_the_default_lab(lab, eps, live_counts):
-    problem, F, _ = instantiate(lab, eps)
+    problem, F = instantiate(lab, eps)
     assert_transforms_match_reference(problem, F, lab.solve_settings)
     # the fiber march ends with a block of one row among retired ones: the
     # phase gemm must not turn into a one-row product there
@@ -547,7 +547,7 @@ def test_fiber_marches_form_jacobian_rows_over_m_plus_reach_columns(lab, limit, 
 def test_retiring_rows_is_exact_across_configs(payload):
     lab = build_lab(config_from_dict(payload))
     for eps in (0.0, 0.1):
-        problem, F, _ = instantiate(lab, eps)
+        problem, F = instantiate(lab, eps)
         assert_transforms_match_reference(problem, F, lab.solve_settings)
 
 
@@ -569,7 +569,7 @@ def test_transforms_on_dense_inputs_match_reference(payload):
     lab = build_lab(config_from_dict(payload))
     rng = np.random.default_rng(11)
     for eps in (0.0, 0.1):
-        problem, F, _ = instantiate(lab, eps)
+        problem, F = instantiate(lab, eps)
         settings = lab.solve_settings
         axes = grid_axes(problem, settings, F.cutoff_radius)
         fast, m = problem.n_modes - problem.m, problem.m

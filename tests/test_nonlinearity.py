@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     alpha_norm,
+    atom_rows,
     base_value,
     cutoff_derivative,
     direction_sup,
@@ -45,7 +46,6 @@ from imlab.nonlinearity import (
 from imlab.spectral_core import (
     SpectralProblem,
     alpha_norm_batch,
-    identity_pair,
     weighted_opnorms,
 )
 
@@ -150,13 +150,12 @@ def test_base_maps_value_and_scale():
     assert np.allclose(v0[:2], amps) and np.allclose(v0[2:], 0.0)
     assert np.allclose(base_value(cos.scaled(2.0), np.zeros(n)), 2.0 * v0)
     const = ConstantBase(vector=np.arange(float(n)))
-    assert np.allclose(const.rows_at(const.phase(np.ones((1, n)))), 0.0)
+    assert np.allclose(atom_rows(const, np.ones((1, n))), 0.0)
     both = SumBase(sine, cos, second_scale=0.5)
     u = np.full((1, n), 0.1)
     assert np.allclose(base_value(both, u), base_value(sine, u) + 0.5 * base_value(cos, u))
     F = CutoffNonlinearity(problem=make_problem(n), base=both, cutoff_radius=None)
-    assert np.allclose(F.jacobian_batch(u), sine.rows_at(sine.phase(u))
-                       + 0.5 * cos.rows_at(cos.phase(u)))
+    assert np.allclose(F.jacobian_batch(u), atom_rows(sine, u) + 0.5 * atom_rows(cos, u))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -340,8 +339,7 @@ def test_rho_eps_exact_for_cosine_direction():
     eps = 0.05
     F_eps = family.member(problem, eps, 1.0, consts)
     F_lim = family.member(problem, 0.0, 1.0, consts)
-    pair = identity_pair(problem, problem)
-    rho = rho_eps(F_eps, F_lim, pair.E, sample_count=300, rng=np.random.default_rng(6))
+    rho = rho_eps(F_eps, F_lim, sample_count=300, rng=np.random.default_rng(6))
     # the mismatch eps * zeta(r) |cos(W u)| |amps| peaks at the origin sample
     assert rho == pytest.approx(eps * direction_sup(family), rel=1e-14)
 
@@ -412,9 +410,9 @@ def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, al
     u *= (radii / alpha_norm_batch(problem, u))[:, None]
     k = F.base.rows
     (atom, _), *rest = F.base.terms()
-    want = pad_rows(atom.rows_at(atom.phase(u)), k)
+    want = pad_rows(atom_rows(atom, u), k)
     for atom, scale in rest:
-        want += scale * pad_rows(atom.rows_at(atom.phase(u)), k)
+        want += scale * pad_rows(atom_rows(atom, u), k)
     r = alpha_norm_batch(problem, u)
     zeta, at, dzeta = cutoff_and_slope(r, F.cutoff_radius)
     want *= zeta[:, None, None]

@@ -1,12 +1,11 @@
 """Distance estimators and the rate study.
 
-The multiplicative spectral family with identity extension has closed-form
-perturbation sizes (tau, rho) and exactly linear derivative mismatch in eps,
+The multiplicative spectral family, whose members share the limit's
+coefficient space, has closed-form perturbation sizes (tau, rho) and exactly linear derivative mismatch in eps,
 which pins the estimators down without reference to the solver. Solved-member
 checks then exercise the full pipeline at the largest default eps.
 """
 
-import copy
 import os
 import subprocess
 import sys
@@ -16,15 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import direction_sup, mode_mixing_pair
-from imlab import lyapunov_perron, nonlinearity, perturbation_harness
+from conftest import (
+    direction_sup,
+    oracle_beta,
+    oracle_c1_distance,
+    oracle_holder,
+    oracle_kappa,
+    oracle_rho,
+    oracle_sup_distance,
+    oracle_tau,
+    oracle_theta_measured,
+)
+from imlab import lyapunov_perron, nonlinearity
 from imlab.config import build_lab, config_from_dict, default_config
-from imlab.errors import ConfigError, ConvergenceError, DimensionError
+from imlab.errors import ConfigError, ConvergenceError
 from imlab.lyapunov_perron import GridField, grid_axes
-from imlab.nonlinearity import GEMM_BUDGET, CosineBase, SineBase, pad_rows
+from imlab.nonlinearity import GEMM_BUDGET, CosineBase, SineBase
 from imlab.perturbation_harness import (
-    _lift_full,
-    _refined_grid,
     beta_eps,
     c1_distance,
     c1theta_distance,
@@ -39,7 +46,7 @@ from imlab.perturbation_harness import (
     tau_eps,
     theta_comparison,
 )
-from imlab.spectral_core import weighted_opnorms
+from imlab.spectral_core import kappa
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +55,13 @@ def member(lab):
 
 
 def test_instantiate_contract(lab):
-    problem, F, pair = instantiate(lab, 0.01)
+    problem, F = instantiate(lab, 0.01)
     assert np.allclose(problem.eigenvalues, lab.limit_problem.eigenvalues * 1.01,
                        rtol=1e-15)
-    assert np.array_equal(pair.E, np.eye(32))
+    assert problem.n_modes == lab.limit_problem.n_modes
     u = np.zeros((1, 32))
     assert not np.allclose(F.eval_batch(u), lab.limit_F.eval_batch(u))
-    p0, F0, _ = instantiate(lab, 0.0)
+    p0, F0 = instantiate(lab, 0.0)
     assert np.array_equal(p0.eigenvalues, lab.limit_problem.eigenvalues)
     assert np.allclose(F0.eval_batch(u), lab.limit_F.eval_batch(u))
 
@@ -75,10 +82,10 @@ def test_rho_linear_in_eps(lab):
 def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
     # OpenBLAS (scipy-openblas 0.3.31) hands a gemm of more than 2 * 2**18
     # multiply-adds to a second thread, which spins for CPU time that buys
-    # no wall time; every phase and every lift by E stays within the budget
-    # in build, certification, rho, beta and the sup distance
+    # no wall time; every phase stays within the budget in build,
+    # certification, rho, beta and the sup distance
     assert 4 * GEMM_BUDGET <= 2 * 2**18
-    calls, lifts = [], []
+    calls = []
 
     def record(u, out):
         # a stacked (chunks, rows, N) product runs one gemm per chunk
@@ -88,24 +95,13 @@ def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
     for cls in (SineBase, CosineBase):
         monkeypatch.setattr(cls, "phase",
                             lambda self, u, phase=cls.phase: record(u, phase(self, u)))
-    budget_product, lift = nonlinearity.budget_product, nonlinearity.lift
+    budget_product = nonlinearity.budget_product
     monkeypatch.setattr(nonlinearity, "budget_product", lambda product, u, columns: budget_product(
         lambda part: record(part, product(part)), u, columns))
-
-    def counted_lift(u, E):
-        # the rows lifted, and whether the products ran through the budget
-        before = len(calls)
-        out = lift(u, E)
-        lifts.append((u.shape[0], len(calls) > before))
-        return out
-
-    monkeypatch.setattr(nonlinearity, "lift", counted_lift)
-    monkeypatch.setattr(perturbation_harness, "lift", counted_lift)
 
     lab = build_lab(default_config())
     lab.certify()
     assert rho_of(lab, 0.1) > 0.0
-    assert lifts == [(2009, True)] * 2
     assert calls and max(calls) <= GEMM_BUDGET, max(calls)
 
     # the m = 2 lab's refined grid holds 81 x 81 = 6561 points
@@ -115,8 +111,7 @@ def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
     phi0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m,))
     phi_eps = GridField.zeros(lab.problem_at(0.1), axes, phi0.trailing)
     assert beta_eps(lab, 0.1, phi0) > 0.0
-    assert sup_distance(phi_eps, phi0, lab.extension_at(0.1)) == 0.0
-    assert lifts[2:] == [(81 * 81, True)] * 2
+    assert sup_distance(phi_eps, phi0) == 0.0
     assert calls and max(calls) <= GEMM_BUDGET, max(calls)
 
 
@@ -128,25 +123,43 @@ def test_beta_linear_in_eps(lab, limit):
     assert beta_eps(lab, 0.0, limit.graph) == 0.0
 
 
-def test_beta_rows_follow_the_extension(lab, limit):
-    # a rotation inside the first K modes keeps E[K:, :K] == 0, and the
-    # K-row mismatch gives the dense N x N value; one that mixes mode 0 with
-    # a mode past K would need the dropped rows, so it is refused
-    k, n = lab.limit_F.base.rows, lab.limit_problem.n_modes
-    mixed = copy.copy(lab)
-    mixed.extension_at = lambda eps: mode_mixing_pair(
-        lab.limit_problem, lab.problem_at(eps), 0.3, (0, k - 1))
-    beta = beta_eps(mixed, 0.1, limit.graph)
-    problem, F_eps, pair = instantiate(mixed, 0.1)
-    u0 = _lift_full(limit.graph, _refined_grid(limit.graph, 2))
-    mism = pad_rows(F_eps.jacobian_batch(u0 @ pair.E.T), n) @ pair.E \
-        - pair.E @ pad_rows(lab.limit_F.jacobian_batch(u0), n)
-    dense = weighted_opnorms(mism, col_weights=lab.limit_problem.alpha_weights).max()
-    assert beta > 0 and beta == pytest.approx(dense, rel=1e-14)
-    mixed.extension_at = lambda eps: mode_mixing_pair(
-        lab.limit_problem, lab.problem_at(eps), 0.3, (0, k))
-    with pytest.raises(DimensionError, match="E\\[K:, :K\\]"):
-        beta_eps(mixed, 0.1, limit.graph)
+@pytest.fixture(scope="module", params=["default", "alpha"])
+def solved_family(request, lab, limit, member):
+    """(lab, limit, member at eps = 0.1) on the default config and on one
+    with alpha > 0, where the perturbed weights differ from the limit's."""
+    if request.param == "default":
+        return lab, limit, member
+    weighted = build_lab(config_from_dict(
+        {"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}}))
+    return (weighted, *solve_members(weighted, (0.0, 0.1)))
+
+
+def test_one_space_comparison_equals_the_identity_extension(solved_family):
+    # the paper's general-E formulas at E = M = I give every estimate bit
+    # for bit; each call draws from a fresh stream of the same seed
+    lab, limit, member = solved_family
+    eps, problem, F = member.eps, member.problem, member.F
+    E = np.eye(problem.n_modes)
+    assert tau_eps(lab, eps) == oracle_tau(lab.limit_problem, problem, E)
+    far = lab.problem_at(max(lab.eps_grid))
+    assert lab.kappa == kappa(lab.limit_problem, far) \
+        == oracle_kappa(E, E.T, lab.limit_problem, far)
+    assert kappa(lab.limit_problem, problem) == oracle_kappa(E, E.T, lab.limit_problem, problem)
+    assert rho_of(lab, eps) == oracle_rho(F, lab.limit_F, E, lab.rng("study"))
+    assert beta_eps(lab, eps, limit.graph) == oracle_beta(F, lab.limit_F, limit.graph, E)
+    assert sup_distance(member.graph, limit.graph) \
+        == oracle_sup_distance(member.graph, limit.graph, E)
+    assert c1_distance(member.field, limit.field) \
+        == oracle_c1_distance(member.field, limit.field, E)
+    thetas = (lab.theta, lab.theta_star)
+    got = holder_seminorm_of_difference(member.field, limit.field, thetas, rng=lab.rng("study"))
+    assert got == oracle_holder(member.field, limit.field, E, thetas, lab.rng("study"))
+    sizes = {"beta": 1.0, "tau_log": 1.0, "rho": 1.0, "d_c1_deriv": 1.0}
+    comp = theta_comparison(lab, limit, member, sizes, xi_samples=8, rng=lab.rng("study"))
+    want = oracle_theta_measured(lab, limit, member, E, 8, lab.rng("study"))
+    assert np.array_equal(comp.measured, want)
+    if lab.limit_problem.alpha > 0:
+        assert lab.kappa > 1.0
 
 
 def constant_graph(problem, axes, c):
@@ -158,61 +171,57 @@ def constant_graph(problem, axes, c):
 def test_sup_distance_constant_offset(lab, limit):
     problem = lab.limit_problem
     axes = limit.graph.axes
-    pair = lab.extension_at(0.0)
     phi0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m,))
     phi_eps = constant_graph(problem, axes, 0.3)
-    assert sup_distance(phi_eps, phi0, pair) == pytest.approx(0.3, rel=1e-14)
-    assert sup_distance(phi0, phi0, pair) == 0.0
+    assert sup_distance(phi_eps, phi0) == pytest.approx(0.3, rel=1e-14)
+    assert sup_distance(phi0, phi0) == 0.0
 
 
 def test_c1_distance_constant_field(lab, limit):
     problem = lab.limit_problem
     axes = limit.graph.axes
-    pair = lab.extension_at(0.0)
     f0 = GridField.zeros(problem, axes, (problem.n_modes - problem.m, problem.m))
     vals = np.zeros(f0.values.shape)
     vals[..., 0, 0] = 0.2
     fe = f0.with_values(vals)
-    assert c1_distance(fe, f0, pair) == pytest.approx(0.2, rel=1e-14)
-    assert c1_distance(f0, f0, pair) == 0.0
+    assert c1_distance(fe, f0) == pytest.approx(0.2, rel=1e-14)
+    assert c1_distance(f0, f0) == 0.0
 
 
-def test_derivative_mismatch_identity_extension(lab, limit, member):
+def test_derivative_mismatch_in_one_space(lab, limit, member):
     z = limit.graph.nodes()[:5]
-    delta = derivative_mismatch(member.field, limit.field, member.pair, z)
+    delta = derivative_mismatch(member.field, limit.field, z)
     m = lab.limit_problem.m
     assert delta.shape == (5, 32, m)
-    # identity E: slow rows cancel, fast rows compare the fields directly
+    # slow rows cancel, fast rows compare the fields directly
     assert np.all(delta[:, :m, :] == 0.0)
     want = limit.field.eval(z) - member.field.eval(z)
     assert np.allclose(delta[:, m:, :], want, atol=1e-15)
 
 
 def test_self_distance_is_zero(lab, limit):
-    pair = lab.extension_at(0.0)
-    assert sup_distance(limit.graph, limit.graph, pair) == 0.0
-    assert c1_distance(limit.field, limit.field, pair) == 0.0
+    assert sup_distance(limit.graph, limit.graph) == 0.0
+    assert c1_distance(limit.field, limit.field) == 0.0
     semis, pair_sup = holder_seminorm_of_difference(
-        limit.field, limit.field, pair, (lab.theta,), rng=np.random.default_rng(0)
+        limit.field, limit.field, (lab.theta,), rng=np.random.default_rng(0)
     )
     assert semis[lab.theta] == 0.0 and pair_sup == 0.0
 
 
 def test_member_distances_are_stable_under_refinement(lab, limit, member):
-    pair = member.pair
-    d2 = sup_distance(member.graph, limit.graph, pair, refine=2)
-    d4 = sup_distance(member.graph, limit.graph, pair, refine=4)
+    d2 = sup_distance(member.graph, limit.graph, refine=2)
+    d4 = sup_distance(member.graph, limit.graph, refine=4)
     assert 0 < d2 < 1e-2
     assert abs(d4 - d2) <= 0.05 * max(d2, d4)
-    c2 = c1_distance(member.field, limit.field, pair, refine=2)
-    c4 = c1_distance(member.field, limit.field, pair, refine=4)
+    c2 = c1_distance(member.field, limit.field, refine=2)
+    c4 = c1_distance(member.field, limit.field, refine=4)
     assert 0 < c2 < 1e-2
     assert abs(c4 - c2) <= 0.05 * max(c2, c4)
 
 
 def test_c1theta_distance_components(lab, limit, member):
     res = c1theta_distance(
-        member.graph, limit.graph, member.field, limit.field, member.pair,
+        member.graph, limit.graph, member.field, limit.field,
         lab.theta, lab.theta_star, rng=lab.rng("study"),
     )
     assert res.value == pytest.approx(res.sup_part + res.deriv_part + res.seminorm)
@@ -223,14 +232,14 @@ def test_c1theta_distance_components(lab, limit, member):
     assert res.interpolation_bound == pytest.approx(want, rel=1e-12)
     with pytest.raises(ConfigError):
         c1theta_distance(
-            member.graph, limit.graph, member.field, limit.field, member.pair,
+            member.graph, limit.graph, member.field, limit.field,
             lab.theta_star, lab.theta_star,
         )
 
 
 def test_seminorm_estimator_is_continuous_in_theta(lab, limit, member):
     semis, _ = holder_seminorm_of_difference(
-        member.field, limit.field, member.pair, (1e-3, 2e-3),
+        member.field, limit.field, (1e-3, 2e-3),
         rng=np.random.default_rng(3),
     )
     lo, hi = semis[1e-3], semis[2e-3]
@@ -280,7 +289,7 @@ def test_theta_comparison_envelope(lab, limit, member):
         "beta": beta_eps(lab, eps, limit.graph),
         "tau_log": tau_eps(lab, eps) * max(1.0, -np.log(tau_eps(lab, eps))),
         "rho": rho_of(lab, eps),
-        "d_c1_deriv": c1_distance(member.field, limit.field, member.pair),
+        "d_c1_deriv": c1_distance(member.field, limit.field),
     }
     comp = theta_comparison(lab, limit, member, sizes, xi_samples=20,
                             rng=lab.rng("study"))

@@ -1,4 +1,4 @@
-"""Spectral building blocks: norms, weighted operator norms, extension pairs.
+"""Spectral building blocks: norms, weighted operator norms, perturbation sizes.
 
 Closed-form goldens are computed by hand from two-mode problems; the
 perturbation metrics (resolvent deficiency, norm equivalence) have exact
@@ -12,16 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alpha_norm, mode_mixing_pair
+from conftest import alpha_norm
 from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
-    ExtensionPair,
     SpectralProblem,
     _gram_bounds,
     alpha_norm_batch,
-    certify_kappa,
     coord_norm_batch,
-    identity_pair,
+    kappa,
     near_max_opnorms,
     norm_equivalence_delta,
     resolvent_deficiency,
@@ -202,45 +200,6 @@ def test_near_max_opnorms_of_a_non_finite_entry_acts_as_the_full_path(bad):
         assert np.array_equal(got, full, equal_nan=True)
 
 
-def test_extension_pair_validation():
-    good_e = np.eye(3)[:, :2]
-    good_m = good_e.T
-    ExtensionPair(E=good_e, M=good_m, kappa=1.0)
-    with pytest.raises(ConfigError):
-        ExtensionPair(E=good_e, M=np.zeros((2, 3)), kappa=1.0)
-    with pytest.raises(ConfigError):
-        ExtensionPair(E=good_e, M=np.zeros((3, 2)), kappa=1.0)
-    with pytest.raises(ConfigError):
-        ExtensionPair(E=good_e, M=good_m, kappa=0.5)
-
-
-def test_identity_pair_and_kappa():
-    limit = two_mode()
-    same = identity_pair(limit, limit)
-    assert same.kappa == 1.0
-    assert np.array_equal(same.E, np.eye(2))
-    bigger = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0]), m=1, alpha=0.5)
-    lifted = identity_pair(limit, bigger)
-    assert lifted.E.shape == (3, 2)
-    assert certify_kappa(lifted.E, lifted.M, limit, bigger) == 1.0
-    with pytest.raises(ConfigError):
-        identity_pair(bigger, limit)
-
-
-def test_mode_mixing_kappa():
-    flat = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0, 16.0]), m=1, alpha=0.0)
-    pair = mode_mixing_pair(flat, flat, angle=0.7, modes=(0, 3))
-    # rotations are isometries of the unweighted norm
-    assert pair.kappa == pytest.approx(1.0, abs=1e-12)
-    steep = SpectralProblem(eigenvalues=flat.eigenvalues, m=1, alpha=0.5)
-    mixed = mode_mixing_pair(steep, steep, angle=0.7, modes=(0, 3))
-    assert mixed.kappa > 1.0
-    with pytest.raises(ConfigError):
-        mode_mixing_pair(steep, two_mode(), angle=0.1, modes=(0, 1))
-    with pytest.raises(ConfigError):
-        mode_mixing_pair(flat, flat, angle=0.1, modes=(1, 1))
-
-
 def scaled(problem, factor):
     return SpectralProblem(
         eigenvalues=problem.eigenvalues * factor, m=problem.m, alpha=problem.alpha
@@ -248,19 +207,49 @@ def scaled(problem, factor):
 
 
 def test_resolvent_deficiency_golden():
-    # multiplicative family at identity extension: the weighted mismatch is
-    # diagonal with entries eps (1+eps)^(alpha-1) lambda_i^(alpha-1)
+    # multiplicative family in one coefficient space: the weighted mismatch
+    # is diagonal with entries eps (1+eps)^(alpha-1) lambda_i^(alpha-1)
     for alpha, want in ((0.0, 1.0 / 11.0), (0.5, 0.1 / math.sqrt(1.1))):
         limit = two_mode(alpha)
-        pert = scaled(limit, 1.1)
-        pair = identity_pair(limit, pert)
-        got = resolvent_deficiency(limit, pert, pair)
+        got = resolvent_deficiency(limit, scaled(limit, 1.1))
         assert got == pytest.approx(want, rel=1e-13)
     limit = two_mode()
-    assert resolvent_deficiency(limit, limit, identity_pair(limit, limit)) == 0.0
+    assert resolvent_deficiency(limit, limit) == 0.0
+    bigger = SpectralProblem(eigenvalues=np.array([1.0, 4.0, 9.0]), m=1, alpha=0.5)
     with pytest.raises(DimensionError):
-        resolvent_deficiency(limit, scaled(limit, 1.1), identity_pair(limit, limit).__class__(
-            E=np.eye(3), M=np.eye(3), kappa=1.0))
+        resolvent_deficiency(limit, bigger)
+
+
+def test_kappa_golden():
+    # the identity between the spaces of a multiplicative family stretches
+    # the alpha-weighted norm by (1 + eps)^alpha one way and shrinks it the
+    # other; unweighted, and against itself, it is an isometry
+    assert kappa(two_mode(0.0), scaled(two_mode(0.0), 1.21)) == 1.0
+    assert kappa(two_mode(), two_mode()) == 1.0
+    assert kappa(two_mode(), scaled(two_mode(), 1.21)) == pytest.approx(1.1, rel=1e-14)
+    assert kappa(two_mode(), scaled(two_mode(), 1 / 1.21)) == pytest.approx(1.1, rel=1e-14)
+
+
+def test_kappa_bounds_the_identity_between_weighted_spaces():
+    # kappa is the larger of the exact norms of the identity from one
+    # alpha-weighted coefficient space into the other, so it agrees with the
+    # SVD norm of I and bounds the weighted norm ratio of any vector, on a
+    # spectrum that grows some modes and shrinks others
+    limit = SpectralProblem(eigenvalues=spectrum_from_rule("i^2", 8, 2.0), m=2, alpha=0.5)
+    factors = np.array([1.3, 0.7, 1.1, 0.95, 1.2, 0.9, 1.05, 1.0])
+    pert = SpectralProblem(eigenvalues=limit.eigenvalues * factors, m=2, alpha=0.5)
+    k = kappa(limit, pert)
+    assert k == pytest.approx(1 / math.sqrt(0.7), rel=1e-14)
+    eye = np.eye(8)
+    w0, we = limit.alpha_weights, pert.alpha_weights
+    forward = weighted_opnorms(eye, row_weights=we, col_weights=w0)
+    backward = weighted_opnorms(eye, row_weights=w0, col_weights=we)
+    assert max(1.0, float(forward), float(backward)) == pytest.approx(k, rel=1e-12)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(1000, 8))
+    ratio = alpha_norm_batch(pert, v) / alpha_norm_batch(limit, v)
+    assert np.all(ratio <= k * (1 + 1e-14))
+    assert np.all(ratio >= (1 - 1e-14) / k)
 
 
 def test_norm_equivalence_golden():
