@@ -24,13 +24,11 @@ over that kernel, and the one-member operations (`apply_T`, `apply_D`,
 `solve_manifold`, ...) are one-member calls of the same code. A march
 builds its `NonlinearityStack` once and retires rows from it in place. The
 phase `u @ W.T` of each base-map term over the rows still taken is formed by
-`nonlinearity.chunked_phase`, the one padded-chunk routine that also forms
-the sampling calls' phases; a march gives it `nonlinearity.PHASE_CHUNK`
-rows a call, the sampling calls larger budget chunks, which keep their
-gemms under OpenBLAS's threading threshold. OpenBLAS rounds a gemm row by
-the kernel the call picks, which depends on how many rows the call holds,
-so zero-padded calls of one fixed size give each row the same bits
-whatever rows it is stacked with. Every other step is row-wise, so a member
+`nonlinearity.chunked_phase`, the package's one phase rule, in zero-padded
+gemm calls of `nonlinearity.PHASE_CHUNK` rows. OpenBLAS rounds a gemm row
+by the kernel the call picks, which depends on how many rows the call
+holds, so calls of one fixed size give each row the same bits whatever
+rows it is stacked with. Every other step is row-wise, so a member
 solved in a stack equals its solve alone, and a march that retires rows
 equals one that marches every row to the end, bit for bit.
 

@@ -18,34 +18,28 @@ product still runs at full width). The members share their base-map terms
 by position, and every row takes every term (the limit's direction with
 eps = 0.0).
 
-The evaluator takes each term's phase `u @ W.T` as an argument, because
-OpenBLAS rounds a gemm row by how many rows the call holds. One routine,
-`chunked_phase`, forms the phase for both callers: it runs one stacked
-product over zero-padded chunks of a fixed row count, so every gemm call
-holds exactly that many rows. Only the row count differs:
+Each term's phase `u @ W.T` has one rule, `chunked_phase`: one stacked
+product over zero-padded chunks of `PHASE_CHUNK` rows, so every gemm call
+holds exactly that many rows. OpenBLAS rounds a gemm row by the kernel the
+call picks, which depends on how many rows the call holds; in calls of one
+fixed size a row's bits depend on neither its position nor the rows
+stacked with it, and no call is a one-row gemv. Everything else the
+evaluator does is row-wise. So a march that retires rows equals one that
+keeps them, and the sampling calls of `CutoffNonlinearity` (`eval_batch`,
+`jacobian_batch`, `jacobian_blocks`) give each point the bits a march
+gives it. Certification streams its thousands of sampled Jacobians in
+blocks of `JACOBIAN_BLOCK` points, each from its own phase and from its
+slice of the batch's radius and bump, so the blocks equal slices of one
+whole-batch call and only one block is held at a time. It reads only the
+largest norm of each sampled set and the sample that holds it, so the
+blocks go through `spectral_core.near_max_opnorms`.
 
-- a march uses `PHASE_CHUNK` rows (the default), so a row's bits do not
-  depend on the rows marched with it;
-- the sampling calls of `CutoffNonlinearity` (`eval_batch`,
-  `jacobian_batch`, `jacobian_blocks`) use budget chunks
-  (`budget_product`), the most multiples of `PHASE_CHUNK` whose gemm stays
-  within `GEMM_BUDGET` multiply-adds (1024 rows at N = 32, K = 4), and a
-  batch that fits in one takes one plain gemm. On scipy-openblas 0.3.31
-  such chunks give the bits of one gemm over the whole batch, which fix
-  the certified constants, the amplitude and every report. Certification
-  streams its thousands of sampled Jacobians in blocks of `JACOBIAN_BLOCK`
-  points from slices of that phase and of the batch's radius and bump, so
-  the blocks carry the bits of one whole-batch evaluation and only one
-  block is held at a time. It reads only the largest norm of each sampled
-  set and the sample that holds it, so the blocks go through
-  `spectral_core.near_max_opnorms`.
-
-The budget exists because OpenBLAS hands a gemm of more than 2 * 2**18
-multiply-adds to a second thread on a 2-core host, which does little of the
-work and then spins for CPU time that buys no wall time. The two row
-counts agree bit for bit with each other only below the row count where
-OpenBLAS switches kernels (past 300 rows at K = 4, N = 32; past 150 at
-K = 8). Everything else the evaluator does is row-wise.
+The chunks hold 128 rows because OpenBLAS hands a gemm of more than
+2 * 2**18 multiply-adds to a second thread on a 2-core host, which does
+little of the work and then spins for CPU time that buys no wall time. A
+128-row call holds 128 * N * K multiply-adds: at N = 32 that is 2**14 at
+K = 4 and 2**17 at K = 32, the most coefficients a base map writes, so no
+phase gemm is threaded.
 """
 from __future__ import annotations
 
@@ -68,12 +62,8 @@ CERT_SLACK = 1.1
 #: Rows per block when certification streams sampled Jacobians.
 JACOBIAN_BLOCK = 128
 
-#: Rows per gemm call when a march forms an atom's phase (`chunked_phase`).
+#: Rows per gemm call when an atom's phase is formed (`chunked_phase`).
 PHASE_CHUNK = 128
-
-#: Most multiply-adds in one gemm call of the sampling phases, a quarter of
-#: the 2 * 2**18 past which OpenBLAS threads a gemm.
-GEMM_BUDGET = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +264,11 @@ class CutoffNonlinearity:
     certification was skipped.
 
     The sampling calls evaluate F through a one-member `NonlinearityStack`,
-    with each term's phase formed in one gemm over the whole batch.
-    Derivatives are the leading K = `base.rows` rows of DF, the only rows
-    that can be nonzero: `jacobian_blocks` streams them for certification,
-    the Hoelder quotients and the slope normalization, `jacobian_batch`
-    returns them at once for the derivative mismatch.
+    so a point takes the bits a march gives it. Derivatives are the leading
+    K = `base.rows` rows of DF, the only rows that can be nonzero:
+    `jacobian_blocks` streams them for certification, the Hoelder quotients
+    and the slope normalization, `jacobian_batch` returns them at once for
+    the derivative mismatch.
     """
 
     problem: SpectralProblem
@@ -304,47 +294,38 @@ class CutoffNonlinearity:
     def eval_batch(self, u) -> np.ndarray:
         """F(u) for a batch of points u (B, N)."""
         u = self._points(u)
-        stack, phases = self._batch(u)
-        return stack.eval(u, phases)
+        return NonlinearityStack([(self, u.shape[0])]).eval(u)
 
     def jacobian_batch(self, u) -> np.ndarray:
         """Leading K = `base.rows` rows of the exact Jacobians, shape
-        (B, K, N): the one-block case of `jacobian_blocks`."""
+        (B, K, N), in the row buffer of a one-member stack."""
         u = self._points(u)
-        return next(self.jacobian_blocks(u, max(u.shape[0], 1)))
+        return NonlinearityStack([(self, u.shape[0])]).jacobian_rows(u)[1]
 
     def jacobian_blocks(self, u, size: int = JACOBIAN_BLOCK):
         """Yield the leading K = `base.rows` rows of the exact Jacobians in
         consecutive (<= size, K, N) blocks of the batch u.
 
-        Each block is formed from its slice of the whole-batch phases and of
-        the whole-batch radius and bump, and the rest is row-wise, so the
-        blocks equal slices of `jacobian_batch(u)` bit for bit, and a
-        consumer holds one block at a time. Each block is a copy, since the
-        stack reuses its row buffer.
+        Each block forms its own phases, whose row bits do not depend on
+        the rows beside them (`chunked_phase`), and takes its slice of the
+        whole-batch radius and bump; the rest is row-wise, so the blocks
+        equal slices of `jacobian_batch(u)` bit for bit, and a consumer
+        holds one block at a time. Each block is a copy, since the stack
+        reuses its row buffer.
         """
         u = self._points(u)
-        stack, phases = self._batch(u)
+        stack = NonlinearityStack([(self, u.shape[0])])
         cut = stack.cutoff(u)
-        for lo in range(0, max(u.shape[0], 1), size):
+        for lo in range(0, u.shape[0], size):
             hi = lo + size
             block_cut = None if cut is None else _cut_rows(cut, lo, hi)
-            yield stack.jacobian_rows(u[lo:hi], [p[lo:hi] for p in phases], block_cut)[1].copy()
+            yield stack.jacobian_rows(u[lo:hi], cut=block_cut)[1].copy()
 
     def _points(self, u) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[-1] != self.problem.n_modes:
             raise DimensionError("wrong coefficient count")
         return u
-
-    def _batch(self, u):
-        """A one-member stack over the points u and each term's phase
-        `u @ W.T`, formed with the bits of one gemm over the whole batch
-        in calls of at most `GEMM_BUDGET` multiply-adds (`budget_product`;
-        an empty product gives the width of the phase, 0 for a constant)."""
-        stack = NonlinearityStack([(self, u.shape[0])])
-        return stack, [budget_product(atom.phase, u, atom.phase(u[:0]).shape[1])
-                       for atom, _ in stack.terms]
 
 
 def per_row(values, counts) -> np.ndarray:
@@ -370,46 +351,31 @@ def _cut_rows(cut, lo, hi):
     return zeta[lo:hi], at[a:b] - lo, dzeta[a:b], r_at[a:b]
 
 
-def chunked_phase(products, u, work=None, rows=PHASE_CHUNK) -> list:
+def chunked_phase(products, u, work=None) -> list:
     """Each row-wise product of the rows u, such as an atom's phase
-    `atom.phase`, in gemm calls of `rows` rows: numpy runs one gemm per
-    chunk of a stacked (chunks, rows, N) product, so a row's bits do not
-    depend on the rows it is stacked with, and no call is a one-row gemv.
-    The whole chunks are a view of u; the last, partial chunk is copied
-    into a zero-padded (1, rows, N) buffer, kept across calls in the dict
-    work when one is given, with only its padding zeroed again."""
+    `atom.phase`, in gemm calls of `PHASE_CHUNK` rows: numpy runs one gemm
+    per chunk of a stacked (chunks, PHASE_CHUNK, N) product, so a row's bits
+    do not depend on the rows it is stacked with, and no call is a one-row
+    gemv. The whole chunks are a view of u; the last, partial chunk is
+    copied into a zero-padded (1, PHASE_CHUNK, N) buffer, kept across calls
+    in the dict work when one is given, with only its padding zeroed again.
+    No rows give a stack of no chunks, so each product is (0, width)."""
     n, width = u.shape
-    full = n - n % rows
-    parts = [u[:full].reshape(-1, rows, width)] if full else []
+    full = n - n % PHASE_CHUNK
+    parts = [u[:full].reshape(-1, PHASE_CHUNK, width)] if full or not n else []
     if full < n:
         work = {} if work is None else work
         tail = work.get("tail")
         if tail is None:
-            tail = work["tail"] = np.empty((1, rows, width))
+            tail = work["tail"] = np.empty((1, PHASE_CHUNK, width))
         tail[0, : n - full] = u[full:]
         tail[0, n - full :] = 0.0
         parts.append(tail)
     results = []
     for product in products:
-        flat = [p.reshape(p.shape[0] * rows, p.shape[-1]) for p in map(product, parts)]
+        flat = [p.reshape(p.shape[0] * PHASE_CHUNK, p.shape[-1]) for p in map(product, parts)]
         results.append(flat[0][:n] if len(flat) == 1 else np.concatenate(flat)[:n])
     return results
-
-
-def budget_product(product, u, columns: int) -> np.ndarray:
-    """product(u) of a row-wise product of the rows u (n, N) into columns
-    columns, in `chunked_phase` calls of budget chunks: the most multiples
-    of `PHASE_CHUNK` rows within `GEMM_BUDGET` multiply-adds, and never
-    fewer than `PHASE_CHUNK` rows. So no gemm call is threaded. On
-    scipy-openblas 0.3.31 the chunks give the bits of one gemm over all n
-    rows, which is what a batch that fits in one chunk takes. A one-column
-    product stays one call: numpy sends it to gemv, whose last rows round
-    unlike its blocked ones, so chunks would move them."""
-    madds = u.shape[1] * columns
-    rows = max(PHASE_CHUNK, GEMM_BUDGET // max(madds, 1) // PHASE_CHUNK * PHASE_CHUNK)
-    if u.shape[0] <= rows or columns == 1:
-        return product(u)
-    return chunked_phase([product], u, rows=rows)[0]
 
 
 class NonlinearityStack:
@@ -425,12 +391,12 @@ class NonlinearityStack:
     +0.0. Nothing in the march divides by a value of F and every report
     number is a norm or a maximum, so the reports keep their bytes.
 
-    By default the terms' phases `u @ W.T` come from one `chunked_phase`,
-    whose gemm calls all hold `PHASE_CHUNK` rows, and every other operation
-    is row-wise, so a row's bits do not depend on the rows stacked with it:
-    each block equals its member's own one-block stack, and a march that
-    retires rows equals one that keeps them. The sampling calls of
-    `CutoffNonlinearity` pass phases formed in one whole-batch gemm instead.
+    The terms' phases `u @ W.T` come from one `chunked_phase`, whose gemm
+    calls all hold `PHASE_CHUNK` rows, and every other operation is
+    row-wise, so a row's bits do not depend on the rows stacked with it:
+    each block equals its member's own one-block stack, a march that
+    retires rows equals one that keeps them, and a slice of rows equals
+    the whole stack's rows there.
 
     A march builds its stack once and retires rows from it (`retire`),
     which takes the kept rows of the per-row arrays.
@@ -508,14 +474,13 @@ class NonlinearityStack:
             out[:, atom.rows :] = 0.0
         return out
 
-    def _base(self, u, phases=None, columns=None):
+    def _base(self, u, columns=None):
         """Base values (n, k) of the n rows taken and, with a column count,
         their leading Jacobian rows over that many leading columns
-        (n, k, columns) in the "rows" buffer. phases: each term's phase at
-        u; by default from `chunked_phase`, over full rows."""
+        (n, k, columns) in the "rows" buffer; each term's phase comes from
+        `chunked_phase`, over full rows."""
         n = u.shape[0]
-        if phases is None:
-            phases = chunked_phase([atom.phase for atom, _ in self.terms], u, self.work)
+        phases = chunked_phase([atom.phase for atom, _ in self.terms], u, self.work)
         (first, _), *rest = self.terms
         vals = pad_rows(first.value_at(phases[0]), self.k)
         for (atom, eps), phase in zip(rest, phases[1:]):
@@ -552,27 +517,27 @@ class NonlinearityStack:
         zeta, at, dzeta = cutoff_and_slope(r, self.radius)
         return zeta, at, dzeta, r[at]
 
-    def eval(self, u, phases=None) -> np.ndarray:
-        """F(u) for the rows taken u; phases as in `_base`."""
-        vals, _ = self._base(u, phases)
+    def eval(self, u) -> np.ndarray:
+        """F(u) for the rows taken u."""
+        vals, _ = self._base(u)
         if self.radius is not None:
             vals *= cutoff_value(self._radius(u), self.radius)[:, None]
         return pad_rows(vals, self.width)
 
-    def jacobian_rows(self, u, phases=None, cut=None, columns=None):
+    def jacobian_rows(self, u, cut=None, columns=None):
         """F(u)'s k leading values (n, k) and DF(u)'s k leading rows over
         the leading columns (n, k, columns; all N by default) for the rows
-        taken u, the latter in the reused "rows" buffer; phases as in
-        `_base`, cut the rows' `cutoff` when the caller has formed it. The
-        base value, radius and bump are formed once, from full rows; the
-        rows of DF(u) past k are exactly zero.
+        taken u, the latter in the reused "rows" buffer; cut is the rows'
+        `cutoff` when the caller has formed it. The base value, radius and
+        bump are formed once, from full rows; the rows of DF(u) past k are
+        exactly zero.
 
         The product rule through the bump adds dzeta * value * grad on the
         annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r
         over the same columns, in (JACOBIAN_BLOCK, k, columns) temporaries.
         """
         columns = self.n if columns is None else columns
-        vals, rows = self._base(u, phases, columns)
+        vals, rows = self._base(u, columns)
         if self.radius is not None:
             zeta, at, dzeta, r_at = self.cutoff(u) if cut is None else cut
             rows *= zeta[:, None, None]

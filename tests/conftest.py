@@ -14,7 +14,7 @@ import pytest
 
 from imlab.config import build_lab, default_config
 from imlab.lyapunov_perron import dyadic_scan, integrate_Theta, slow_flow_rate
-from imlab.nonlinearity import _ball_samples, budget_product, cutoff_and_slope, pad_rows
+from imlab.nonlinearity import _ball_samples, chunked_phase, cutoff_and_slope, pad_rows
 from imlab.perturbation_harness import _lift_full, _refined_grid, solve_member
 from imlab.spectral_core import alpha_norm_batch, weighted_opnorms
 
@@ -51,15 +51,21 @@ def cutoff_derivative(r, radius):
     return out.reshape(r.shape)
 
 
+def atom_phase(atom, u):
+    """An atom's phase `u @ W.T` at the points u, in the package's
+    `chunked_phase` calls."""
+    return chunked_phase([atom.phase], u)[0]
+
+
 def base_value(base, u):
     """A base map's values at the points u, zero-extended to all N
-    coefficients: each term's values from its own phase `u @ W.T`, one
-    product over all the points, summed in `SumBase` order."""
+    coefficients: each term's values from its own phase `u @ W.T`, summed
+    in `SumBase` order."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     (atom, _), *rest = base.terms()
-    vals = pad_rows(atom.value_at(atom.phase(u)), base.n)
+    vals = pad_rows(atom.value_at(atom_phase(atom, u)), base.n)
     for atom, scale in rest:
-        vals = vals + scale * pad_rows(atom.value_at(atom.phase(u)), base.n)
+        vals = vals + scale * pad_rows(atom.value_at(atom_phase(atom, u)), base.n)
     return vals
 
 
@@ -79,7 +85,7 @@ def atom_rows(atom, u):
     into a fresh buffer."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     out = np.empty((u.shape[0], atom.rows, u.shape[1]))
-    return atom.rows_at(atom.phase(u), out=out)
+    return atom.rows_at(atom_phase(atom, u), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +97,8 @@ def atom_rows(atom, u):
 
 
 def lift_by(u, E):
-    """u @ E.T, the rows u lifted by an extension E, in budget chunks."""
-    E = np.asarray(E, dtype=float)
-    return budget_product(lambda part: part @ E.T, u, E.shape[0])
+    """u @ E.T, the rows u lifted by an extension E; exact at E = I."""
+    return u @ np.asarray(E, dtype=float).T
 
 
 def oracle_tau(limit, perturbed, E):

@@ -155,8 +155,8 @@ def test_normalized_amplitude_passes_certification(lab):
 
 # The default lab's sampled numbers, recorded while the sampling calls still
 # ran their own value and product-rule code. The amplitude, C_F and L rest on
-# one whole-batch phase gemm per term, and no output reference covers them
-# on the default seed; they must hold to 1e-12 relative, the output rule.
+# the sampled phase gemms, and no output reference covers them on the
+# default seed; they must hold to 1e-12 relative, the output rule.
 SAMPLED_DEFAULTS = {
     "amplitude": 0.01709312393614689,
     "constants": {"C_F": 0.024995850517172274, "L_F": 0.1, "theta_F": 1.0,

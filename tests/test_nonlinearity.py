@@ -395,11 +395,11 @@ def test_eval_and_jvp_matches_dense_jacobian(kind, m, alpha, radii, seed):
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("kind", ["sine", "sum"])
-def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, alpha, seed):
+def test_jacobian_of_a_large_batch_takes_the_chunked_base_values(kind, m, alpha, seed):
     # 500 rows at N = 32, a third of them on the annulus: the cutoff's slope
-    # term takes the base values there from the whole-batch phase, as
-    # `base_value` forms them; base values from a second gemm over the
-    # annulus rows alone would round differently at this batch size
+    # term takes the unbumped base values there, from the `chunked_phase`
+    # of the batch, as `base_value` forms them; bumped values, or a phase
+    # from one plain gemm over all 500 rows, would round differently
     problem = SpectralProblem(eigenvalues=2.0 * np.arange(1, 33) ** 2.0, m=m, alpha=alpha)
     F = _jvp_member(kind, problem, seed)
     rng = np.random.default_rng(seed + 1)
@@ -421,7 +421,7 @@ def test_jacobian_of_a_large_batch_takes_the_whole_batch_base_values(kind, m, al
     want[at] += (dzeta[:, None] * values[at, :k])[:, :, None] * grad[:, None, :]
     assert at.size > 100
     assert np.array_equal(F.jacobian_batch(u), want)
-    # the values too take the whole-batch phase, not `chunked_phase`
+    # the values too take the chunked phase
     assert np.array_equal(F.eval_batch(u), values * cutoff_value(r, F.cutoff_radius)[:, None])
 
 
@@ -496,20 +496,31 @@ def _sampled_member(case, lab):
 @given(case=st.sampled_from(["default", "K8", "K32", "constant", "zero"]),
        rows=st.integers(1, 6000), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_sampled_phase_equals_one_whole_batch_gemm(lab, case, rows, seed):
-    # the sampling calls form each phase in zero-padded budget chunks, so
-    # no gemm is threaded; on scipy-openblas 0.3.31
-    # those chunks give the bits of one gemm over the whole batch, which
-    # fix the certified constants and every report
+def test_sampling_calls_equal_the_march_evaluator(lab, case, rows, seed):
+    # the sampling calls take the march's one phase rule: they are
+    # one-member `NonlinearityStack` calls, so a point takes the bits a
+    # march gives it; a phase formed in one gemm over the whole batch
+    # rounds rows differently past a few hundred rows. The points fill the
+    # plateau, the annulus and the exterior.
     F = _sampled_member(case, lab)
-    u = np.random.default_rng(seed).normal(size=(rows, F.problem.n_modes))
-    _, phases = F._batch(u)
-    terms = F.base.terms()
-    assert len(phases) == len(terms)
-    for (atom, _), phase in zip(terms, phases):
-        whole = atom.phase(u)
-        assert phase.shape == whole.shape
-        assert np.array_equal(phase, whole), (case, rows)
+    rng = np.random.default_rng(seed)
+    u = _radial_batch(F.problem, rng.uniform(0.0, 1.5, rows) * (F.cutoff_radius or 1.0), seed)
+    stack = NonlinearityStack([(F, rows)])
+    assert np.array_equal(F.eval_batch(u), stack.eval(u)), (case, rows)
+    assert np.array_equal(F.jacobian_batch(u), stack.jacobian_rows(u)[1]), (case, rows)
+
+
+@pytest.mark.parametrize("case", ["default", "K8", "K32", "constant", "zero"])
+def test_sampling_calls_take_an_empty_batch(lab, case):
+    F = _sampled_member(case, lab)
+    u = np.zeros((0, 32))
+    for atom, _ in F.base.terms():
+        width = atom.phase(np.zeros((1, 32))).shape[1]
+        phase, = chunked_phase([atom.phase], u)
+        assert phase.shape == (0, width)
+    assert F.eval_batch(u).shape == (0, 32)
+    assert F.jacobian_batch(u).shape == (0, F.base.rows, 32)
+    assert list(F.jacobian_blocks(u)) == []
 
 
 @pytest.mark.parametrize("counts", [(133, 57, 410, 400), (133, 133, 57, 133, 400)],
@@ -683,7 +694,8 @@ _LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 def test_jacobian_blocks_equal_the_batch(kind, layout):
     # the blocks must carry the bits of one whole-batch call; a one-row
-    # block that formed its own phase would go to gemv and round differently
+    # block forms its phase in a zero-padded PHASE_CHUNK-row call, where a
+    # one-row product would go to gemv and round differently
     problem = SpectralProblem(2.0 * np.arange(1.0, 7.0) ** 2, m=1, alpha=0.5)
     F = zero_map(problem) if kind == "zero" else _jvp_member(kind, problem, 7)
     u = _radial_batch(problem, _LAYOUTS[layout], 7)
@@ -702,8 +714,9 @@ def test_jacobian_blocks_equal_the_batch(kind, layout):
 
 @pytest.mark.parametrize("kind", ["sine", "sum"])
 def test_default_blocks_equal_a_large_batch(kind):
-    # past a few hundred rows OpenBLAS rounds a gemm row by the call's row
-    # count, so blocks of JACOBIAN_BLOCK rows must not run their own gemms
+    # OpenBLAS rounds a gemm row by the call's row count, so the blocks of
+    # JACOBIAN_BLOCK rows and the whole batch must both form their phases
+    # in calls of PHASE_CHUNK rows
     problem = SpectralProblem(2.0 * np.arange(1.0, 33.0) ** 2, m=1, alpha=0.0)
     F = _jvp_member(kind, problem, 3)
     rows = 2 * JACOBIAN_BLOCK + 37

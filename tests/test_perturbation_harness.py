@@ -26,11 +26,11 @@ from conftest import (
     oracle_tau,
     oracle_theta_measured,
 )
-from imlab import lyapunov_perron, nonlinearity
+from imlab import lyapunov_perron
 from imlab.config import build_lab, config_from_dict, default_config
 from imlab.errors import ConfigError, ConvergenceError
 from imlab.lyapunov_perron import GridField, grid_axes
-from imlab.nonlinearity import GEMM_BUDGET, CosineBase, SineBase
+from imlab.nonlinearity import PHASE_CHUNK, CosineBase, SineBase
 from imlab.perturbation_harness import (
     beta_eps,
     c1_distance,
@@ -79,30 +79,35 @@ def test_rho_linear_in_eps(lab):
     assert rho_of(lab, 0.0) == 0.0
 
 
-def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
+def test_every_phase_gemm_holds_one_unthreaded_chunk(monkeypatch):
     # OpenBLAS (scipy-openblas 0.3.31) hands a gemm of more than 2 * 2**18
     # multiply-adds to a second thread, which spins for CPU time that buys
-    # no wall time; every phase stays within the budget in build,
-    # certification, rho, beta and the sup distance
-    assert 4 * GEMM_BUDGET <= 2 * 2**18
+    # no wall time; every phase gemm in build, certification, rho, beta and
+    # the sup distance holds exactly PHASE_CHUNK rows and at most 2**17
+    # multiply-adds, on the default lab, on the widest phase (K = 32) and on
+    # the m = 2 lab
     calls = []
 
     def record(u, out):
         # a stacked (chunks, rows, N) product runs one gemm per chunk
-        calls.append(u.shape[-2] * u.shape[-1] * out.shape[-1])
+        calls.append((u.ndim, u.shape[-2], u.shape[-2] * u.shape[-1] * out.shape[-1]))
         return out
+
+    def check():
+        assert calls
+        assert {(ndim, rows) for ndim, rows, _ in calls} == {(3, PHASE_CHUNK)}
+        assert max(madds for _, _, madds in calls) <= 2**17
+        calls.clear()
 
     for cls in (SineBase, CosineBase):
         monkeypatch.setattr(cls, "phase",
                             lambda self, u, phase=cls.phase: record(u, phase(self, u)))
-    budget_product = nonlinearity.budget_product
-    monkeypatch.setattr(nonlinearity, "budget_product", lambda product, u, columns: budget_product(
-        lambda part: record(part, product(part)), u, columns))
 
-    lab = build_lab(default_config())
-    lab.certify()
-    assert rho_of(lab, 0.1) > 0.0
-    assert calls and max(calls) <= GEMM_BUDGET, max(calls)
+    for config in (default_config(), config_from_dict({"nonlinearity": {"K": 32}})):
+        lab = build_lab(config)
+        lab.certify()
+        assert rho_of(lab, 0.1) > 0.0
+        check()
 
     # the m = 2 lab's refined grid holds 81 x 81 = 6561 points
     lab = build_lab(config_from_dict({"spectral": {"m": 2}, "solver": {"grid_nodes": 41}}))
@@ -112,7 +117,7 @@ def test_no_blas_product_exceeds_the_gemm_budget(monkeypatch):
     phi_eps = GridField.zeros(lab.problem_at(0.1), axes, phi0.trailing)
     assert beta_eps(lab, 0.1, phi0) > 0.0
     assert sup_distance(phi_eps, phi0) == 0.0
-    assert calls and max(calls) <= GEMM_BUDGET, max(calls)
+    check()
 
 
 def test_beta_linear_in_eps(lab, limit):
