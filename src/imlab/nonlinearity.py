@@ -762,7 +762,8 @@ def rho_eps(
     rng=None,
 ) -> float:
     """Sampled sup of |F_eps(u) - F_limit(u)| over the support ball; the
-    two maps act on one coefficient space.
+    two maps act on one coefficient space. It is the maximum over
+    `sample_count` seeded ball samples, a lower bound of the true sup.
 
     The sample ladder covers plateau, annulus, and exterior shells and
     always includes the origin, so additive families with zero-phase

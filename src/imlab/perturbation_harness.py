@@ -104,8 +104,12 @@ def rho_of(lab: Laboratory, eps: float, rng=None) -> float:
 
 
 def beta_eps(lab: Laboratory, eps: float, manifold0) -> float:
-    """Sup over the solved limit manifold of the derivative mismatch
+    """Sampled sup over the solved limit manifold of the derivative mismatch
     DF_eps(u) - DF_0(u), measured alpha-weighted to plain.
+
+    F along the graph is not piecewise linear, so no node set makes this
+    exact: it is the maximum over the midpoint-refined limit grid, a lower
+    bound of the true sup.
 
     Both Jacobians are their K leading rows, so the mismatch is its K
     leading rows; the rows past K are exact zeros of both.
@@ -127,6 +131,23 @@ def _refined_grid(obj, refine: int) -> np.ndarray:
     return mesh([np.linspace(ax[0], ax[-1], refine * (ax.size - 1) + 1) for ax in obj.axes])
 
 
+def _node_set(field_eps, field0) -> np.ndarray:
+    """Per axis, the union of both fields' nodes inside the limit's box, meshed.
+
+    Both fields are multilinear interpolants, so on each cell of this grid
+    their difference is affine along every coordinate line. Its alpha-norm,
+    and the weighted operator norm of a field difference, are then convex
+    along those lines, and their maximum over a cell sits at a vertex. The
+    one caveat is where the two support balls differ (alpha > 0):
+    `GridField.eval` zeroes values past a support radius inside the cell
+    that straddles it, so there the sup can exceed the node maximum by at
+    most that cell's node values, about 1e-22. (Python sets, because
+    `np.unique` imports `numpy.ma`, about 0.8 MB of peak RSS.)
+    """
+    return mesh([np.array(sorted({*a.tolist(), *b[(b >= a[0]) & (b <= a[-1])].tolist()}))
+                 for a, b in zip(field0.axes, field_eps.axes)])
+
+
 def _lift_full(graph, z) -> np.ndarray:
     m = graph.problem.m
     u = np.zeros((z.shape[0], graph.problem.n_modes))
@@ -139,14 +160,15 @@ def _lift_full(graph, z) -> np.ndarray:
 # Distance estimators
 
 
-def sup_distance(phi_eps, phi0, refine: int = 2) -> float:
+def sup_distance(phi_eps, phi0) -> float:
     """Largest perturbed-space alpha-norm gap between corresponding graph
-    points, over the limit grid refined by the given factor.
+    points over the limit's box: an exact maximum, read at the nodes of
+    both graphs' grids (`_node_set`).
 
     The perturbed point sits at the limit point's slow coordinates, so the
     slow blocks cancel exactly and only the fast graphs are compared.
     """
-    z = _refined_grid(phi0, refine)
+    z = _node_set(phi_eps, phi0)
     point0 = _lift_full(phi0, z)
     point_eps = np.concatenate([z, phi_eps.eval(z)], axis=1)
     return float(alpha_norm_batch(phi_eps.problem, point0 - point_eps).max())
@@ -173,13 +195,14 @@ def _mismatch_weights(problem0, problem_eps):
     return problem_eps.alpha_weights, problem0.alpha_weights[: problem0.m]
 
 
-def c1_distance(field_eps, field0, refine: int = 2) -> float:
-    """Sup of the derivative mismatch norm over the refined limit grid.
+def c1_distance(field_eps, field0) -> float:
+    """Largest derivative mismatch norm over the limit's box: an exact
+    maximum, read at the nodes of both fields' grids (`_node_set`).
 
     This is the derivative part only; the full C1 distance adds the sup
     distance of the graphs.
     """
-    z = _refined_grid(field0, refine)
+    z = _node_set(field_eps, field0)
     delta = derivative_mismatch(field_eps, field0, z)
     weights = _mismatch_weights(field0.problem, field_eps.problem)
     return float(near_max_opnorms(delta, *weights)[1].max())
@@ -419,12 +442,13 @@ class DistanceReport:
 
 
 def _log_fit(x, y):
-    """Least-squares fit log y = log C + s log x; returns (C, slope), or
-    (None, None) when fewer than two points are positive."""
+    """Least-squares fit log y = log C + s log x over the points where both
+    are positive; returns (C, slope), or (None, None) unless those points
+    hold at least two distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
-    if keep.sum() < 2:
+    if len(set(x[keep].tolist())) < 2:  # not np.unique, which imports numpy.ma
         return None, None
     lx, ly = np.log(x[keep]), np.log(y[keep])
     slope, logc = np.polyfit(lx, ly, 1)

@@ -15,7 +15,7 @@ import pytest
 from imlab.config import build_lab, default_config
 from imlab.lyapunov_perron import dyadic_scan, integrate_Theta, slow_flow_rate
 from imlab.nonlinearity import _ball_samples, chunked_phase, cutoff_and_slope, pad_rows
-from imlab.perturbation_harness import _lift_full, _refined_grid, solve_member
+from imlab.perturbation_harness import _lift_full, _node_set, _refined_grid, solve_member
 from imlab.spectral_core import alpha_norm_batch, weighted_opnorms
 
 
@@ -135,10 +135,10 @@ def oracle_beta(F_eps, F_0, graph, E, refine=2):
     return float(weighted_opnorms(mism, col_weights=graph.problem.alpha_weights).max())
 
 
-def oracle_sup_distance(phi_eps, phi0, E, refine=2):
+def oracle_sup_distance(phi_eps, phi0, E):
     """Largest alpha-norm gap between E phi0-points and phi_eps-points at the
-    lifted slow coordinates."""
-    lifted = lift_by(_lift_full(phi0, _refined_grid(phi0, refine)), E)
+    lifted slow coordinates, over both graphs' nodes in the limit's box."""
+    lifted = lift_by(_lift_full(phi0, _node_set(phi_eps, phi0)), E)
     w = lifted[:, : phi0.problem.m]
     point_eps = np.concatenate([w, phi_eps.eval(w)], axis=1)
     return float(alpha_norm_batch(phi_eps.problem, lifted - point_eps).max())
@@ -158,9 +158,10 @@ def _tangent_weights(field_eps, field0):
     return field_eps.problem.alpha_weights, field0.problem.alpha_weights[: field0.problem.m]
 
 
-def oracle_c1_distance(field_eps, field0, E, refine=2):
-    """Sup of the general-E mismatch norm over the refined limit grid."""
-    delta = oracle_mismatch(field_eps, field0, E, _refined_grid(field0, refine))
+def oracle_c1_distance(field_eps, field0, E):
+    """Sup of the general-E mismatch norm over both fields' nodes in the
+    limit's box."""
+    delta = oracle_mismatch(field_eps, field0, E, _node_set(field_eps, field0))
     return float(weighted_opnorms(delta, *_tangent_weights(field_eps, field0)).max())
 
 

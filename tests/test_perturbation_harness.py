@@ -32,6 +32,9 @@ from imlab.errors import ConfigError, ConvergenceError
 from imlab.lyapunov_perron import GridField, grid_axes
 from imlab.nonlinearity import PHASE_CHUNK, CosineBase, SineBase
 from imlab.perturbation_harness import (
+    _lift_full,
+    _log_fit,
+    _refined_grid,
     beta_eps,
     c1_distance,
     c1theta_distance,
@@ -46,7 +49,7 @@ from imlab.perturbation_harness import (
     tau_eps,
     theta_comparison,
 )
-from imlab.spectral_core import kappa
+from imlab.spectral_core import SpectralProblem, alpha_norm_batch, kappa, weighted_opnorms
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +112,8 @@ def test_every_phase_gemm_holds_one_unthreaded_chunk(monkeypatch):
         assert rho_of(lab, 0.1) > 0.0
         check()
 
-    # the m = 2 lab's refined grid holds 81 x 81 = 6561 points
+    # beta_eps samples the m = 2 lab's refined grid, 81 x 81 = 6561 points;
+    # sup_distance reads its 41 x 41 nodes
     lab = build_lab(config_from_dict({"spectral": {"m": 2}, "solver": {"grid_nodes": 41}}))
     problem = lab.limit_problem
     axes = grid_axes(problem, lab.solve_settings, lab.config.nonlinearity.radius)
@@ -213,15 +217,55 @@ def test_self_distance_is_zero(lab, limit):
     assert semis[lab.theta] == 0.0 and pair_sup == 0.0
 
 
-def test_member_distances_are_stable_under_refinement(lab, limit, member):
-    d2 = sup_distance(member.graph, limit.graph, refine=2)
-    d4 = sup_distance(member.graph, limit.graph, refine=4)
-    assert 0 < d2 < 1e-2
-    assert abs(d4 - d2) <= 0.05 * max(d2, d4)
-    c2 = c1_distance(member.field, limit.field, refine=2)
-    c4 = c1_distance(member.field, limit.field, refine=4)
-    assert 0 < c2 < 1e-2
-    assert abs(c4 - c2) <= 0.05 * max(c2, c4)
+def test_node_maxima_read_the_member_grid():
+    # the member's one nonzero node, 0.45, lies inside a limit cell, so the
+    # limit grid and its midpoints miss it: they read 0.888...
+    problem = SpectralProblem(eigenvalues=np.array([1.0, 4.0]), m=1, alpha=0.0)
+    limit_axes, member_axes = (np.linspace(-1, 1, 5),), (np.linspace(-0.9, 0.9, 5),)
+    bump = np.zeros((5, 1, 1))
+    bump[3] = 1.0
+    phi0 = GridField.zeros(problem, limit_axes, (1,))
+    phi_eps = GridField(problem, member_axes, bump[..., 0])
+    field0 = GridField.zeros(problem, limit_axes, (1, 1))
+    field_eps = GridField(problem, member_axes, bump)
+    assert sup_distance(phi_eps, phi0) == 1.0
+    assert c1_distance(field_eps, field0) == 1.0
+
+
+def dense_distances(limit, member, refine=8):
+    """The norms of `sup_distance` and `c1_distance`, sampled on the limit
+    grid refined by an integer factor."""
+    z = _refined_grid(limit.graph, refine)
+    gaps = alpha_norm_batch(member.problem,
+                            _lift_full(limit.graph, z) - _lift_full(member.graph, z))
+    delta = derivative_mismatch(member.field, limit.field, z)
+    slow = limit.problem.alpha_weights[: limit.problem.m]
+    return gaps.max(), weighted_opnorms(delta, member.problem.alpha_weights, slow).max()
+
+
+def assert_node_maxima_dominate(limit, member):
+    sup, c1 = dense_distances(limit, member)
+    assert sup > 0.0 and c1 > 0.0
+    assert sup_distance(member.graph, limit.graph) >= sup * (1.0 - 1e-14)
+    assert c1_distance(member.field, limit.field) >= c1 * (1.0 - 1e-14)
+
+
+def test_node_maxima_dominate_a_dense_sample(solved_family):
+    _, limit, member = solved_family
+    assert_node_maxima_dominate(limit, member)
+
+
+def test_node_maxima_dominate_a_dense_sample_on_two_slow_modes():
+    lab = build_lab(config_from_dict({"spectral": {"m": 2}, "solver": {"grid_nodes": 11}}))
+    assert_node_maxima_dominate(*solve_members(lab, (0.0, 0.1)))
+
+
+def test_log_fit_needs_two_distinct_x():
+    # one eps given twice leaves a single point of the log-log line
+    assert _log_fit([0.1, 0.1], [1e-3, 1e-3]) == (None, None)
+    assert _log_fit([0.0, 0.1], [1e-3, 1e-3]) == (None, None)
+    c, slope = _log_fit([0.1, 0.1, 0.01], [1e-2, 1e-2, 1e-3])
+    assert c == pytest.approx(0.1, rel=1e-12) and slope == pytest.approx(1.0, rel=1e-12)
 
 
 def test_c1theta_distance_components(lab, limit, member):

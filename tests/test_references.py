@@ -4,8 +4,9 @@
 at the baseline commit (`perfbench/refs`): byte-identical, or every number
 within 1e-12 relative. A drift in the last bits of the march shows there
 first, so two study seeds (3 is one whose report moves in its last bits
-when the phase gemms change shape) and one self-test seed are compared
-here with the same rule. `perfbench/outputs.py` is loaded from its file.
+when the phase gemms change shape) and two self-test seeds, whose
+`Jdistance` lines go through `c1_distance`, are compared here with the
+same rule. `perfbench/outputs.py` is loaded from its file.
 """
 
 import contextlib
@@ -42,6 +43,7 @@ def run(argv, out_dir):
     ("study", ["distance-study"], ("report.csv", "report.json", "plot_report.py"), 1),
     ("study", ["distance-study"], ("report.csv", "report.json", "plot_report.py"), 3),
     ("selftest", ["self-test"], ("suites.txt",), 1),
+    ("selftest", ["self-test"], ("suites.txt",), 3),
 ])
 def test_outputs_match_the_benchmark_references(outputs, tmp_path, workload, argv, names, seed):
     out = tmp_path / workload
