@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import perturbation_harness, suites
@@ -185,11 +185,20 @@ def cmd_self_test(args) -> int:
         unknown = set(names) - set(suites.ALL_SUITES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"repeated suites: {repeated}")
     lab = build_lab(cfg)
     _require_admissible(lab)
+    out = _out_dir(args, cfg) if args.out else None
     lab.certify()
     print("constants certified against fresh samples")
     results = suites.run_suites(lab, names)
+    if out is not None:
+        payload = {name: asdict(res) for name, res in results.items()}
+        with _writing(out), open(out / "suites.json", "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
     failed = False
     for name, res in results.items():
         line = (f"{name:<14} samples={res.samples:<6} violations={res.violations:<3} "
@@ -240,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("self-test", help="run the inequality verification suites")
     common(sp)
-    sp.add_argument("--out", help="accepted and ignored: self-test prints its suite "
-                    "lines and writes no files")
+    sp.add_argument("--out", help="write every suite result at full precision to "
+                    "suites.json in this directory (default: write no files)")
     sp.add_argument("--suites", help="comma-separated suite names "
                     f"(default all: {','.join(suites.ALL_SUITES)})")
     sp.set_defaults(fn=cmd_self_test)

@@ -493,9 +493,10 @@ def _march(blocks, fiber, collect=False):
     is checked over the steps they skip, and the march ends when no row is
     left. Returns the integral of the leading fast modes the stack's F can
     reach (`_Lane.width`, the most over its lanes) of each block, in block
-    order; past them every integral is an exact zero. With collect, returns
-    the sample times and trajectory of a one-block stack (slow points, or
-    tangent maps for fiber).
+    order; past them every integral is an exact zero. With collect, every
+    lane must share one time grid, one steps and h, or DimensionError is
+    raised; the march returns the sample times and the trajectory of every
+    row in block order (slow points, or tangent maps for fiber).
 
     The samples fill only the leading `_Lane.reach` fast columns of the
     (rows, N) state and tangent buffers, which stay zero past them; the
@@ -506,6 +507,9 @@ def _march(blocks, fiber, collect=False):
     """
     lanes = [lane for lane, _ in blocks]
     counts = [len(points) for _, points in blocks]
+    if collect and len({(lane.steps, lane.h) for lane in lanes}) > 1:
+        raise DimensionError("a collecting march needs one time grid: every lane's "
+                             "steps and h must agree")
 
     def lane_rows(f):
         return per_row([f(lane) for lane in lanes], counts)
@@ -650,7 +654,7 @@ def _march(blocks, fiber, collect=False):
     if collect:
         lane = lanes[0]
         s = -lane.h * np.arange(lane.steps + 1)
-        return s, np.stack(traj, axis=1)  # (B, steps+1) + point or map shape
+        return s, np.stack(traj, axis=1)  # (rows, steps+1) + point or map shape
     return np.split(out, np.cumsum(counts)[:-1])
 
 

@@ -21,8 +21,9 @@ from .errors import ConfigError
 from .lyapunov_perron import (
     DerivativeResult,
     ManifoldResult,
+    _lane,
+    _march,
     dyadic_scan,
-    integrate_Theta,
     mesh,
     slow_flow_rate,
     solve_derivative,
@@ -303,6 +304,9 @@ def theta_comparison(
     """Backward growth of the linearization mismatch against its envelope,
     over the backward horizon 2 / lambda_m.
 
+    Both linearizations start at the same slow points and share one step,
+    so their trajectories run as the two lanes of one collecting fiber
+    march, which equals each lane's own `integrate_Theta` bit for bit.
     The envelope combines the perturbation sizes at exponent theta with the
     composite backward rate and the derivative-field mismatch at the slower
     rate; the prefactor is fitted as the largest measured ratio.
@@ -328,14 +332,11 @@ def theta_comparison(
     m = lab.limit_problem.m
     z = rng.uniform(-0.5 * half, 0.5 * half, size=(xi_samples, m))
 
-    s0, th0 = integrate_Theta(limit.problem, limit.F, graph, limit.field, z, settings)
-    se, the = integrate_Theta(
-        member.problem, member.F, member.graph, member.field, z, settings
-    )
-    if s0.shape != se.shape or not np.allclose(s0, se):
-        raise ConfigError("mismatched trajectory grids in theta comparison")
+    lanes = [_lane(mem.problem, mem.F, mem.graph, mem.field, settings)
+             for mem in (limit, member)]
+    s0, th = _march([(lane, z) for lane in lanes], fiber=True, collect=True)
 
-    mism = th0 - the
+    mism = th[:xi_samples] - th[xi_samples:]
     measured = weighted_opnorms(mism, row_weights=member.problem.alpha_weights[:m],
                                 col_weights=lab.limit_problem.alpha_weights[:m])
 

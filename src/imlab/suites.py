@@ -32,6 +32,7 @@ from .perturbation_harness import (
     c1_distance,
     rho_of,
     solve_member,
+    solve_members,
     tau_eps,
     theta_comparison,
 )
@@ -207,10 +208,17 @@ def suite_psi_uniform(
     )
 
 
-def suite_jdistance(lab: Laboratory, limit: SolvedMember, rng) -> SuiteResult:
-    """Linearization mismatch across the family against its envelope."""
+def suite_jdistance(
+    lab: Laboratory, limit: SolvedMember, rng, member: SolvedMember | None = None
+) -> SuiteResult:
+    """Linearization mismatch across the family against its envelope.
+
+    member is the solved eps_max member (the largest eps of the grid); a
+    direct call without one solves it here.
+    """
     eps = max(lab.eps_grid)
-    member = limit if eps == 0.0 else solve_member(lab, eps)
+    if member is None:
+        member = limit if eps == 0.0 else solve_member(lab, eps)
     tau = tau_eps(lab, eps)
     rho = rho_of(lab, eps, rng=rng)
     beta = beta_eps(lab, eps, limit.graph)
@@ -229,14 +237,32 @@ def suite_jdistance(lab: Laboratory, limit: SolvedMember, rng) -> SuiteResult:
 
 
 def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -> dict:
-    """Run the named suites (all by default) over one shared limit solve."""
+    """Run the named suites (all by default), in order, on one shared
+    `lab.rng("suites")` stream.
+
+    The limit, unless the caller passes it, and the eps_max member that
+    Jdistance compares against it are solved in one stacked call
+    (`solve_members`), which equals their separate solves bit for bit. A
+    name may appear once: a repeat would draw from the shared stream again
+    and shift every later suite.
+    """
     names = tuple(names) if names is not None else ALL_SUITES
     unknown = set(names) - set(ALL_SUITES)
     if unknown:
         raise ConfigError(f"unknown suites: {sorted(unknown)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"repeated suites: {repeated}")
+    if not names:
+        return {}
     rng = lab.rng("suites")
-    if limit is None and names:
-        limit = solve_member(lab, 0.0)
+    eps = max(lab.eps_grid)
+    distinct = [0.0] if limit is None else []
+    if "Jdistance" in names and eps != 0.0:
+        distinct.append(eps)
+    solved = dict(zip(distinct, solve_members(lab, distinct)))
+    limit = solved.get(0.0, limit)
+    member = solved.get(eps, limit)
     results = {}
     for name in names:
         if name == "distp":
@@ -248,5 +274,5 @@ def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -
         elif name == "PsiUniform":
             results[name] = suite_psi_uniform(lab, limit, rng)
         elif name == "Jdistance":
-            results[name] = suite_jdistance(lab, limit, rng)
+            results[name] = suite_jdistance(lab, limit, rng, member)
     return results

@@ -100,7 +100,7 @@ def test_build_certifies_the_solved_limit_field(tmp_path, capsys, lab, limit):
     assert f"M_hat = {want:.12g}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["build", "distance-study"])
+@pytest.mark.parametrize("command", ["build", "distance-study", "self-test"])
 def test_out_beneath_a_file_fails_before_solving(tmp_path, capsys, command):
     # no chmod: the tests may run as root, who may write anywhere
     blocker = tmp_path / "file"
@@ -117,6 +117,15 @@ def test_build_unwritable_report_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "certificates.json").mkdir(parents=True)
     rc = main(["build", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+
+
+def test_self_test_unwritable_report_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "suites.json").mkdir(parents=True)
+    rc = main(["self-test", "--suites", "PsiUniform", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output")
@@ -219,16 +228,44 @@ def test_self_test_single_suite(tmp_path, capsys):
     assert "distp" in text and "ok" in text and "FAIL" not in text
 
 
-def test_self_test_writes_no_files(tmp_path, capsys):
-    # --out is accepted, so every subcommand takes the same flags, and ignored
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["self-test", "--suites", "PsiUniform", "--out", str(out)]) == 0
-    assert "PsiUniform" in capsys.readouterr().out
-    assert list(out.iterdir()) == []
+def test_self_test_rejects_repeated_suites(tmp_path, capsys):
+    # a repeat would draw from the shared stream again, print once, and
+    # shift every later suite
+    argv = ["self-test", "--suites", "distp,distp,distThetaEpsilon", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "repeated suites: ['distp']" in err[0]
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_self_test_writes_suites_json_only_with_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["self-test", "--suites", "PsiUniform,distp"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # without --out, no files
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert capsys.readouterr().out == lines  # the printed lines do not change
+    assert main(argv + ["--out", str(b)]) == 0
+    capsys.readouterr()
+    assert list(a.iterdir()) == [a / "suites.json"]
+    text = (a / "suites.json").read_text()
+    assert text == (b / "suites.json").read_text()
+    blob = json.loads(text, parse_constant=_reject_constant)
+    assert list(blob) == ["PsiUniform", "distp"]  # sorted keys
+    for name, res in blob.items():
+        assert set(res) == {"name", "samples", "violations", "worst_ratio", "details"}
+        assert res["name"] == name and res["violations"] == 0
+        # full precision: the printed line rounds the same ratio to 6 digits
+        assert f"{name:<14} samples={res['samples']:<6} violations=0   " \
+            f"worst={res['worst_ratio']:.6g}  ok" in lines
+    assert set(blob["PsiUniform"]["details"]) == {
+        "theta", "M", "input_certificate", "output_certificate", "output_norm_sup"}
     with pytest.raises(SystemExit):
         main(["self-test", "--help"])
-    assert "writes no files" in " ".join(capsys.readouterr().out.split())
+    assert "suites.json" in capsys.readouterr().out
 
 
 def test_eps_grid_flag_validation(tmp_path, capsys):

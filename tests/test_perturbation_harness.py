@@ -28,8 +28,8 @@ from conftest import (
 )
 from imlab import lyapunov_perron
 from imlab.config import build_lab, config_from_dict, default_config
-from imlab.errors import ConfigError, ConvergenceError
-from imlab.lyapunov_perron import GridField, grid_axes
+from imlab.errors import ConfigError, ConvergenceError, DimensionError
+from imlab.lyapunov_perron import GridField, grid_axes, integrate_Theta, slow_flow_rate
 from imlab.nonlinearity import PHASE_CHUNK, CosineBase, SineBase
 from imlab.perturbation_harness import (
     _lift_full,
@@ -346,6 +346,35 @@ def test_theta_comparison_envelope(lab, limit, member):
     assert comp.fitted_C > 0
     assert comp.measured.shape == (20, comp.times.size)
     assert np.all(np.diff(comp.envelope) > 0)  # envelope grows backward in time
+
+
+def test_two_lane_collect_march_equals_each_lane_alone(lab, limit, member):
+    # theta_comparison's settings: one horizon and one step for both members
+    h = 0.05 / max(slow_flow_rate(limit.problem, limit.F),
+                   slow_flow_rate(member.problem, member.F))
+    t_final = 2.0 / lab.limit_problem.lambda_m
+    settings = replace(lab.solve_settings, t_horizon=t_final, h=h)
+    half = np.array([ax[-1] for ax in limit.graph.axes])
+    z = lab.rng("study").uniform(-0.5 * half, 0.5 * half, size=(12, lab.limit_problem.m))
+
+    def lane(mem, st=settings):
+        return lyapunov_perron._lane(mem.problem, mem.F, mem.graph, mem.field, st)
+
+    lanes = [lane(limit), lane(member)]
+    s, both = lyapunov_perron._march([(ln, z) for ln in lanes], fiber=True, collect=True)
+    for k, mem in enumerate((limit, member)):
+        s_alone, alone = integrate_Theta(mem.problem, mem.F, mem.graph, mem.field, z, settings)
+        assert np.array_equal(s, s_alone)
+        assert np.array_equal(both[12 * k : 12 * (k + 1)], alone)
+    # lanes on different time grids have no one trajectory array: fewer
+    # steps, or as many steps of another size
+    fewer = lane(member, replace(settings, t_horizon=0.5 * t_final))
+    shorter = lane(member, replace(settings, t_horizon=t_final * (1.0 - 1e-9)))
+    assert fewer.steps < lanes[0].steps
+    assert shorter.steps == lanes[0].steps and shorter.h != lanes[0].h
+    for other in (fewer, shorter):
+        with pytest.raises(DimensionError, match="one time grid"):
+            lyapunov_perron._march([(lanes[0], z), (other, z)], fiber=True, collect=True)
 
 
 def assert_same_solve(stacked, alone):

@@ -5,12 +5,16 @@ violations beyond the relative budget. The acceptance module re-runs the
 three trajectory suites at full size, so these stay at default counts.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from imlab.config import build_lab, config_from_dict
 from imlab.errors import ConfigError
 from imlab.gap_analysis import exponents, m0_bound
 from imlab.nonlinearity import holder_quotient_of_derivative
+from imlab.perturbation_harness import solve_member
 from imlab.suites import (
     ALL_SUITES,
     suite_dist_theta_eps,
@@ -27,6 +31,9 @@ def test_registry():
                           "Jdistance")
     with pytest.raises(ConfigError, match="unknown suites"):
         run_suites(None, names=("distp", "bogus"))
+    # a repeat would draw from the shared stream again and shift later suites
+    with pytest.raises(ConfigError, match=r"repeated suites: \['distp'\]"):
+        run_suites(None, names=("distp", "distp", "Jnorm"))
 
 
 def test_distp_suite(lab, limit):
@@ -86,3 +93,29 @@ def test_run_suites_subset(lab, limit):
     results = run_suites(lab, names=("distp", "Jnorm"), limit=limit)
     assert list(results) == ["distp", "Jnorm"]
     assert all(r.passed for r in results.values())
+
+
+@pytest.mark.parametrize("overrides", [
+    None,
+    # alpha > 0: the eps_max member's grid differs from the limit's
+    {"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}},
+])
+def test_stacked_self_test_equals_separate_solves(lab, limit, overrides):
+    # run_suites solves the limit and the eps_max member in one stack and
+    # marches theta_comparison's two members as one; the suites run in order
+    # on one stream over two separate solves must agree bit for bit
+    if overrides is not None:
+        lab = build_lab(config_from_dict(overrides))
+        limit = solve_member(lab, 0.0)
+    stacked = run_suites(lab)
+    rng = lab.rng("suites")
+    separate = [
+        suite_distp(lab, limit, rng),
+        suite_jnorm(lab, limit, rng),
+        suite_dist_theta_eps(lab, limit, rng),
+        suite_psi_uniform(lab, limit, rng),
+        suite_jdistance(lab, limit, rng),  # solves the eps_max member alone
+    ]
+    assert list(stacked) == list(ALL_SUITES)
+    for got, want in zip(stacked.values(), separate):
+        assert repr(asdict(got)) == repr(asdict(want))
