@@ -182,12 +182,7 @@ def cmd_self_test(args) -> int:
         names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
         if not names:
             raise ConfigError("--suites must list at least one suite")
-        unknown = set(names) - set(suites.ALL_SUITES)
-        if unknown:
-            raise ConfigError(f"unknown suites: {sorted(unknown)}")
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ConfigError(f"repeated suites: {repeated}")
+        suites.check_names(names)
     lab = build_lab(cfg)
     _require_admissible(lab)
     out = _out_dir(args, cfg) if args.out else None

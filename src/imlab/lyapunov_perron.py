@@ -852,28 +852,26 @@ def _field_diff(problem):
     return diff
 
 
-def _solve_graphs(members, settings, step) -> list:
-    """Graph sweeps of (problem, F) members from the zero graph.
-
-    step(live, graphs) transforms the listed members' graphs: one public
-    `apply_T` call for a single member, so each of its sweeps stays one
-    traceable transform, or one stacked `_transform` for several.
-    """
+def _solve_graphs(members, settings) -> list:
+    """Graph sweeps of (problem, F) members from the zero graph; each sweep
+    transforms the members still iterating as one `_transform` stack."""
     starts = []
     for problem, F in members:
         _require_gap(problem, F)
         axes = grid_axes(problem, settings, F.cutoff_radius)
         starts.append(GridField.zeros(problem, axes, (problem.n_modes - problem.m,),
                                       F.cutoff_radius))
-    logs = _sweep(step, starts, [_graph_diff(problem) for problem, _ in members],
-                  settings.tol_fp, settings.max_iter, "graph transform")
+    logs = _sweep(lambda live, graphs: _transform(
+        [members[i] + (phi, None) for i, phi in zip(live, graphs)], settings),
+        starts, [_graph_diff(problem) for problem, _ in members],
+        settings.tol_fp, settings.max_iter, "graph transform")
     return [ManifoldResult(diffs=d, ratios=r, iterations=its, graph=phi)
             for phi, d, r, its in logs]
 
 
-def _solve_fields(members, graphs, theta, settings, step) -> list:
-    """Derivative sweeps of (problem, F) members along their solved graphs;
-    step as in `_solve_graphs`, with `apply_D`."""
+def _solve_fields(members, graphs, theta, settings) -> list:
+    """Derivative sweeps of (problem, F) members along their solved graphs,
+    stacked as in `_solve_graphs`."""
     starts = []
     for (problem, F), phi in zip(members, graphs):
         _require_gap(problem, F)
@@ -888,8 +886,10 @@ def _solve_fields(members, graphs, theta, settings, step) -> list:
             )
         starts.append(GridField.zeros(problem, phi.axes, phi.trailing + (problem.m,),
                                       F.cutoff_radius))
-    logs = _sweep(step, starts, [_field_diff(problem) for problem, _ in members],
-                  settings.tol_fp, settings.max_iter, "derivative transform")
+    logs = _sweep(lambda live, fields: _transform(
+        [members[i] + (graphs[i], ups) for i, ups in zip(live, fields)], settings),
+        starts, [_field_diff(problem) for problem, _ in members],
+        settings.tol_fp, settings.max_iter, "derivative transform")
     return [DerivativeResult(diffs=d, ratios=r, iterations=its, field=ups)
             for ups, d, r, its in logs]
 
@@ -901,11 +901,7 @@ def solve_manifold(problem, F, settings=None) -> ManifoldResult:
     consecutive iterations raises GapViolationError, exhausting the
     iteration budget raises ConvergenceError.
     """
-    settings = settings or SolveSettings()
-    return _solve_graphs(
-        [(problem, F)], settings,
-        lambda live, graphs: [apply_T(problem, F, graphs[0], settings)],
-    )[0]
+    return _solve_graphs([(problem, F)], settings or SolveSettings())[0]
 
 
 def solve_derivative(problem, F, phi, theta, settings=None) -> DerivativeResult:
@@ -914,11 +910,7 @@ def solve_derivative(problem, F, phi, theta, settings=None) -> DerivativeResult:
     theta must not exceed the nonlinearity's Hoelder exponent and must stay
     below the first admissibility window of the spectrum.
     """
-    settings = settings or SolveSettings()
-    return _solve_fields(
-        [(problem, F)], [phi], theta, settings,
-        lambda live, fields: [apply_D(problem, F, phi, fields[0], settings)],
-    )[0]
+    return _solve_fields([(problem, F)], [phi], theta, settings or SolveSettings())[0]
 
 
 def solve_stack(members, theta, settings=None) -> list:
@@ -933,11 +925,8 @@ def solve_stack(members, theta, settings=None) -> list:
     raises. Returns (ManifoldResult, DerivativeResult) pairs.
     """
     settings = settings or SolveSettings()
-    manifolds = _solve_graphs(members, settings, lambda live, graphs: _transform(
-        [members[i] + (phi, None) for i, phi in zip(live, graphs)], settings))
-    phis = [res.graph for res in manifolds]
-    fields = _solve_fields(members, phis, theta, settings, lambda live, fields: _transform(
-        [members[i] + (phis[i], ups) for i, ups in zip(live, fields)], settings))
+    manifolds = _solve_graphs(members, settings)
+    fields = _solve_fields(members, [res.graph for res in manifolds], theta, settings)
     return list(zip(manifolds, fields))
 
 

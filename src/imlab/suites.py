@@ -31,7 +31,6 @@ from .perturbation_harness import (
     beta_eps,
     c1_distance,
     rho_of,
-    solve_member,
     solve_members,
     tau_eps,
     theta_comparison,
@@ -209,16 +208,14 @@ def suite_psi_uniform(
 
 
 def suite_jdistance(
-    lab: Laboratory, limit: SolvedMember, rng, member: SolvedMember | None = None
+    lab: Laboratory, limit: SolvedMember, rng, member: SolvedMember
 ) -> SuiteResult:
     """Linearization mismatch across the family against its envelope.
 
-    member is the solved eps_max member (the largest eps of the grid); a
-    direct call without one solves it here.
+    member is the solved eps_max member (the largest eps of the grid; the
+    limit itself when that eps is 0).
     """
     eps = max(lab.eps_grid)
-    if member is None:
-        member = limit if eps == 0.0 else solve_member(lab, eps)
     tau = tau_eps(lab, eps)
     rho = rho_of(lab, eps, rng=rng)
     beta = beta_eps(lab, eps, limit.graph)
@@ -236,23 +233,29 @@ def suite_jdistance(
     )
 
 
-def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -> dict:
-    """Run the named suites (all by default), in order, on one shared
-    `lab.rng("suites")` stream.
-
-    The limit, unless the caller passes it, and the eps_max member that
-    Jdistance compares against it are solved in one stacked call
-    (`solve_members`), which equals their separate solves bit for bit. A
-    name may appear once: a repeat would draw from the shared stream again
-    and shift every later suite.
-    """
-    names = tuple(names) if names is not None else ALL_SUITES
+def check_names(names) -> tuple:
+    """The suite names as a tuple; ConfigError for an unknown or repeated
+    one. A name may appear once: a repeat would draw from the shared stream
+    again and shift every later suite."""
+    names = tuple(names)
     unknown = set(names) - set(ALL_SUITES)
     if unknown:
         raise ConfigError(f"unknown suites: {sorted(unknown)}")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"repeated suites: {repeated}")
+    return names
+
+
+def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -> dict:
+    """Run the named suites (all by default, each at most once, `check_names`),
+    in order, on one shared `lab.rng("suites")` stream.
+
+    The limit, unless the caller passes it, and the eps_max member that
+    Jdistance compares against it are solved in one stacked call
+    (`solve_members`), which equals their separate solves bit for bit.
+    """
+    names = check_names(ALL_SUITES if names is None else names)
     if not names:
         return {}
     rng = lab.rng("suites")

@@ -6,6 +6,7 @@ output can be asserted without spawning interpreters.
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,25 @@ def test_self_test_writes_suites_json_only_with_out(tmp_path, capsys, monkeypatc
     with pytest.raises(SystemExit):
         main(["self-test", "--help"])
     assert "suites.json" in capsys.readouterr().out
+
+
+def test_self_test_jdistance_at_eps_max_zero(tmp_path, capsys):
+    # eps_max = 0 compares the limit with itself: its envelope is zero at
+    # every time, so no ratio is taken and a sample fails only past the
+    # fixed-point floor; the report stays strict JSON
+    cfg = write_cfg(tmp_path, {"family": {"eps_grid": [0]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["self-test", "--config", cfg, "--suites", "Jdistance", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    line = captured.out.splitlines()[-1]
+    assert line.startswith("Jdistance ") and line.endswith("violations=0   worst=0  ok")
+    blob = json.loads((out / "suites.json").read_text(), parse_constant=_reject_constant)
+    res = blob["Jdistance"]
+    assert res["violations"] == 0 and res["worst_ratio"] == 0.0 and res["samples"] > 0
+    assert res["details"]["eps"] == 0.0 and res["details"]["fitted_C"] == 0.0
 
 
 def test_eps_grid_flag_validation(tmp_path, capsys):

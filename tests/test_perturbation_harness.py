@@ -26,12 +26,13 @@ from conftest import (
     oracle_tau,
     oracle_theta_measured,
 )
-from imlab import lyapunov_perron
+from imlab import lyapunov_perron, perturbation_harness
 from imlab.config import build_lab, config_from_dict, default_config
 from imlab.errors import ConfigError, ConvergenceError, DimensionError
 from imlab.lyapunov_perron import GridField, grid_axes, integrate_Theta, slow_flow_rate
 from imlab.nonlinearity import PHASE_CHUNK, CosineBase, SineBase
 from imlab.perturbation_harness import (
+    DistanceRow,
     _lift_full,
     _log_fit,
     _refined_grid,
@@ -330,6 +331,42 @@ def test_fitted_constant_stable_under_grid_shift(lab):
     c1 = shifted.fitted_C_sup
     assert c0 > 0 and c1 > 0
     assert 0.5 <= c1 / c0 <= 2.0
+
+
+def mutated_study(lab, monkeypatch, mutate):
+    """The default study with each row's measurements passed through
+    mutate(fields) before the row is built."""
+    def row(**fields):
+        mutate(fields)
+        return DistanceRow(**fields)
+
+    monkeypatch.setattr(perturbation_harness, "DistanceRow", row)
+    return rate_study(lab)
+
+
+def test_a_sup_distance_slower_than_its_envelope_fails(lab, monkeypatch):
+    # d_sup scaled by eps^(-1/2): the coarse rows' constant cannot cover
+    # the finer ones
+    def scale(fields):
+        fields["d_sup"] *= fields["eps"] ** -0.5
+
+    report = mutated_study(lab, monkeypatch, scale)
+    assert not all(report.passes_sup) and all(report.passes_c1theta)
+    assert not report.all_pass
+
+
+def test_a_c1theta_distance_that_does_not_shrink_fails(lab, monkeypatch):
+    # d_c1theta frozen at its eps_max value, the grid's first row
+    assert lab.eps_grid[0] == max(lab.eps_grid)
+    frozen = []
+
+    def freeze(fields):
+        frozen.append(fields["d_c1theta"])
+        fields["d_c1theta"] = frozen[0]
+
+    report = mutated_study(lab, monkeypatch, freeze)
+    assert all(report.passes_sup) and not all(report.passes_c1theta)
+    assert not report.all_pass
 
 
 def test_theta_comparison_envelope(lab, limit, member):

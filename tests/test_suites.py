@@ -17,6 +17,7 @@ from imlab.nonlinearity import holder_quotient_of_derivative
 from imlab.perturbation_harness import solve_member
 from imlab.suites import (
     ALL_SUITES,
+    check_names,
     suite_dist_theta_eps,
     suite_distp,
     suite_jdistance,
@@ -34,6 +35,7 @@ def test_registry():
     # a repeat would draw from the shared stream again and shift later suites
     with pytest.raises(ConfigError, match=r"repeated suites: \['distp'\]"):
         run_suites(None, names=("distp", "distp", "Jnorm"))
+    assert check_names(["Jnorm", "distp"]) == ("Jnorm", "distp")
 
 
 def test_distp_suite(lab, limit):
@@ -84,7 +86,8 @@ def test_psi_uniform_at_half_window(lab, limit):
 
 
 def test_jdistance_suite(lab, limit):
-    res = suite_jdistance(lab, limit, lab.rng("suites"))
+    member = solve_member(lab, max(lab.eps_grid))
+    res = suite_jdistance(lab, limit, lab.rng("suites"), member)
     assert res.violations == 0 and res.passed
     assert res.worst_ratio <= 1.0 + 1e-8
 
@@ -114,7 +117,7 @@ def test_stacked_self_test_equals_separate_solves(lab, limit, overrides):
         suite_jnorm(lab, limit, rng),
         suite_dist_theta_eps(lab, limit, rng),
         suite_psi_uniform(lab, limit, rng),
-        suite_jdistance(lab, limit, rng),  # solves the eps_max member alone
+        suite_jdistance(lab, limit, rng, solve_member(lab, max(lab.eps_grid))),
     ]
     assert list(stacked) == list(ALL_SUITES)
     for got, want in zip(stacked.values(), separate):
