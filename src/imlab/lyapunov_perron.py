@@ -15,10 +15,15 @@ outside the grid box.
 One march kernel, `_march`, serves the graph transform, the derivative
 (fiber) transform and the trajectory integrators. It marches a stack of
 rows grouped by member: each row carries its member's step, eigenvalues,
-trapezoid weights, grid and nonlinearity. A row leaves the stack when its
-member's march ends or, in the transforms, as soon as its slow state leaves
-the cutoff support: from there every term of its Duhamel integral is an
-exact zero, so most of a march's row-steps are never computed.
+trapezoid weights, grid and nonlinearity. Once a row's slow state leaves
+the cutoff support, the sampled grids and F are exact zeros at every later
+stage point, so the march stops evaluating them there. In the transforms
+the row leaves the stack, since every later term of its Duhamel integral is
+an exact zero; so does a row whose member's march ends. A collecting march
+(the trajectory integrators) keeps the row and marches it on the linear
+part of its right-hand side alone, which is what the full right-hand side
+computes there, up to the sign of a zero. Either way most of a march's
+row-steps never sample a grid or evaluate F.
 `solve_stack` drives the fixed-point sweeps of several members in lockstep
 over that kernel, and the one-member operations (`apply_T`, `apply_D`,
 `solve_manifold`, ...) are one-member calls of the same code. A march
@@ -76,6 +81,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DimensionError,
+    DomainError,
     GapViolationError,
     OverflowGuardError,
 )
@@ -403,8 +409,9 @@ def _check_guard_ahead(state, log_growth, remaining):
 
 
 def _exit_radius(lane) -> float:
-    """Weighted slow radius at or beyond which a row of this lane retires;
-    inf when the lane lacks a support or a cutoff radius.
+    """Weighted slow radius at or beyond which a row of this lane leaves
+    the march's evaluated set (and, in the transforms, retires); inf when
+    the lane lacks a support or a cutoff radius.
 
     Past both radii the sampled graph and field and the nonlinearity are
     exact zeros (the cutoff sees the same norm when the weights agree), so
@@ -480,30 +487,57 @@ def _stacked_graph_and_field(phi, upsilon, reach):
                           axis=-1)
 
 
+def _start_points(blocks, m) -> np.ndarray:
+    """The blocks' start points stacked into one (rows, m) float array;
+    DimensionError for a batch of another shape, DomainError for a NaN or
+    infinite coordinate, which the march would only turn into a false
+    overflow-guard failure."""
+    points = [np.asarray(pts, dtype=float) for _, pts in blocks]
+    if any(pts.ndim != 2 or pts.shape[1] != m for pts in points):
+        raise DimensionError(f"start points must be a (rows, {m}) batch of slow points")
+    p = np.concatenate(points)
+    if not np.isfinite(p).all():
+        raise DomainError("start points must be finite")
+    return p
+
+
 def _march(blocks, fiber, collect=False):
     """Backward RK4 march of the slow flow, and with fiber of its tangent
     linearization, with the fused exponential-trapezoid Duhamel integral,
     over a stack of (lane, start points) blocks.
 
     Each row carries its lane's eigenvalues, step, trapezoid weights, grid
-    and nonlinearity. A row retires when its lane's march ends or, unless
-    collect, when its slow state ends a step at or beyond the lane's
-    `_exit_radius`: every later term of its integral is an exact zero, so
-    its integral is final. Retired rows leave the stack, the overflow guard
-    is checked over the steps they skip, and the march ends when no row is
-    left. Returns the integral of the leading fast modes the stack's F can
-    reach (`_Lane.width`, the most over its lanes) of each block, in block
-    order; past them every integral is an exact zero. With collect, every
-    lane must share one time grid, one steps and h, or DimensionError is
-    raised; the march returns the sample times and the trajectory of every
-    row in block order (slow points, or tangent maps for fiber).
+    and nonlinearity. A row leaves the evaluated set when its slow state
+    ends a step at or beyond its lane's `_exit_radius`: from there the
+    sampled grids and F are exact zeros at every later stage point, so its
+    right-hand side is the linear part alone, -lambda_p p (and
+    -lambda_p Theta for the tangent), the same bits as the full one up to
+    the sign of a zero. The grids, the support mask and the
+    `NonlinearityStack` (`retire`) no longer see it.
 
-    The samples fill only the leading `_Lane.reach` fast columns of the
-    (rows, N) state and tangent buffers, which stay zero past them; the
-    nonlinearity takes full rows, and the fiber march's Jacobian rows are
-    formed over the m + reach leading columns. Either count may be 0 (a
-    zero map, the zero graph of a first sweep), so shapes are spelled out,
-    not inferred.
+    Without collect such a row retires outright, as does every row whose
+    lane's march ends: every later term of its integral is an exact zero,
+    so its integral is final. Retired rows leave the stack, the overflow
+    guard is checked over the steps they skip, and the march ends when no
+    row is left. Returns the integral of the leading fast modes the stack's
+    F can reach (`_Lane.width`, the most over its lanes) of each block, in
+    block order; past them every integral is an exact zero.
+
+    With collect, every lane must share one time grid, one steps and h, or
+    DimensionError is raised. A row that leaves the evaluated set keeps
+    marching on its linear part, which only the overflow guard watches, and
+    no Duhamel integral is formed. The march returns the sample times and
+    the trajectory of every row in block order (slow points, or tangent
+    maps for fiber), shape (rows, steps+1) + point or map shape; no rows
+    give an empty trajectory.
+
+    Start points must form (rows, m) batches of finite numbers
+    (`_start_points`). The samples fill only the leading `_Lane.reach` fast
+    columns of the (rows, N) state and tangent buffers, which stay zero past
+    them; the nonlinearity takes full rows, and the fiber march's Jacobian
+    rows are formed over the m + reach leading columns. Either count may be
+    0 (a zero map, the zero graph of a first sweep), so shapes are spelled
+    out, not inferred.
     """
     lanes = [lane for lane, _ in blocks]
     counts = [len(points) for _, points in blocks]
@@ -516,22 +550,33 @@ def _march(blocks, fiber, collect=False):
 
     problem = lanes[0].problem
     m, n_modes = problem.m, problem.n_modes
+    p = _start_points(blocks, m)
+    rows = p.shape[0]
+    steps = max(lane.steps for lane in lanes)
+    if collect:
+        times = -lanes[0].h * np.arange(steps + 1)
+        traj = np.empty((rows, steps + 1, m) + ((m,) if fiber else ()))
+        if not rows:
+            return times, traj
     # fast modes the integral can fill, and leading fast columns the samples
     # can fill; explicit sizes, since either may be 0
     q = max(lane.width for lane in lanes)
     reach = max(lane.reach for lane in lanes)
     lam_p = lane_rows(lambda lane: lane.problem.eigenvalues[:m])
-    ext = (1,) if fiber else ()
-
-    def fast_rows(f):
-        a = lane_rows(lambda lane: f(lane.problem.eigenvalues[m : m + q] * lane.h))
-        return a.reshape((a.shape[0], q) + ext)
-
-    w0, w1, decay_step = (fast_rows(f) for f in (phi0_weight, phi1_weight,
-                                                   lambda z: np.exp(-z)))
+    neg_lam = -lam_p
     h = lane_rows(lambda lane: [lane.h])
-    z = h * lam_p
-    log_growth = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+    if not collect:
+        ext = (1,) if fiber else ()
+
+        def fast_rows(f):
+            a = lane_rows(lambda lane: f(lane.problem.eigenvalues[m : m + q] * lane.h))
+            return a.reshape((a.shape[0], q) + ext)
+
+        w0, w1, decay_step = (fast_rows(f) for f in (phi0_weight, phi1_weight,
+                                                       lambda z: np.exp(-z)))
+        z = h * lam_p
+        log_growth = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+        last = np.repeat([lane.steps for lane in lanes], counts)
     frame = lane_rows(lambda lane: lane.frame)
     unique = list({id(lane): lane for lane in lanes}.values())
     if len(unique) == 1:
@@ -547,9 +592,8 @@ def _march(blocks, fiber, collect=False):
     radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
                                      else lane.support_radius])[:, 0]
     w_slow = lane_rows(lambda lane: lane.problem.alpha_weights[:m])
-    last = np.repeat([lane.steps for lane in lanes], counts)
     exit_radius = lane_rows(lambda lane: [_exit_radius(lane)])[:, 0]
-    retiring = not collect and bool(np.isfinite(exit_radius).any())
+    exits = bool(np.isfinite(exit_radius).any())
     F = NonlinearityStack([(lane.F, c) for lane, c in zip(lanes, counts)], width=m + q)
 
     def sample(pv, norms=None):
@@ -560,8 +604,10 @@ def _march(blocks, fiber, collect=False):
             out[(row_norms(pv * w_slow) if norms is None else norms) >= radius] = 0.0
         return out
 
-    p = np.concatenate([points for _, points in blocks]).astype(float)
-    rows = p.shape[0]
+    # the leading n stack rows are evaluated, the rest march on their
+    # linear part; the full right-hand side there is F - lambda_p p, which
+    # adds F's exact zeros to the same linear part
+    n = rows
     # the phase and the cutoff norm see every mode; the columns past
     # m + reach stay zero, so the Jacobian rows are formed over those only
     u = np.zeros((rows, n_modes))
@@ -574,25 +620,30 @@ def _march(blocks, fiber, collect=False):
 
         def rhs(st, norms=None):
             pv, tv = st
-            n = pv.shape[0]
-            sampled = sample(pv, norms)
-            u[:n, :m] = pv
+            fp, ft = pv * neg_lam, tv * neg_lam[:, :, None]
+            if not n:
+                return [fp, ft], None
+            sampled = sample(pv[:n], norms)
+            u[:n, :m] = pv[:n]
             u[:n, fast] = sampled[..., 0]
             tangent[:n, fast, :] = sampled[..., 1:]
             fv, dfj = F.eval_and_jvp(u[:n], tangent[:n], columns=m + reach)
-            fp = fv[:, :m] - pv * lam_p
-            ft = dfj[:, :m, :] @ tv - lam_p[:, :, None] * tv
-            return [fp, ft], dfj[:, m : m + q, :] @ tv
+            fp[:n] += fv[:, :m]
+            ft[:n] += dfj[:, :m, :] @ tv[:n]
+            return [fp, ft], None if collect else dfj[:, m : m + q, :] @ tv
     else:
         state = [p]
 
         def rhs(st, norms=None):
             pv = st[0]
-            n = pv.shape[0]
-            u[:n, :m] = pv
-            u[:n, fast] = sample(pv, norms)
+            fp = pv * neg_lam
+            if not n:
+                return [fp], None
+            u[:n, :m] = pv[:n]
+            u[:n, fast] = sample(pv[:n], norms)
             fv = F.eval(u[:n])
-            return [fv[:, :m] - pv * lam_p], fv[:, m : m + q]
+            fp[:n] += fv[:, :m]
+            return [fp], None if collect else fv[:, m : m + q]
 
     if h.shape[0] == 1:
         h = float(h[0, 0])  # one step size: scalar arithmetic, as for one member
@@ -604,12 +655,15 @@ def _march(blocks, fiber, collect=False):
 
     hs = steps_of(h)
     f, g_prev = rhs(state)
-    acc = np.zeros_like(g_prev)
-    out = np.empty_like(acc)
-    decay = np.ones_like(w0)
-    traj = [state[-1].copy()] if collect else None
-    live = np.arange(rows)  # stack row of each row still marching
-    for k in range(1, int(last.max()) + 1):
+    if collect:
+        traj[:, 0] = state[-1]
+        order = np.arange(rows)  # the trajectory row of each stack row
+    else:
+        acc = np.zeros_like(g_prev)
+        out = np.empty_like(acc)
+        decay = np.ones_like(w0)
+        live = np.arange(rows)  # the output row of each stack row
+    for k in range(1, steps + 1):
         k1 = f
         k2, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k1)])
         k3, _ = rhs([s - 0.5 * hh * d for s, hh, d in zip(state, hs, k2)])
@@ -621,40 +675,48 @@ def _march(blocks, fiber, collect=False):
         for s in state:
             _check_guard(s)
         # the new slow radii: the samples' support mask and the exit test
-        norms = row_norms(state[0] * w_slow) if supported else None
+        norms = row_norms(state[0][:n] * w_slow) if supported else None
         f, g_new = rhs(state, norms)
-        acc += decay * hs[-1] * (g_prev * w0 + (g_new - g_prev) * w1)
-        decay = decay * decay_step
-        g_prev = g_new
+        leave = norms >= exit_radius if exits else np.zeros(n, dtype=bool)
         if collect:
-            traj.append(state[-1].copy())
-        drop = last <= k
-        if retiring:
-            drop = drop | (norms >= exit_radius)
-        if not drop.any():
-            continue
-        out[live[drop]] = acc[drop]
-        _check_guard_ahead([s[drop] for s in state], _take(log_growth, drop),
-                           last[drop] - k)
-        keep = ~drop
-        live = live[keep]
-        if not live.size:
-            break
-        state, f = ([s[keep] for s in arrs] for arrs in (state, f))
-        g_prev, acc = g_prev[keep], acc[keep]
-        (decay, lam_p, w0, w1, decay_step, log_growth, frame, radius, w_slow, last,
-         exit_radius) = (_take(a, keep) for a in (decay, lam_p, w0, w1, decay_step, log_growth,
-                                                  frame, radius, w_slow, last, exit_radius))
+            traj[order, k] = state[-1]
+            if not leave.any():
+                continue
+            keep = ~leave
+            # the rows that leave move behind the evaluated ones
+            perm = np.concatenate([np.flatnonzero(keep), np.flatnonzero(leave),
+                                   np.arange(n, rows)])
+            state, f = ([a[perm] for a in arrs] for arrs in (state, f))
+            neg_lam, order = _take(neg_lam, perm), order[perm]
+        else:
+            acc += decay * hs[-1] * (g_prev * w0 + (g_new - g_prev) * w1)
+            decay = decay * decay_step
+            g_prev = g_new
+            drop = leave | (last <= k)
+            if not drop.any():
+                continue
+            out[live[drop]] = acc[drop]
+            _check_guard_ahead([s[drop] for s in state], _take(log_growth, drop),
+                               last[drop] - k)
+            keep = ~drop
+            live = live[keep]
+            if not live.size:
+                break
+            state, f = ([s[keep] for s in arrs] for arrs in (state, f))
+            g_prev, acc = g_prev[keep], acc[keep]
+            decay, neg_lam, w0, w1, decay_step, log_growth, last = (
+                _take(a, keep) for a in (decay, neg_lam, w0, w1, decay_step, log_growth, last))
+            if not isinstance(h, float):
+                h = h[keep]
+                hs = steps_of(h)
+        n = int(keep.sum())
+        frame, radius, w_slow, exit_radius = (
+            _take(a, keep) for a in (frame, radius, w_slow, exit_radius))
         if which is not None:
             which = which[keep]
-        if not isinstance(h, float):
-            h = h[keep]
-            hs = steps_of(h)
         F.retire(keep)
     if collect:
-        lane = lanes[0]
-        s = -lane.h * np.arange(lane.steps + 1)
-        return s, np.stack(traj, axis=1)  # (rows, steps+1) + point or map shape
+        return times, traj
     return np.split(out, np.cumsum(counts)[:-1])
 
 

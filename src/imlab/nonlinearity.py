@@ -307,19 +307,16 @@ class CutoffNonlinearity:
         consecutive (<= size, K, N) blocks of the batch u.
 
         Each block forms its own phases, whose row bits do not depend on
-        the rows beside them (`chunked_phase`), and takes its slice of the
-        whole-batch radius and bump; the rest is row-wise, so the blocks
-        equal slices of `jacobian_batch(u)` bit for bit, and a consumer
-        holds one block at a time. Each block is a copy, since the stack
-        reuses its row buffer.
+        the rows beside them (`chunked_phase`), and its own radius and
+        bump, which are row-wise like the rest, so the blocks equal slices
+        of `jacobian_batch(u)` bit for bit, and a consumer holds one block
+        at a time. Each block is a copy, since the stack reuses its row
+        buffer.
         """
         u = self._points(u)
         stack = NonlinearityStack([(self, u.shape[0])])
-        cut = stack.cutoff(u)
         for lo in range(0, u.shape[0], size):
-            hi = lo + size
-            block_cut = None if cut is None else _cut_rows(cut, lo, hi)
-            yield stack.jacobian_rows(u[lo:hi], cut=block_cut)[1].copy()
+            yield stack.jacobian_rows(u[lo : lo + size])[1].copy()
 
     def _points(self, u) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -341,14 +338,6 @@ def per_row(values, counts) -> np.ndarray:
 def _take(a, keep):
     """Rows keep of a per-row array; a single broadcast row stays as is."""
     return a if a.shape[0] == 1 else a[keep]
-
-
-def _cut_rows(cut, lo, hi):
-    """The rows lo:hi of a `NonlinearityStack.cutoff` result, with the
-    annulus indices counted from lo."""
-    zeta, at, dzeta, r_at = cut
-    a, b = np.searchsorted(at, (lo, hi))
-    return zeta[lo:hi], at[a:b] - lo, dzeta[a:b], r_at[a:b]
 
 
 def chunked_phase(products, u, work=None) -> list:
@@ -524,13 +513,12 @@ class NonlinearityStack:
             vals *= cutoff_value(self._radius(u), self.radius)[:, None]
         return pad_rows(vals, self.width)
 
-    def jacobian_rows(self, u, cut=None, columns=None):
+    def jacobian_rows(self, u, columns=None):
         """F(u)'s k leading values (n, k) and DF(u)'s k leading rows over
         the leading columns (n, k, columns; all N by default) for the rows
-        taken u, the latter in the reused "rows" buffer; cut is the rows'
-        `cutoff` when the caller has formed it. The base value, radius and
-        bump are formed once, from full rows; the rows of DF(u) past k are
-        exactly zero.
+        taken u, the latter in the reused "rows" buffer. The base value,
+        radius and bump are formed once, from full rows; the rows of DF(u)
+        past k are exactly zero.
 
         The product rule through the bump adds dzeta * value * grad on the
         annulus, with grad the alpha-norm's gradient lambda^(2 alpha) u / r
@@ -539,7 +527,7 @@ class NonlinearityStack:
         columns = self.n if columns is None else columns
         vals, rows = self._base(u, columns)
         if self.radius is not None:
-            zeta, at, dzeta, r_at = self.cutoff(u) if cut is None else cut
+            zeta, at, dzeta, r_at = self.cutoff(u)
             rows *= zeta[:, None, None]
             if at.size:
                 w2 = self.weights2[:, :columns]

@@ -58,10 +58,11 @@ class SuiteResult:
 
 def _ratio_result(name, ratio, details) -> SuiteResult:
     """A suite's result from its measured-to-bound ratios: each one is a
-    sample, and each past 1 + BUDGET a violation."""
+    sample, and each past 1 + BUDGET a violation. The ratios are not
+    negative, so no samples give a worst ratio of 0.0."""
     return SuiteResult(name=name, samples=int(ratio.size),
                        violations=int((ratio > 1.0 + BUDGET).sum()),
-                       worst_ratio=float(ratio.max()), details=details)
+                       worst_ratio=float(ratio.max(initial=0.0)), details=details)
 
 
 def _sample_pairs(lab: Laboratory, graph, count, rng):
@@ -96,28 +97,39 @@ def _theta_map_norms(problem, mats):
     return weighted_opnorms(mats, row_weights=w, col_weights=w)
 
 
-def suite_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
-    """Backward growth of the fiber linearization against e^(rate |t|)."""
+def _theta_march(lab: Laboratory, limit: SolvedMember, xi):
+    """Sample times and the limit's fiber linearizations from the start
+    points xi."""
+    return integrate_Theta(limit.problem, limit.F, limit.graph, limit.field, xi,
+                           lab.solve_settings)
+
+
+def _draw_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100):
+    """Jnorm's start points and its measure step, which reads no rng:
+    (s, Theta) -> SuiteResult."""
     problem, F = limit.problem, limit.F
     rate = slow_flow_rate(problem, F)
     half = np.array([ax[-1] for ax in limit.graph.axes])
     xi = rng.uniform(-0.5 * half, 0.5 * half, size=(count, problem.m))
-    s, theta = integrate_Theta(
-        problem, F, limit.graph, limit.field, xi, lab.solve_settings
-    )
-    measured = _theta_map_norms(problem, theta)
-    bound = np.exp(rate * (-s))[None, :]
-    return _ratio_result("Jnorm", measured / bound, {"rate": rate, "horizon": float(-s[-1])})
+
+    def measure(s, theta):
+        measured = _theta_map_norms(problem, theta)
+        bound = np.exp(rate * (-s))[None, :]
+        return _ratio_result("Jnorm", measured / bound,
+                             {"rate": rate, "horizon": float(-s[-1])})
+
+    return xi, measure
 
 
-def suite_dist_theta_eps(
-    lab: Laboratory, limit: SolvedMember, rng, count=100
-) -> SuiteResult:
-    """Hoelder continuity of the fiber linearization in its start point.
+def suite_jnorm(lab: Laboratory, limit: SolvedMember, rng, count=100) -> SuiteResult:
+    """Backward growth of the fiber linearization against e^(rate |t|)."""
+    xi, measure = _draw_jnorm(lab, limit, rng, count)
+    return measure(*_theta_march(lab, limit, xi))
 
-    The prefactor uses the derivative Hoelder constant certified directly at
-    the suite exponent and the fixed-point norm bound at that exponent.
-    """
+
+def _draw_dist_theta_eps(lab: Laboratory, limit: SolvedMember, rng, count=100):
+    """distThetaEpsilon's start pairs, stacked, and its measure step, which
+    reads no rng: (s, Theta) -> SuiteResult."""
     problem, F = limit.problem, limit.F
     if F.L_F <= 0:
         raise ConfigError("the distThetaEpsilon suite needs L_F > 0")
@@ -131,24 +143,41 @@ def suite_dist_theta_eps(
     rate = 2.0 * (theta + 2.0) * F.L_F * lam_m**a + (theta + 1.0) * lam_m
 
     xi1, xi2 = _sample_pairs(lab, limit.graph, count, rng)
-    s, th = integrate_Theta(
-        problem, F, limit.graph, limit.field,
-        np.concatenate([xi1, xi2]), lab.solve_settings,
-    )
-    measured = _theta_map_norms(problem, th[:count] - th[count:])
-    sep = coord_norm_batch(problem, xi1 - xi2) ** theta
-    if prefactor > 0:
-        bound = prefactor * sep[:, None] * np.exp(rate * (-s))[None, :]
-        ratio = measured / bound
-    else:
-        # linear map: the mismatch must vanish outright
-        ratio = measured / 1e-12
-    return _ratio_result("distThetaEpsilon", ratio, {
-        "rate": rate,
-        "prefactor": prefactor,
-        "L_theta": l_theta,
-        "M_theta": m_bound,
-    })
+
+    def measure(s, th):
+        measured = _theta_map_norms(problem, th[:count] - th[count:])
+        sep = coord_norm_batch(problem, xi1 - xi2) ** theta
+        if prefactor > 0:
+            bound = prefactor * sep[:, None] * np.exp(rate * (-s))[None, :]
+            ratio = measured / bound
+        else:
+            # linear map: the mismatch must vanish outright
+            ratio = measured / 1e-12
+        return _ratio_result("distThetaEpsilon", ratio, {
+            "rate": rate,
+            "prefactor": prefactor,
+            "L_theta": l_theta,
+            "M_theta": m_bound,
+        })
+
+    return np.concatenate([xi1, xi2]), measure
+
+
+def suite_dist_theta_eps(
+    lab: Laboratory, limit: SolvedMember, rng, count=100
+) -> SuiteResult:
+    """Hoelder continuity of the fiber linearization in its start point.
+
+    The prefactor uses the derivative Hoelder constant certified directly at
+    the suite exponent and the fixed-point norm bound at that exponent.
+    """
+    xi, measure = _draw_dist_theta_eps(lab, limit, rng, count)
+    return measure(*_theta_march(lab, limit, xi))
+
+
+#: Suites whose draw and measure steps `run_suites` runs apart, marching
+#: their start points as one stack.
+_THETA_DRAWS = {"Jnorm": _draw_jnorm, "distThetaEpsilon": _draw_dist_theta_eps}
 
 
 def suite_psi_uniform(
@@ -254,6 +283,15 @@ def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -
     The limit, unless the caller passes it, and the eps_max member that
     Jdistance compares against it are solved in one stacked call
     (`solve_members`), which equals their separate solves bit for bit.
+
+    Jnorm and distThetaEpsilon march the limit's fiber linearization over
+    one time grid, so their start points run as one stack. Each suite
+    takes its draws in its turn: those two draw their start points (and
+    every other rng read), the rest run whole. Then one `integrate_Theta`
+    call marches every drawn start point, whose rows do not depend on the
+    rows stacked with them, and the two measure steps, which read no rng,
+    take their rows. The stream and every result are those of the suites
+    run one by one.
     """
     names = check_names(ALL_SUITES if names is None else names)
     if not names:
@@ -266,16 +304,19 @@ def run_suites(lab: Laboratory, names=None, limit: SolvedMember | None = None) -
     solved = dict(zip(distinct, solve_members(lab, distinct)))
     limit = solved.get(0.0, limit)
     member = solved.get(eps, limit)
-    results = {}
+    results, drawn = {}, []
     for name in names:
-        if name == "distp":
+        if name in _THETA_DRAWS:
+            drawn.append((name,) + _THETA_DRAWS[name](lab, limit, rng))
+        elif name == "distp":
             results[name] = suite_distp(lab, limit, rng)
-        elif name == "Jnorm":
-            results[name] = suite_jnorm(lab, limit, rng)
-        elif name == "distThetaEpsilon":
-            results[name] = suite_dist_theta_eps(lab, limit, rng)
         elif name == "PsiUniform":
             results[name] = suite_psi_uniform(lab, limit, rng)
         elif name == "Jdistance":
             results[name] = suite_jdistance(lab, limit, rng, member)
-    return results
+    if drawn:
+        s, theta = _theta_march(lab, limit, np.concatenate([xi for _, xi, _ in drawn]))
+        ends = np.cumsum([len(xi) for _, xi, _ in drawn])
+        for (name, _, measure), block in zip(drawn, np.split(theta, ends[:-1])):
+            results[name] = measure(s, block)
+    return {name: results[name] for name in names}

@@ -22,6 +22,7 @@ from imlab.errors import (
     AdmissibilityError,
     ConfigError,
     DimensionError,
+    DomainError,
     GapViolationError,
     OverflowGuardError,
 )
@@ -579,6 +580,134 @@ def test_transforms_on_dense_inputs_match_reference(payload):
                               reference_march(problem, F, phi, None, settings))
         assert np.array_equal(apply_D(problem, F, phi, ups, settings).values,
                               reference_march(problem, F, phi, ups, settings))
+
+
+# ---------------------------------------------------------------------------
+# Freezing: a collecting march stops evaluating a row once its slow state
+# leaves the cutoff support and marches it on its linear part. A plain march
+# that evaluates every row at every RK4 stage must agree with it bit for
+# bit, up to the sign of a zero.
+
+
+def reference_trajectory(problem, F, phi, upsilon, xi, settings):
+    """Sample times and backward trajectories from the start points xi:
+    slow points, or with upsilon the tangent maps, every row evaluated at
+    every stage."""
+    fiber = upsilon is not None
+    T = resolve_horizon(problem, F, settings, purpose="fiber" if fiber else "graph")
+    steps = max(1, int(np.ceil(T / resolve_step(problem, F, settings) - 1e-12)))
+    h = T / steps
+    m, n = problem.m, problem.n_modes
+    lam_p = problem.eigenvalues[:m]
+
+    def rhs(state):
+        pv = state[0]
+        u = np.zeros((pv.shape[0], n))
+        u[:, :m] = pv
+        u[:, m:] = phi.eval(pv)
+        if not fiber:
+            return [F.eval_batch(u)[:, :m] - pv * lam_p]
+        tv = state[1]
+        V = np.zeros((pv.shape[0], n, m))
+        V[:, :m] = np.eye(m)
+        V[:, m:] = upsilon.eval(pv)
+        fv, dfj = NonlinearityStack([(F, len(u))]).eval_and_jvp(u, V)
+        return [fv[:, :m] - pv * lam_p, dfj[:, :m] @ tv - lam_p[:, None] * tv]
+
+    state = [xi, np.broadcast_to(np.eye(m), (len(xi), m, m)).copy()] if fiber else [xi]
+    traj = [state[-1]]
+    f = rhs(state)
+    for _ in range(steps):
+        k2 = rhs([s - 0.5 * h * d for s, d in zip(state, f)])
+        k3 = rhs([s - 0.5 * h * d for s, d in zip(state, k2)])
+        k4 = rhs([s - h * d for s, d in zip(state, k3)])
+        state = [s - (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, f, k2, k3, k4)]
+        traj.append(state[-1])
+        f = rhs(state)
+    return -h * np.arange(steps + 1), np.stack(traj, axis=1)
+
+
+@pytest.fixture
+def retired_rows(monkeypatch):
+    """Rows each march's nonlinearity stack retired, one entry per march."""
+    seen = []
+
+    class Counting(lyapunov_perron.NonlinearityStack):
+        def __init__(self, blocks, width=None):
+            super().__init__(blocks, width)
+            seen.append(0)
+
+        def retire(self, keep):
+            super().retire(keep)
+            seen[-1] += int(keep.size - keep.sum())
+
+    monkeypatch.setattr(lyapunov_perron, "NonlinearityStack", Counting)
+    return seen
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"spectral": {"m": 2}, "solver": {"grid_nodes": 11}},
+    {"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}},
+])
+def test_collecting_marches_freeze_rows_exactly(payload, retired_rows):
+    lab = build_lab(config_from_dict(payload))
+    limit = solve_member(lab, 0.0)
+    retired_rows.clear()
+    problem, F, phi, ups = limit.problem, limit.F, limit.graph, limit.field
+    settings = lab.solve_settings
+    m = problem.m
+    rng = np.random.default_rng(5)
+    # weighted radii on the cutoff plateau, in its annulus and past it, and
+    # points outside the grid box on every side
+    radii = F.cutoff_radius * np.array([0.0, 0.2, 0.45, 0.55, 0.8, 0.99, 1.2])
+    dirs = rng.standard_normal((radii.size, m))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    half = np.array([ax[-1] for ax in phi.axes])
+    outside = 1.2 * half * np.array([[1.0] * m, [-1.0] * m])
+    xi = np.concatenate([radii[:, None] * dirs / problem.alpha_weights[:m], outside])
+    for upsilon, march in ((None, integrate_p_backward), (ups, integrate_Theta)):
+        args = (problem, F, phi) + (() if upsilon is None else (upsilon,))
+        s, traj = march(*args, xi, settings)
+        s_ref, ref = reference_trajectory(problem, F, phi, upsilon, xi, settings)
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(traj, ref)
+    # every row but at most one leaves the support within the horizon (the
+    # alpha = 0.25 graph march is short), and a frozen row leaves the stack
+    assert len(retired_rows) == 2
+    assert all(len(xi) - 1 <= count <= len(xi) for count in retired_rows), retired_rows
+
+
+def test_collecting_marches_take_empty_batches():
+    problem = two_mode()
+    F = zero_map(problem)
+    st = small_settings(t_horizon=1.0)
+    axes = (np.linspace(-1.5, 1.5, 41),)
+    phi = GridField.zeros(problem, axes, GRAPH)
+    ups = GridField.zeros(problem, axes, FIELD)
+    s, traj = integrate_p_backward(problem, F, phi, np.empty((0, 1)), st)
+    assert traj.shape == (0, s.size, 1) and s[-1] == pytest.approx(-1.0, abs=1e-12)
+    s, theta = integrate_Theta(problem, F, phi, ups, np.empty((0, 1)), st)
+    assert theta.shape == (0, s.size, 1, 1)
+
+
+def test_marches_check_their_start_points():
+    problem = two_mode()
+    F = zero_map(problem)
+    st = small_settings(t_horizon=1.0)
+    axes = (np.linspace(-1.5, 1.5, 41),)
+    phi = GridField.zeros(problem, axes, GRAPH)
+    ups = GridField.zeros(problem, axes, FIELD)
+    with pytest.raises(DimensionError):
+        integrate_p_backward(problem, F, phi, np.zeros((3, 2)), st)
+    with pytest.raises(DimensionError):
+        integrate_Theta(problem, F, phi, ups, np.array([0.1, 0.2]), st)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            integrate_p_backward(problem, F, phi, np.array([[0.1], [bad]]), st)
+        with pytest.raises(DomainError):
+            integrate_Theta(problem, F, phi, ups, np.array([bad]), st)
 
 
 @pytest.mark.parametrize("t_horizon, trips", [(25.0, False), (30.0, True), (500.0, True)])

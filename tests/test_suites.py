@@ -98,27 +98,40 @@ def test_run_suites_subset(lab, limit):
     assert all(r.passed for r in results.values())
 
 
-@pytest.mark.parametrize("overrides", [
-    None,
+@pytest.mark.parametrize("overrides, names", [
+    (None, ALL_SUITES),
     # alpha > 0: the eps_max member's grid differs from the limit's
-    {"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}},
-])
-def test_stacked_self_test_equals_separate_solves(lab, limit, overrides):
-    # run_suites solves the limit and the eps_max member in one stack and
-    # marches theta_comparison's two members as one; the suites run in order
-    # on one stream over two separate solves must agree bit for bit
+    ({"spectral": {"alpha": 0.25}, "nonlinearity": {"LF": 0.05}}, ALL_SUITES),
+    # the Jnorm and distThetaEpsilon draws stay in suite order around the
+    # other suites' draws, and their one march comes after all of them
+    (None, ALL_SUITES[::-1]),
+    (None, ("distThetaEpsilon", "PsiUniform", "Jnorm")),
+], ids=["None", "overrides1", "reversed", "subset"])
+def test_stacked_self_test_equals_separate_solves(lab, limit, overrides, names):
+    # run_suites solves the limit and the eps_max member in one stack,
+    # marches Jnorm's and distThetaEpsilon's start points as one and
+    # theta_comparison's two members as one; the suites run in order on one
+    # stream over two separate solves must agree bit for bit
     if overrides is not None:
         lab = build_lab(config_from_dict(overrides))
         limit = solve_member(lab, 0.0)
-    stacked = run_suites(lab)
+    stacked = run_suites(lab, names)
     rng = lab.rng("suites")
-    separate = [
-        suite_distp(lab, limit, rng),
-        suite_jnorm(lab, limit, rng),
-        suite_dist_theta_eps(lab, limit, rng),
-        suite_psi_uniform(lab, limit, rng),
-        suite_jdistance(lab, limit, rng, solve_member(lab, max(lab.eps_grid))),
-    ]
-    assert list(stacked) == list(ALL_SUITES)
+    run = {
+        "distp": lambda: suite_distp(lab, limit, rng),
+        "Jnorm": lambda: suite_jnorm(lab, limit, rng),
+        "distThetaEpsilon": lambda: suite_dist_theta_eps(lab, limit, rng),
+        "PsiUniform": lambda: suite_psi_uniform(lab, limit, rng),
+        "Jdistance": lambda: suite_jdistance(lab, limit, rng,
+                                             solve_member(lab, max(lab.eps_grid))),
+    }
+    separate = [run[name]() for name in names]
+    assert list(stacked) == list(names)
     for got, want in zip(stacked.values(), separate):
         assert repr(asdict(got)) == repr(asdict(want))
+
+
+@pytest.mark.parametrize("suite", [suite_distp, suite_jnorm, suite_dist_theta_eps])
+def test_trajectory_suites_take_no_samples(lab, limit, suite):
+    res = suite(lab, limit, lab.rng("suites"), count=0)
+    assert (res.samples, res.violations, res.worst_ratio) == (0, 0, 0.0)
