@@ -123,7 +123,6 @@ def cmd_build(args) -> int:
         "kappa": lab.kappa,
         "constants": lab.constants,
         "amplitude": lab.amplitude,
-        "analytic_fixture": lab.limit_F.analytic_fixture,
         "certified_samples": {str(k): v for k, v in sampled.items()},
         "gap_report": json.loads(lab.gap.to_json()),
         "lipschitz_hat": lip,

@@ -37,7 +37,7 @@ from .spectral_core import (
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 # fixed spawn keys so each consumer owns an independent, reproducible stream
-_RNG_TAGS = {"model": 0, "certify": 1, "suites": 2, "study": 3, "cli": 4}
+_RNG_TAGS = {"model": 0, "certify": 1, "suites": 2, "study": 3}
 
 
 def _require(cond, msg):
@@ -146,7 +146,8 @@ class ExperimentConfig:
         # with dataclasses.replace are checked too
         _require(self.seed >= 0, f"seed must be nonnegative, got {self.seed}")
         for key in ("theta", "theta_star"):
-            _number_or_auto(vars(self), key)
+            v = _number_or_auto(vars(self), key)
+            _require(v == "auto" or v > 0, f"{key} must be positive or 'auto'")
         n = len(self.spectral.limit_eigenvalues())
         _require(self.nonlinearity.k <= n,
                  f"K={self.nonlinearity.k} base coefficients exceed N={n} modes")
@@ -157,7 +158,7 @@ def default_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON parsing
 
 
 def _spectral_from_dict(d) -> SpectralConfig:
@@ -237,11 +238,6 @@ def config_from_dict(d) -> ExperimentConfig:
         "config",
     )
 
-    def exponent(key):
-        v = _number_or_auto(d, key)
-        _require(v == "auto" or v > 0, f"{key} must be positive or 'auto'")
-        return v
-
     return ExperimentConfig(
         seed=_integer(d, "seed", 0),
         out_dir=_text(d, "out_dir", "out"),
@@ -249,8 +245,8 @@ def config_from_dict(d) -> ExperimentConfig:
         nonlinearity=_nonlinearity_from_dict(d.get("nonlinearity", {})),
         solver=_solver_from_dict(d.get("solver", {})),
         family=_family_from_dict(d.get("family", {})),
-        theta=exponent("theta"),
-        theta_star=exponent("theta_star"),
+        theta=_number_or_auto(d, "theta"),
+        theta_star=_number_or_auto(d, "theta_star"),
     )
 
 
@@ -265,39 +261,6 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    s, nl, sol, fam = cfg.spectral, cfg.nonlinearity, cfg.solver, cfg.family
-    spectral = {"rule": s.rule, "N": s.n, "scale": s.scale, "m": s.m, "alpha": s.alpha}
-    if s.eigenvalues is not None:
-        spectral["eigenvalues"] = list(s.eigenvalues)
-    return {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "spectral": spectral,
-        "nonlinearity": {
-            "K": nl.k,
-            "R": nl.radius,
-            "LF": nl.lf,
-            "CF": nl.cf,
-            "thetaF": nl.theta_f,
-            "L": nl.l,
-            "amplitude": nl.amplitude,
-            "G": {"relative_amplitude": nl.g_relative_amplitude},
-        },
-        "solver": {
-            "T_horizon": sol.t_horizon,
-            "h": sol.h,
-            "tol_fp": sol.tol_fp,
-            "max_iter": sol.max_iter,
-            "grid_nodes": sol.grid_nodes,
-            "box_factor": sol.box_factor,
-        },
-        "family": {"eps_grid": list(fam.eps_grid)},
-        "theta": cfg.theta,
-        "theta_star": cfg.theta_star,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,6 @@ class ConstantBase(_Atom):
         out[...] = 0.0
         return out
 
-    def scaled(self, factor: float) -> "ConstantBase":
-        return ConstantBase(self.vector * factor)
-
 
 class SumBase(_BaseMap):
     """Pointwise sum of two base maps on the same coefficient space; the
@@ -260,8 +257,8 @@ class CutoffNonlinearity:
     """Base map times a radial alpha-norm bump, with certified constants.
 
     cutoff_radius None disables the bump entirely; that variant exists for
-    closed-form fixtures and is flagged so reports can record that
-    certification was skipped.
+    closed-form fixtures and is flagged `analytic_fixture`, which
+    `certify_constants` refuses.
 
     The sampling calls evaluate F through a one-member `NonlinearityStack`,
     so a point takes the bits a march gives it. Derivatives are the leading
@@ -496,16 +493,6 @@ class NonlinearityStack:
             r[lo:hi] = row_norms(u[lo:hi] * (w if len(w) == 1 else w[lo:hi]))
         return r
 
-    def cutoff(self, u):
-        """The bump and annulus slope of the rows taken u, as `cutoff_and_slope`
-        gives them (zeta, at, dzeta), and the radius on the annulus rows at;
-        None without a cutoff."""
-        if self.radius is None:
-            return None
-        r = self._radius(u)
-        zeta, at, dzeta = cutoff_and_slope(r, self.radius)
-        return zeta, at, dzeta, r[at]
-
     def eval(self, u) -> np.ndarray:
         """F(u) for the rows taken u."""
         vals, _ = self._base(u)
@@ -527,11 +514,12 @@ class NonlinearityStack:
         columns = self.n if columns is None else columns
         vals, rows = self._base(u, columns)
         if self.radius is not None:
-            zeta, at, dzeta, r_at = self.cutoff(u)
+            r = self._radius(u)
+            zeta, at, dzeta = cutoff_and_slope(r, self.radius)
             rows *= zeta[:, None, None]
             if at.size:
                 w2 = self.weights2[:, :columns]
-                grad = (u[at, :columns] * (w2 if len(w2) == 1 else w2[at])) / r_at[:, None]
+                grad = (u[at, :columns] * (w2 if len(w2) == 1 else w2[at])) / r[at][:, None]
                 slope = dzeta[:, None] * vals[at]
                 for lo in range(0, at.size, JACOBIAN_BLOCK):
                     hi = lo + JACOBIAN_BLOCK

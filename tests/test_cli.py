@@ -158,13 +158,26 @@ def test_build_zero_field(tmp_path, capsys):
 
 
 def test_build_rejects_bad_exponents(tmp_path, capsys):
-    # flag overrides land in the admissibility window check; a bad value in
-    # the config file itself is caught earlier, at parse time
+    # a nonpositive exponent is a configuration error wherever it comes
+    # from; a positive one outside the window fails the admissibility check
     assert main(["build", "--theta", "1.5", "--out", str(tmp_path)]) == 2
-    assert main(["build", "--theta", "-0.1", "--out", str(tmp_path)]) == 2
+    assert main(["build", "--theta", "-0.1", "--out", str(tmp_path)]) == 1
     cfg = write_cfg(tmp_path, {"theta": -0.1})
     assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, key", [("--theta", "theta"), ("--theta-star", "theta_star")])
+@pytest.mark.parametrize("value", [-0.1, 0])
+def test_nonpositive_exponents_fail_alike_from_flag_and_file(tmp_path, capsys, flag, key, value):
+    # ExperimentConfig checks the sign, so a flag override and a config-file
+    # value end in the same exit code and the same error: line
+    assert main(["check-gap", flag, str(value)]) == 1
+    from_flag = capsys.readouterr().err.strip().splitlines()
+    assert main(["check-gap", "--config", write_cfg(tmp_path, {key: value})]) == 1
+    from_file = capsys.readouterr().err.strip().splitlines()
+    assert len(from_flag) == 1 and from_flag[0].startswith("error:")
+    assert from_flag == from_file
 
 
 @pytest.mark.parametrize("flag", ["--theta", "--theta-star"])

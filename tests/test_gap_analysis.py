@@ -5,7 +5,12 @@ alpha = 0, theta = 1/2 make every formula evaluate to a small rational, so
 the expected values below are exact fractions.
 """
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from imlab.gap_analysis import (
     theta1,
     theta_tilde,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLD = dict(lambda_m=10.0, lambda_m1=100.0, L_F=0.5, kappa=1.0, alpha=0.0)
 
@@ -154,3 +161,33 @@ def test_margin_erosion_rows():
     assert label == "limit" and ok
     assert gap_margin == pytest.approx(81.0)
     assert not rows[1][3]
+
+
+def test_gap_margin_scan_runs_with_defaults(capsys):
+    # the README documents this script; it is the one caller of
+    # find_admissible_m and margin_erosion outside the tests
+    path = ROOT / "scripts" / "gap_margin_scan.py"
+    spec = importlib.util.spec_from_file_location("gap_margin_scan", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main([]) == 0
+    scan, erosion = capsys.readouterr().out.split("\n\n")
+    assert len(scan.splitlines()[2:]) == 7  # one row per L_F after two header lines
+    assert len(erosion.strip().splitlines()[1:]) == 4  # one row per eps
+
+
+_LOADED_MODULES = """
+import sys
+import imlab.gap_analysis
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "imlab"))))
+"""
+
+
+def test_gap_analysis_imports_without_numpy_or_the_solvers():
+    # `import imlab` binds no submodule, so the admissibility formulas load
+    # alone: a fresh interpreter holds only the package, errors and them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["imlab", "imlab.errors", "imlab.gap_analysis"]

@@ -641,7 +641,7 @@ def test_jvp_over_leading_columns_equals_the_full_width(k0, k1, m, c, seed):
     c = max(c, m + 1)
     blocks, u, V = _leading_columns_case(k0, k1, m, c, seed)
     stack = NonlinearityStack(blocks)
-    _, at, _, _ = stack.cutoff(u)
+    _, at, _ = cutoff_and_slope(stack._radius(u), stack.radius)
     assert at.size == 4  # two annulus rows per member
     fv, jvp = stack.eval_and_jvp(u, V, columns=c)
     want_fv, want_jvp = NonlinearityStack(blocks).eval_and_jvp(u, V)
