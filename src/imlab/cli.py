@@ -1,10 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 configuration or usage problems (including a
-configuration too large to allocate and an output directory that cannot be
-created or written), 2 admissibility or certification
-failures, 3 numerical failures (an iteration stops contracting, fails to
-converge, or trips the overflow guard).
+Exit codes: 0 success; an error of the package's taxonomy exits with its
+class's `exit_code` (`imlab.errors`): 1 configuration or usage problems
+(including an output directory that cannot be created or written),
+2 admissibility or certification failures, 3 numerical failures (an
+iteration stops contracting, fails to converge, or trips the overflow
+guard). A configuration too large to allocate exits 1 too.
 """
 from __future__ import annotations
 
@@ -18,29 +19,17 @@ from pathlib import Path
 
 from . import perturbation_harness, suites
 from .config import build_lab, default_config, load_config
-from .errors import (
-    AdmissibilityError,
-    CertificationError,
-    ConfigError,
-    ConvergenceError,
-    GapViolationError,
-    ImlabError,
-    OverflowGuardError,
-)
+from .errors import AdmissibilityError, ConfigError, ImlabError
 from .lyapunov_perron import dump_csv, holder_certificate, lipschitz_certificate
-
-_EXIT_CONFIG = 1
-_EXIT_ADMISSIBILITY = 2
-_EXIT_NUMERICAL = 3
 
 
 def _load(args) -> "ExperimentConfig":
     cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         cfg = replace(cfg, theta=args.theta)
-    if getattr(args, "theta_star", None) is not None:
+    if args.theta_star is not None:
         cfg = replace(cfg, theta_star=args.theta_star)
     if getattr(args, "eps_grid", None) is not None:
         try:
@@ -54,12 +43,31 @@ def _load(args) -> "ExperimentConfig":
 def _out_dir(args, cfg) -> Path:
     """The output directory, created before any solve so a bad path fails
     fast."""
-    out = Path(args.out if getattr(args, "out", None) else cfg.out_dir)
+    out = Path(args.out if args.out else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
+
+
+def _certified_lab(args, out_required=True):
+    """The prologue of the commands that solve, in this order: load the
+    config, check the suite names (self-test), build the lab, require
+    admissibility, create the output directory before any solve (unless
+    out_required is false and there is no --out), and certify the
+    constants. Returns the lab, the directory or None, and the certified
+    samples."""
+    cfg = _load(args)
+    names = getattr(args, "suites", None)
+    if names is not None:
+        if not names:
+            raise ConfigError("--suites must list at least one suite")
+        suites.check_names(names)
+    lab = build_lab(cfg)
+    _require_admissible(lab)
+    out = _out_dir(args, cfg) if args.out or out_required else None
+    return lab, out, lab.certify()
 
 
 @contextmanager
@@ -70,6 +78,13 @@ def _writing(out):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write output in {out}: {exc}") from exc
+
+
+def _write_json(out, name, payload):
+    """payload as strict JSON, keys sorted, to the file name in out."""
+    with _writing(out), open(out / name, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:
@@ -86,9 +101,7 @@ def cmd_check_gap(args) -> int:
     cfg = _load(args)
     lab = build_lab(cfg)
     print(lab.gap.to_json())
-    if not lab.gap.passed:
-        return _EXIT_ADMISSIBILITY
-    return 0
+    return 0 if lab.gap.passed else AdmissibilityError.exit_code
 
 
 def _require_admissible(lab):
@@ -106,11 +119,7 @@ def _require_admissible(lab):
 
 def cmd_build(args) -> int:
     start = time.perf_counter()
-    cfg = _load(args)
-    lab = build_lab(cfg)
-    _require_admissible(lab)
-    out = _out_dir(args, cfg)
-    sampled = lab.certify()
+    lab, out, sampled = _certified_lab(args)
     member = perturbation_harness.solve_member(lab, 0.0)
     with _writing(out):
         dump_csv(member.graph, out / "manifold.csv")
@@ -124,7 +133,7 @@ def cmd_build(args) -> int:
         "constants": lab.constants,
         "amplitude": lab.amplitude,
         "certified_samples": {str(k): v for k, v in sampled.items()},
-        "gap_report": json.loads(lab.gap.to_json()),
+        "gap_report": asdict(lab.gap),
         "lipschitz_hat": lip,
         "holder_hat": holder,
         "M0": lab.gap.M0,
@@ -135,9 +144,7 @@ def cmd_build(args) -> int:
         "field_diffs": member.derivative.diffs,
         "field_ratios": member.derivative.ratios,
     }
-    with _writing(out), open(out / "certificates.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(out, "certificates.json", payload)
     print(f"manifold: {out / 'manifold.csv'}")
     print(f"derivative: {out / 'derivative.csv'}")
     print(f"certificates: {out / 'certificates.json'}")
@@ -149,11 +156,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_distance_study(args) -> int:
-    cfg = _load(args)
-    lab = build_lab(cfg)
-    _require_admissible(lab)
-    out = _out_dir(args, cfg)
-    lab.certify()
+    lab, out, _ = _certified_lab(args)
     report = perturbation_harness.rate_study(lab)
     with _writing(out):
         report.write_csv(out / "report.csv")
@@ -169,37 +172,27 @@ def cmd_distance_study(args) -> int:
           f"fitted_C_c1theta = {_fmt(report.fitted_C_c1theta)}")
     print(f"report: {out / 'report.csv'}")
     _print_runtime(report.runtime_seconds)
-    if not report.all_pass:
-        return _EXIT_ADMISSIBILITY
-    return 0
+    return 0 if report.all_pass else AdmissibilityError.exit_code
 
 
 def cmd_self_test(args) -> int:
-    cfg = _load(args)
-    names = None
-    if args.suites is not None:
-        names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-        if not names:
-            raise ConfigError("--suites must list at least one suite")
-        suites.check_names(names)
-    lab = build_lab(cfg)
-    _require_admissible(lab)
-    out = _out_dir(args, cfg) if args.out else None
-    lab.certify()
+    lab, out, _ = _certified_lab(args, out_required=False)
     print("constants certified against fresh samples")
-    results = suites.run_suites(lab, names)
+    results = suites.run_suites(lab, args.suites)
     if out is not None:
-        payload = {name: asdict(res) for name, res in results.items()}
-        with _writing(out), open(out / "suites.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(out, "suites.json", {name: asdict(res) for name, res in results.items()})
     failed = False
     for name, res in results.items():
         line = (f"{name:<14} samples={res.samples:<6} violations={res.violations:<3} "
                 f"worst={res.worst_ratio:.6g}")
         print(line + ("  ok" if res.passed else "  FAIL"))
         failed = failed or not res.passed
-    return _EXIT_ADMISSIBILITY if failed else 0
+    return AdmissibilityError.exit_code if failed else 0
+
+
+def _split_names(text) -> tuple:
+    """--suites as its comma-separated names; `_certified_lab` checks them."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,13 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, exponents=True):
+    def common(sp):
         sp.add_argument("--config", help="JSON experiment configuration")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        if exponents:
-            sp.add_argument("--theta", type=float, help="override theta")
-            sp.add_argument("--theta-star", dest="theta_star", type=float,
-                            help="override theta_star")
+        sp.add_argument("--theta", type=float, help="override theta")
+        sp.add_argument("--theta-star", dest="theta_star", type=float,
+                        help="override theta_star")
 
     sp = sub.add_parser("check-gap", help="evaluate the spectral gap conditions")
     common(sp)
@@ -245,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--out", help="write every suite result at full precision to "
                     "suites.json in this directory (default: write no files)")
-    sp.add_argument("--suites", help="comma-separated suite names "
+    sp.add_argument("--suites", type=_split_names, help="comma-separated suite names "
                     f"(default all: {','.join(suites.ALL_SUITES)})")
     sp.set_defaults(fn=cmd_self_test)
 
@@ -257,24 +249,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (AdmissibilityError, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ADMISSIBILITY
-    except (ConvergenceError, GapViolationError, OverflowGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
     except ImlabError as exc:
-        # remaining taxonomy members are configuration-shaped
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return exc.exit_code
     except MemoryError as exc:
         # sizes numpy refuses to allocate, such as an enormous spectral N
         print(f"error: the configuration needs more memory than is available ({exc})",
               file=sys.stderr)
-        return _EXIT_CONFIG
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

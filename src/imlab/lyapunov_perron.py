@@ -335,7 +335,8 @@ def slow_flow_rate(problem: SpectralProblem, F: CutoffNonlinearity) -> float:
 
 
 def resolve_horizon(problem, F, settings, purpose="graph") -> float:
-    """Concrete horizon; 'auto' truncates the Duhamel tail below 0.1 tol_fp.
+    """Concrete horizon; 'auto' truncates the Duhamel tail below 0.1 tol_fp,
+    and is infinite when that underflows to zero.
 
     Derivative integrals decay only at the reduced rate lambda_{m+1} minus
     the slow-flow rate, so the fiber purpose lengthens the horizon.
@@ -348,6 +349,8 @@ def resolve_horizon(problem, F, settings, purpose="graph") -> float:
             raise ConfigError("T_horizon below alpha / lambda_{m+1}")
         return t
     tol = 0.1 * settings.tol_fp
+    if tol == 0.0:
+        return np.inf
     amp = max(F.C_F, tol)
     t = np.log(amp * lam1**a / (lam1 * tol)) / lam1
     if purpose == "fiber":
@@ -376,7 +379,12 @@ def resolve_step(problem, F, settings) -> float:
 
 
 def _steps_for(T, h):
-    steps = max(1, int(np.ceil(T / h - 1e-12)))
+    """The RK4 plan over the horizon T at steps of at most h; a horizon or a
+    step count past the floats trips the overflow guard."""
+    steps = np.ceil(T / h - 1e-12)
+    if not np.isfinite(steps):
+        raise OverflowGuardError(_OVERFLOW)
+    steps = max(1, int(steps))
     return steps, T / steps
 
 

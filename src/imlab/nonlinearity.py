@@ -49,11 +49,10 @@ import numpy as np
 
 from .errors import CertificationError, ConfigError, DimensionError
 from .spectral_core import (
-    NORM_BLOCK,
     SpectralProblem,
     alpha_norm_batch,
     near_max_opnorms,
-    row_norms,
+    weighted_row_norms,
 )
 
 #: Slack applied on top of sampled maxima when certifying constants.
@@ -481,17 +480,8 @@ class NonlinearityStack:
         return vals, rows
 
     def _radius(self, u) -> np.ndarray:
-        """Alpha-norms of the rows taken u, `NORM_BLOCK` rows at a time:
-        each row's sum is its own, so the blocks change no bit, and the
-        weighted and squared temporaries stay one block in size."""
-        if u.shape[0] <= NORM_BLOCK:
-            return row_norms(u * self.weights)
-        w = self.weights
-        r = np.empty(u.shape[0])
-        for lo in range(0, u.shape[0], NORM_BLOCK):
-            hi = lo + NORM_BLOCK
-            r[lo:hi] = row_norms(u[lo:hi] * (w if len(w) == 1 else w[lo:hi]))
-        return r
+        """Alpha-norms of the rows taken u (`weighted_row_norms`)."""
+        return weighted_row_norms(u, self.weights)
 
     def eval(self, u) -> np.ndarray:
         """F(u) for the rows taken u."""

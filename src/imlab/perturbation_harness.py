@@ -25,7 +25,7 @@ from .lyapunov_perron import (
     _march,
     dyadic_scan,
     mesh,
-    slow_flow_rate,
+    resolve_step,
     solve_stack,
 )
 from .nonlinearity import pad_rows, rho_eps
@@ -64,24 +64,23 @@ class SolvedMember:
         return self.derivative.field
 
 
-def solve_members(lab: Laboratory, eps_values, settings=None, theta=None) -> list:
+def solve_members(lab: Laboratory, eps_values, settings=None) -> list:
     """Solve several members at once, marching them as one stack
     (`solve_stack`); each equals its solve alone bit for bit, up to the sign
     of a zero. The members of one family share their base-map terms by
     position, as the stack requires (`NonlinearityStack`)."""
     settings = settings or lab.solve_settings
-    theta = lab.theta if theta is None else theta
     built = [instantiate(lab, eps) for eps in eps_values]
-    solved = solve_stack(built, theta, settings)
+    solved = solve_stack(built, lab.theta, settings)
     return [
         SolvedMember(eps=eps, problem=problem, F=F, manifold=man, derivative=der)
         for eps, (problem, F), (man, der) in zip(eps_values, built, solved)
     ]
 
 
-def solve_member(lab: Laboratory, eps: float, settings=None, theta=None) -> SolvedMember:
+def solve_member(lab: Laboratory, eps: float, settings=None) -> SolvedMember:
     """One member's graph and derivative field: a one-member `solve_members`."""
-    return solve_members(lab, (eps,), settings, theta)[0]
+    return solve_members(lab, (eps,), settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +213,6 @@ def holder_seminorm_of_difference(field_eps, field0, thetas, rng=None):
                        _mismatch_weights(field0.problem, field_eps.problem), thetas, rng)
 
 
-@dataclass(eq=False)
-class C1ThetaDistance:
-    """C1,theta distance with its parts and the interpolation cross-check.
-
-    value = sup_part + deriv_part + seminorm. The interpolation bound
-    dominates the seminorm whenever theta < theta_star because every sampled
-    quotient factors through the theta_star quotient and the pair sup; a
-    violation therefore indicates a broken estimator, not a tight constant.
-    """
-
-    value: float
-    sup_part: float
-    deriv_part: float
-    seminorm: float
-    seminorm_star: float
-    pair_point_sup: float
-    interpolation_bound: float
-    interpolation_ok: bool
-
-
 def c1theta_distance(
     phi_eps,
     phi0,
@@ -242,35 +221,37 @@ def c1theta_distance(
     theta: float,
     theta_star: float,
     rng=None,
-) -> C1ThetaDistance:
-    """Full C1,theta distance between corresponding graphs.
+) -> dict:
+    """Full C1,theta distance between corresponding graphs, as the
+    `DistanceRow` fields it measures: d_c1 = d_sup + the derivative part,
+    and d_c1theta = d_c1 + holder_diff, the seminorm at theta.
 
     The seminorm at theta_star and the pair point sup are measured on the
-    same dyadic pair set as the seminorm at theta, so the reported
-    interpolation bound is a structural identity check.
+    same dyadic pair set as the seminorm at theta, so the interpolation
+    bound dominates the seminorm whenever theta < theta_star: every sampled
+    quotient factors through the theta_star quotient and the pair sup. A
+    violation (`DistanceReport.interpolation_ok`) therefore indicates a
+    broken estimator, not a tight constant.
     """
     if not 0.0 < theta < theta_star:
         raise ConfigError("need 0 < theta < theta_star")
-    sup_part = sup_distance(phi_eps, phi0)
+    d_sup = sup_distance(phi_eps, phi0)
     grid_deriv = c1_distance(field_eps, field0)
     seminorms, pair_sup = holder_seminorm_of_difference(
         field_eps, field0, (theta, theta_star), rng=rng
     )
-    deriv_part = max(grid_deriv, pair_sup)
-    seminorm = seminorms[theta]
-    seminorm_star = seminorms[theta_star]
+    deriv = max(grid_deriv, pair_sup)
+    d_c1 = d_sup + deriv
     ratio = theta / theta_star
-    interpolation_bound = seminorm_star**ratio * (2.0 * deriv_part) ** (1.0 - ratio)
-    return C1ThetaDistance(
-        value=sup_part + deriv_part + seminorm,
-        sup_part=sup_part,
-        deriv_part=deriv_part,
-        seminorm=seminorm,
-        seminorm_star=seminorm_star,
-        pair_point_sup=pair_sup,
-        interpolation_bound=interpolation_bound,
-        interpolation_ok=seminorm <= interpolation_bound * _PASS_SLACK,
-    )
+    return {
+        "d_sup": d_sup,
+        "d_c1": d_c1,
+        "holder_diff": seminorms[theta],
+        "d_c1theta": d_c1 + seminorms[theta],
+        "seminorm_at_theta_star": seminorms[theta_star],
+        "pair_point_sup": pair_sup,
+        "interpolation_bound": seminorms[theta_star]**ratio * (2.0 * deriv) ** (1.0 - ratio),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +299,7 @@ def theta_comparison(
     rate_slow = 4.0 * lf * lam_m**a + lam_m
 
     t_final = 2.0 / lam_m
-    h = 0.05 / max(slow_flow_rate(limit.problem, limit.F),
-                   slow_flow_rate(member.problem, member.F))
+    h = min(resolve_step(mem.problem, mem.F, lab.solve_settings) for mem in (limit, member))
     settings = replace(lab.solve_settings, t_horizon=t_final, h=h)
 
     graph = limit.graph
@@ -366,11 +346,11 @@ class DistanceRow:
     d_c1theta: float
     bound_sup: float
     bound_c1theta: float
-    seminorm_star: float = 0.0
-    pair_point_sup: float = 0.0
-    interpolation_bound: float = 0.0
-    iterations_graph: int = 0
-    iterations_field: int = 0
+    seminorm_at_theta_star: float
+    pair_point_sup: float
+    interpolation_bound: float
+    iterations_graph: int
+    iterations_field: int
 
 
 _CSV_COLUMNS = (
@@ -422,17 +402,13 @@ class DistanceReport:
             "constants": lab.constants,
             "amplitude": lab.amplitude,
             "delta_norm_equivalence": self.delta_norm_equiv,
-            "gap_report": json.loads(lab.gap.to_json()),
+            "gap_report": asdict(lab.gap),
             "fitted_C_sup": self.fitted_C_sup,
             "fitted_C_c1theta": self.fitted_C_c1theta,
             "least_squares_fits": self.fits,
             "all_pass": self.all_pass,
             "interpolation_ok": self.interpolation_ok,
-            "rows": [
-                {("seminorm_at_theta_star" if key == "seminorm_star" else key): value
-                 for key, value in asdict(r).items()}
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -508,16 +484,10 @@ def rate_study(lab: Laboratory, eps_grid=None, rng=None) -> DistanceReport:
             theta, theta_star, rng=rng,
         )
         tl = _tau_log(tau)
-        bound_sup = tl + rho
-        bound_c1theta = (beta + (tl + rho) ** theta_star) ** (1.0 - theta / theta_star)
         rows.append(
             DistanceRow(
-                eps=eps, tau=tau, rho=rho, beta=beta, d_sup=dist.sup_part,
-                d_c1=dist.sup_part + dist.deriv_part, holder_diff=dist.seminorm,
-                d_c1theta=dist.value, bound_sup=bound_sup, bound_c1theta=bound_c1theta,
-                seminorm_star=dist.seminorm_star,
-                pair_point_sup=dist.pair_point_sup,
-                interpolation_bound=dist.interpolation_bound,
+                eps=eps, tau=tau, rho=rho, beta=beta, **dist, bound_sup=tl + rho,
+                bound_c1theta=(beta + (tl + rho) ** theta_star) ** (1.0 - theta / theta_star),
                 iterations_graph=member.manifold.iterations,
                 iterations_field=member.derivative.iterations,
             )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-#: Rows per block of `alpha_norm_batch`.
+#: Rows per block of `weighted_row_norms`.
 NORM_BLOCK = 256
 
 #: Relative margin of the screen in `near_max_opnorms`; it must stay far
@@ -53,7 +53,8 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class SpectralProblem:
-    """Eigenvalues (ascending, positive), slow-mode count m, exponent alpha."""
+    """Eigenvalues (ascending, positive, finite), slow-mode count m,
+    exponent alpha."""
 
     eigenvalues: np.ndarray
     m: int
@@ -66,6 +67,8 @@ class SpectralProblem:
             raise ConfigError("need a 1-d eigenvalue sequence with at least two modes")
         if not np.all(ev > 0):
             raise ConfigError("eigenvalues must be positive")
+        if not np.all(np.isfinite(ev)):
+            raise ConfigError("eigenvalues must be finite")
         if not np.all(np.diff(ev) >= 0):
             raise ConfigError("eigenvalues must be ascending")
         if not 1 <= self.m < ev.size:
@@ -107,26 +110,22 @@ def spectrum_from_rule(rule: str, n: int, scale: float = 1.0) -> np.ndarray:
         raise ConfigError("need at least two modes")
     if scale <= 0:
         raise ConfigError("scale must be positive")
-    if rule == "i^2":
-        return scale * np.arange(1, n + 1, dtype=float) ** 2
-    if rule == "linear":
-        return scale * np.arange(1, n + 1, dtype=float)
+    # a scale that overflows leaves inf, which SpectralProblem rejects
+    with np.errstate(over="ignore"):
+        if rule == "i^2":
+            return scale * np.arange(1, n + 1, dtype=float) ** 2
+        if rule == "linear":
+            return scale * np.arange(1, n + 1, dtype=float)
     raise ConfigError(f"unknown spectrum rule {rule!r}")
 
 
 def alpha_norm_batch(problem: SpectralProblem, v) -> np.ndarray:
-    """Alpha-norms over the last axis, `NORM_BLOCK` rows at a time: each
-    row's sum is its own, so the blocks change no bit, and the weighted
-    and squared temporaries stay one block in size."""
+    """Alpha-norms over the last axis (`weighted_row_norms`)."""
     v = problem.check_vector(v)
     w = problem.alpha_weights
     if v.ndim < 2:
         return np.linalg.norm(v * w, axis=-1)
-    rows = v.reshape(-1, v.shape[-1])
-    out = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], NORM_BLOCK):
-        out[lo : lo + NORM_BLOCK] = np.linalg.norm(rows[lo : lo + NORM_BLOCK] * w, axis=-1)
-    return out.reshape(v.shape[:-1])
+    return weighted_row_norms(v.reshape(-1, v.shape[-1]), w).reshape(v.shape[:-1])
 
 
 def row_norms(x) -> np.ndarray:
@@ -134,6 +133,21 @@ def row_norms(x) -> np.ndarray:
     `np.linalg.norm(x, axis=-1)` runs for it, so the same bits, without the
     wrapper's per-call argument handling."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def weighted_row_norms(rows, w) -> np.ndarray:
+    """`row_norms` of rows * w for a 2-d rows, `NORM_BLOCK` rows at a time:
+    each row's sum is its own, so the blocks change no bit, and the
+    weighted and squared temporaries stay one block in size. w has shape
+    (N,) or (1, N), or (rows, N) for a weight row per row."""
+    if rows.shape[0] <= NORM_BLOCK:
+        return row_norms(rows * w)
+    per_row = w.ndim == 2 and w.shape[0] > 1
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], NORM_BLOCK):
+        hi = lo + NORM_BLOCK
+        out[lo:hi] = row_norms(rows[lo:hi] * (w[lo:hi] if per_row else w))
+    return out
 
 
 def coord_norm_batch(problem: SpectralProblem, p) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_criterion_7_interpolation_split(lab, study):
     for r in study.rows:
         if r.holder_diff > r.interpolation_bound * slack:
             tight += 1
-        bound_c1 = r.seminorm_star**ratio * (2.0 * r.d_c1) ** (1 - ratio)
+        bound_c1 = r.seminorm_at_theta_star**ratio * (2.0 * r.d_c1) ** (1 - ratio)
         if r.d_c1 > 0 and r.holder_diff > bound_c1 * slack:
             loose += 1
     ok = tight == 0 and loose == 0 and study.interpolation_ok

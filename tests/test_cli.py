@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from imlab import errors
 from imlab.cli import main
 from imlab.lyapunov_perron import holder_certificate
 
@@ -219,6 +220,54 @@ def test_build_overflow(tmp_path, capsys):
     rc = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["build", "distance-study", "self-test"])
+@pytest.mark.parametrize(
+    "payload, code, phrase",
+    [
+        # a horizon or step count past the floats trips the overflow guard
+        ({"nonlinearity": {"CF": 1e308}}, 3, "horizon is too long"),
+        ({"solver": {"tol_fp": 1e-320}}, 3, "horizon is too long"),
+        ({"solver": {"T_horizon": 1e308}}, 3, "horizon is too long"),
+        # 0.1 tol_fp underflows to zero
+        ({"solver": {"tol_fp": 5e-324}}, 3, "horizon is too long"),
+        # the top eigenvalues overflow to inf
+        ({"spectral": {"scale": 1e306}}, 1, "eigenvalues must be finite"),
+    ],
+    ids=["CF", "tol_fp", "T_horizon", "tol_fp_underflow", "scale"],
+)
+def test_overflowing_plans_and_spectra_are_one_error_line(tmp_path, capsys, command,
+                                                          payload, code, phrase):
+    argv = [command, "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and phrase in lines[0]
+    assert "Traceback" not in err
+
+
+# the README's "Exit codes" mapping, class by class
+README_EXIT_CODES = {
+    "ImlabError": 1, "ConfigError": 1, "DimensionError": 1, "DomainError": 1,
+    "AdmissibilityError": 2, "CertificationError": 2,
+    "ConvergenceError": 3, "GapViolationError": 3, "OverflowGuardError": 3,
+}
+
+
+def test_every_error_class_exits_with_its_readme_code(capsys, monkeypatch):
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.ImlabError)}
+    assert set(classes) == set(README_EXIT_CODES)
+    for name, cls in classes.items():
+        assert cls.exit_code == README_EXIT_CODES[name], name
+
+        def raising(args, cls=cls, name=name):
+            raise cls(f"{name} raised")
+
+        monkeypatch.setattr("imlab.cli.cmd_check_gap", raising)
+        assert main(["check-gap"]) == README_EXIT_CODES[name]
+        assert capsys.readouterr().err == f"error: {name} raised\n"
 
 
 def test_self_test_suite_name_validation(tmp_path, capsys):

@@ -274,12 +274,13 @@ def test_c1theta_distance_components(lab, limit, member):
         member.graph, limit.graph, member.field, limit.field,
         lab.theta, lab.theta_star, rng=lab.rng("study"),
     )
-    assert res.value == pytest.approx(res.sup_part + res.deriv_part + res.seminorm)
-    assert res.sup_part > 0 and res.deriv_part > 0 and res.seminorm >= 0
-    assert res.interpolation_ok
+    deriv = res["d_c1"] - res["d_sup"]
+    assert res["d_c1theta"] == pytest.approx(res["d_c1"] + res["holder_diff"])
+    assert res["d_sup"] > 0 and deriv > 0 and res["holder_diff"] >= 0
+    assert res["holder_diff"] <= res["interpolation_bound"] * (1 + 1e-9)
     ratio = lab.theta / lab.theta_star
-    want = res.seminorm_star**ratio * (2 * res.deriv_part) ** (1 - ratio)
-    assert res.interpolation_bound == pytest.approx(want, rel=1e-12)
+    want = res["seminorm_at_theta_star"]**ratio * (2 * deriv) ** (1 - ratio)
+    assert res["interpolation_bound"] == pytest.approx(want, rel=1e-12)
     with pytest.raises(ConfigError):
         c1theta_distance(
             member.graph, limit.graph, member.field, limit.field,
@@ -383,6 +384,18 @@ def test_theta_comparison_envelope(lab, limit, member):
     assert comp.fitted_C > 0
     assert comp.measured.shape == (20, comp.times.size)
     assert np.all(np.diff(comp.envelope) > 0)  # envelope grows backward in time
+
+
+def test_theta_comparison_marches_at_a_configured_step(lab, limit, member):
+    # an explicit solver.h is the comparison's shared step; "auto" would
+    # step 0.05 over the larger slow-flow rate, about 0.0208 here
+    solver = replace(lab.config.solver, h=0.01)
+    lab_h = replace(lab, config=replace(lab.config, solver=solver))
+    sizes = dict.fromkeys(("beta", "tau_log", "rho", "d_c1_deriv"), 0.0)
+    comp = theta_comparison(lab_h, limit, member, sizes, xi_samples=4,
+                            rng=np.random.default_rng(0))
+    assert comp.times.size > 2
+    assert np.allclose(np.diff(comp.times), 0.01, rtol=1e-9, atol=0.0)
 
 
 def test_two_lane_collect_march_equals_each_lane_alone(lab, limit, member):

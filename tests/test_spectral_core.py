@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import alpha_norm
 from imlab.errors import ConfigError, DimensionError
 from imlab.spectral_core import (
+    NORM_BLOCK,
     SpectralProblem,
     _gram_bounds,
     alpha_norm_batch,
@@ -25,6 +26,7 @@ from imlab.spectral_core import (
     resolvent_deficiency,
     spectrum_from_rule,
     weighted_opnorms,
+    weighted_row_norms,
 )
 
 
@@ -63,6 +65,19 @@ def test_alpha_norm_golden():
     # weights (1, 2) at alpha = 1/2, so |(3, 4)|_alpha^2 = 9 + 64
     assert alpha_norm(two_mode(), [3.0, 4.0]) == pytest.approx(math.sqrt(73), rel=1e-15)
     assert alpha_norm(two_mode(alpha=0.0), [3.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", ["(N,)", "(1, N)", "(rows, N)"])
+def test_blocked_weighted_row_norms_equal_one_linalg_norm(shape):
+    # every weight shape, over more rows than one block: the blocks change
+    # no bit against one np.linalg.norm of the whole weighted array
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2 * NORM_BLOCK + 37, 6))
+    w = {"(N,)": rng.uniform(1, 3, 6), "(1, N)": rng.uniform(1, 3, (1, 6)),
+         "(rows, N)": rng.uniform(1, 3, rows.shape)}[shape]
+    assert np.array_equal(weighted_row_norms(rows, w), np.linalg.norm(rows * w, axis=-1))
+    few, w_few = rows[:3], (w[:3] if shape == "(rows, N)" else w)
+    assert np.array_equal(weighted_row_norms(few, w_few), np.linalg.norm(few * w_few, axis=-1))
 
 
 def test_coord_norm_golden():
