@@ -6,16 +6,25 @@ class's `exit_code` (`imlab.errors`): 1 configuration or usage problems
 2 admissibility or certification failures, 3 numerical failures (an
 iteration stops contracting, fails to converge, or trips the overflow
 guard). A configuration too large to allocate exits 1 too.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise:
+every product imlab forms is a gemm too small for OpenBLAS to split, so a
+worker thread would only spin. The variable is set before numpy loads, and
+a value already in the environment wins.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
+
+# before the imports below load numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import perturbation_harness, suites
 from .config import build_lab, default_config, load_config

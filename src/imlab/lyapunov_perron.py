@@ -48,6 +48,16 @@ interpolation call and advances the tangent with the nonlinearity's
 Jacobian-vector product, which forms only the base map's leading Jacobian
 rows.
 
+A march prepares one `grid_sampler.GridSampler` and keeps it as rows
+retire. It holds the lanes' value tables as one flat table, each row's
+offset into it, and each row's first node and spacing per axis. A stage
+then runs only the floor, clip, gather and blend of the one-cell formula,
+in the arithmetic `GridField.eval` uses. The march drops the box mask when
+every lane's grid box covers its support ball, as the default box of
+box_factor times the support does: the support mask then zeroes every
+sample outside the box. A lane without a support radius, or with explicit
+box_half_widths narrower than its support, keeps the mask.
+
 A march holds only the fast modes that can be nonzero. F writes only its
 first K coefficients, so the Duhamel integral of every fast mode past K is
 an exact zero: the weights, integrand and integral carry the leading
@@ -85,6 +95,7 @@ from .errors import (
     GapViolationError,
     OverflowGuardError,
 )
+from .grid_sampler import GridSampler, box_covers_support, grid_frame
 from .nonlinearity import CutoffNonlinearity, NonlinearityStack, _take, per_row
 from .spectral_core import (
     SpectralProblem,
@@ -98,6 +109,9 @@ _NODE_CHUNK = 8192
 
 #: Largest slow state or tangent entry a backward march may reach.
 OVERFLOW_GUARD = 1e12
+
+#: Most RK4 steps one march may plan; the default config plans a few hundred.
+MAX_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -145,57 +159,6 @@ def phi1_weight(z):
 
 # ---------------------------------------------------------------------------
 # Graphs over the slow coordinates
-
-
-def _grid_frame(axes) -> np.ndarray:
-    """First node, spacing and last node of each axis, shape (3, m)."""
-    return np.array([[ax[0], ax[1] - ax[0], ax[-1]] for ax in axes]).T
-
-
-def _interp_multilinear(frame, values, z, lane=None):
-    """Multilinear interpolation on uniform grids; exact zero outside the
-    grid box.
-
-    values is one grid, or with lane (one index per point) grids stacked on
-    a leading axis; frame is a `_grid_frame` (3, m) or one per point
-    (B, 3, m).
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    m = frame.shape[-1]
-    if z.shape[-1] != m:
-        raise DimensionError(f"expected {m} slow coordinates")
-    lo, step, hi = frame[..., 0, :], frame[..., 1, :], frame[..., 2, :]
-    lead = 0 if lane is None else 1
-    trail = values.shape[lead + m :]
-    bshape = (z.shape[0],) + (1,) * len(trail)
-    inside = np.ones(z.shape[0], dtype=bool)
-    for d in range(m):
-        inside &= (z[:, d] >= lo[..., d]) & (z[:, d] <= hi[..., d])
-    idx, frac = [], []
-    for d in range(m):
-        t = (z[:, d] - lo[..., d]) / step[..., d]
-        i = np.minimum(np.maximum(np.floor(t).astype(int), 0), values.shape[lead + d] - 2)
-        idx.append(i)
-        frac.append((t - i).reshape(bshape))
-    if lane is not None:
-        # fold the lane axis into the first grid axis
-        idx[0] = idx[0] + lane * values.shape[1]
-        values = values.reshape((values.shape[0] * values.shape[1],) + values.shape[2:])
-    if m == 1:
-        i = idx[0]
-        f = frac[0]
-        out = (1.0 - f) * values[i] + f * values[i + 1]
-    elif m == 2:
-        i, j = idx
-        f, g = frac
-        out = (1.0 - f) * (1.0 - g) * values[i, j]
-        out += f * (1.0 - g) * values[i + 1, j]
-        out += (1.0 - f) * g * values[i, j + 1]
-        out += f * g * values[i + 1, j + 1]
-    else:
-        raise ConfigError("grids support one or two slow modes only")
-    out[~inside] = 0.0
-    return out
 
 
 def grid_axes(problem: SpectralProblem, settings, support_radius):
@@ -269,7 +232,9 @@ class GridField:
 
     def eval(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = _interp_multilinear(_grid_frame(self.axes), self.values, z)
+        if z.shape[-1] != len(self.axes):
+            raise DimensionError(f"expected {len(self.axes)} slow coordinates")
+        out = GridSampler(self.values, grid_frame(self.axes)[None])(z)
         if self.support_radius is not None:
             out[coord_norm_batch(self.problem, z) >= self.support_radius] = 0.0
         return out
@@ -380,10 +345,16 @@ def resolve_step(problem, F, settings) -> float:
 
 def _steps_for(T, h):
     """The RK4 plan over the horizon T at steps of at most h; a horizon or a
-    step count past the floats trips the overflow guard."""
+    step count past the floats trips the overflow guard, and a plan of more
+    than MAX_STEPS steps is a configuration error."""
     steps = np.ceil(T / h - 1e-12)
     if not np.isfinite(steps):
         raise OverflowGuardError(_OVERFLOW)
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"the RK4 plan takes {steps:.4g} steps of {h:.4g} over the horizon {T:.4g}, "
+            f"more than {MAX_STEPS}; raise h or shorten T_horizon"
+        )
     steps = max(1, int(steps))
     return steps, T / steps
 
@@ -468,7 +439,7 @@ def _lane(problem, F, phi, upsilon, settings) -> _Lane:
         reach = max(_reach(phi), _reach(upsilon))
         values = _stacked_graph_and_field(phi, upsilon, reach)
     width = min(max(F.base.rows, m), problem.n_modes) - m
-    return _Lane(problem, F, steps, h, _grid_frame(phi.axes), values, phi.support_radius,
+    return _Lane(problem, F, steps, h, grid_frame(phi.axes), values, phi.support_radius,
                  width, reach)
 
 
@@ -585,7 +556,6 @@ def _march(blocks, fiber, collect=False):
         z = h * lam_p
         log_growth = np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
         last = np.repeat([lane.steps for lane in lanes], counts)
-    frame = lane_rows(lambda lane: lane.frame)
     unique = list({id(lane): lane for lane in lanes}.values())
     if len(unique) == 1:
         values, which = unique[0].values, None
@@ -596,6 +566,10 @@ def _march(blocks, fiber, collect=False):
         for table, lane in zip(values, unique):
             table[(slice(None),) * m + (slice(lane.reach),)] = lane.values
         which = np.repeat([unique.index(lane) for lane in lanes], counts)
+    # the support mask zeroes every sample outside a box that covers it
+    boxed = not all(box_covers_support(lane.frame, lane.problem.alpha_weights[:m],
+                                       lane.support_radius) for lane in unique)
+    sampler = GridSampler(values, lane_rows(lambda lane: lane.frame), which, boxed)
     supported = any(lane.support_radius is not None for lane in lanes)
     radius = lane_rows(lambda lane: [np.inf if lane.support_radius is None
                                      else lane.support_radius])[:, 0]
@@ -607,7 +581,7 @@ def _march(blocks, fiber, collect=False):
     def sample(pv, norms=None):
         """The grids at the slow points pv, zero at or past the support;
         norms: their weighted slow radii, when the caller has them."""
-        out = _interp_multilinear(frame, values, pv, which)
+        out = sampler(pv)
         if supported:
             out[(row_norms(pv * w_slow) if norms is None else norms) >= radius] = 0.0
         return out
@@ -718,10 +692,8 @@ def _march(blocks, fiber, collect=False):
                 h = h[keep]
                 hs = steps_of(h)
         n = int(keep.sum())
-        frame, radius, w_slow, exit_radius = (
-            _take(a, keep) for a in (frame, radius, w_slow, exit_radius))
-        if which is not None:
-            which = which[keep]
+        radius, w_slow, exit_radius = (_take(a, keep) for a in (radius, w_slow, exit_radius))
+        sampler.retire(keep)
         F.retire(keep)
     if collect:
         return times, traj

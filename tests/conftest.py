@@ -69,6 +69,49 @@ def base_value(base, u):
     return vals
 
 
+def interp_multilinear(frame, values, z, lane=None):
+    """Multilinear interpolation on uniform grids with exact zeros outside
+    the grid box, by the one-cell formula the package's grid sampler must
+    reproduce bit for bit.
+
+    values is one grid, or with lane (one index per point) grids stacked on
+    a leading axis; frame is a (3, m) first node, spacing and last node per
+    axis, or one per point (B, 3, m).
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    m = frame.shape[-1]
+    lo, step, hi = frame[..., 0, :], frame[..., 1, :], frame[..., 2, :]
+    lead = 0 if lane is None else 1
+    trail = values.shape[lead + m :]
+    bshape = (z.shape[0],) + (1,) * len(trail)
+    inside = np.ones(z.shape[0], dtype=bool)
+    for d in range(m):
+        inside &= (z[:, d] >= lo[..., d]) & (z[:, d] <= hi[..., d])
+    idx, frac = [], []
+    for d in range(m):
+        t = (z[:, d] - lo[..., d]) / step[..., d]
+        i = np.minimum(np.maximum(np.floor(t).astype(int), 0), values.shape[lead + d] - 2)
+        idx.append(i)
+        frac.append((t - i).reshape(bshape))
+    if lane is not None:
+        # fold the lane axis into the first grid axis
+        idx[0] = idx[0] + lane * values.shape[1]
+        values = values.reshape((values.shape[0] * values.shape[1],) + values.shape[2:])
+    if m == 1:
+        i = idx[0]
+        f = frac[0]
+        out = (1.0 - f) * values[i] + f * values[i + 1]
+    else:
+        i, j = idx
+        f, g = frac
+        out = (1.0 - f) * (1.0 - g) * values[i, j]
+        out += f * (1.0 - g) * values[i + 1, j]
+        out += (1.0 - f) * g * values[i, j + 1]
+        out += f * g * values[i + 1, j + 1]
+    out[~inside] = 0.0
+    return out
+
+
 def with_constants(F, C_F, L_F, theta_F, L):
     """F with its configured constants replaced."""
     return replace(F, C_F=C_F, L_F=L_F, theta_F=theta_F, L=L)

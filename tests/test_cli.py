@@ -1,12 +1,18 @@
 """Command-line surface: subcommands, exit codes, artifacts.
 
 Everything runs in-process through main(argv) so exit codes and printed
-output can be asserted without spawning interpreters.
+output can be asserted without spawning interpreters, except the checks of
+what a fresh interpreter starts and loads, and of a run that must end
+within a timeout.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,3 +408,61 @@ def test_distance_study_report_is_strict_json(tmp_path, capsys):
     blob = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
     assert all(fit == {"C": None, "slope": None}
                for fit in blob["least_squares_fits"].values())
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh(code, args=(), cwd=None, **env):
+    """Runs code in a fresh interpreter with the package on its path and
+    OPENBLAS_NUM_THREADS unset unless env sets it; returns the process."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=dict(base, **env), cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["build", "distance-study", "self-test"])
+def test_a_step_plan_past_the_cap_is_one_error_line(tmp_path, command):
+    # h = 1e-300 plans about 1e300 RK4 steps, finite and past the cap
+    cfg = write_cfg(tmp_path, {"solver": {"h": 1e-300}})
+    done = fresh("import sys; from imlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                 [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    lines = done.stderr.strip().splitlines()
+    assert done.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error:") and "steps" in lines[0]
+    assert "Traceback" not in done.stderr
+
+
+_TASKS = "import os, imlab.cli; print(len(os.listdir('/proc/self/task')))"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no worker on one CPU")
+def test_the_cli_pins_openblas_to_one_thread_unless_told_otherwise():
+    # the CLI's BLAS products are all too small to thread, so its OpenBLAS
+    # starts no worker thread; a value in the environment still wins
+    assert fresh(_TASKS).stdout.split() == ["1"]
+    assert fresh(_TASKS, OPENBLAS_NUM_THREADS="2").stdout.split() == ["2"]
+
+
+_HEAVY_MODULES = ("numpy.ma", "fractions", "decimal", "statistics", "scipy")
+
+_RUN_AND_LIST = f"""
+import sys
+from imlab.cli import main
+assert main(["distance-study", "--out", "study"]) == 0
+assert main(["self-test"]) == 0
+print("loaded:", *(m for m in {_HEAVY_MODULES!r} if m in sys.modules))
+"""
+
+
+def test_default_commands_load_no_heavy_modules(tmp_path):
+    # each of these costs import time and resident memory, and no default
+    # command needs one
+    done = fresh(_RUN_AND_LIST, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"

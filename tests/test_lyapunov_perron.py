@@ -11,6 +11,7 @@ the node-table dump follow it.
 
 import decimal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,62 @@ def test_interpolation_reproduces_nodes():
     assert mid[0, 0] == pytest.approx(0.5, rel=1e-14)
 
 
+# ---------------------------------------------------------------------------
+# The marches' grid sampler (`tests/test_grid_sampler.py` checks it against
+# the one-cell formula)
+
+
+@pytest.fixture
+def boxed_marches(monkeypatch):
+    """Whether each march's sampler keeps the box mask, one entry per march."""
+    seen = []
+
+    class Recording(lyapunov_perron.GridSampler):
+        def __init__(self, values, frame, which=None, boxed=True):
+            super().__init__(values, frame, which, boxed)
+            seen.append(boxed)
+
+    monkeypatch.setattr(lyapunov_perron, "GridSampler", Recording)
+    return seen
+
+
+def graph_transforms(lab, settings):
+    """The eps = 0.1 member, a first graph sweep and the transform of that
+    graph, which reaches the sampled values."""
+    problem, F = instantiate(lab, 0.1)
+    axes = grid_axes(problem, settings, F.cutoff_radius)
+    fast = problem.n_modes - problem.m
+    phi = apply_T(problem, F, GridField.zeros(problem, axes, (fast,), F.cutoff_radius), settings)
+    assert np.any(phi.values != 0.0)
+    return problem, F, phi, apply_T(problem, F, phi, settings).values
+
+
+def test_default_marches_skip_the_box_mask(lab, boxed_marches):
+    # the default box is box_factor times the support, so no march, graph,
+    # fiber or collecting, samples through the box-masked path; the
+    # reference march samples through GridField.eval, which keeps the mask
+    settings = lab.solve_settings
+    problem, F, phi, got = graph_transforms(lab, settings)
+    ups = GridField.zeros(problem, phi.axes, phi.trailing + (problem.m,), F.cutoff_radius)
+    apply_D(problem, F, phi, ups, settings)
+    integrate_Theta(problem, F, phi, ups, phi.nodes()[::20], settings)
+    assert len(boxed_marches) == 4 and not any(boxed_marches)
+    assert np.array_equal(got, reference_march(problem, F, phi, None, settings))
+
+
+def test_narrow_box_keeps_the_box_mask(lab, boxed_marches, monkeypatch):
+    problem, F = instantiate(lab, 0.1)
+    half = 0.5 * F.cutoff_radius / problem.alpha_weights[0]
+    settings = replace(lab.solve_settings, box_half_widths=(half,))
+    problem, F, phi, got = graph_transforms(lab, settings)
+    assert boxed_marches and all(boxed_marches)
+    want = reference_march(problem, F, phi, None, settings)
+    assert np.array_equal(got, want)
+    # forcing the skip extrapolates the graph past the box
+    monkeypatch.setattr(lyapunov_perron, "box_covers_support", lambda *args: True)
+    assert not np.array_equal(apply_T(problem, F, phi, settings).values, want)
+
+
 def test_support_mask(lab, limit):
     graph = limit.graph
     radius = lab.limit_F.cutoff_radius
@@ -358,6 +415,8 @@ def test_grid_field_shape_contract():
     F = zero_map(problem)
     st = small_settings(t_horizon=1.0)
     phi = GridField.zeros(problem, axes, GRAPH)
+    with pytest.raises(DimensionError):
+        phi.eval(np.zeros((3, 2)))
     with pytest.raises(DimensionError):
         apply_D(problem, F, phi, phi, st)
     with pytest.raises(DimensionError):
